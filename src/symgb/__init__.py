@@ -5,12 +5,11 @@ Hilbert series of the resulting quotients."""
 
 from .poly import (
     ArityMismatchError,
-    LexOrder,
     PolyParseError,
     Polynomial,
     ZeroPolynomialError,
     format_polynomial,
-    mono_compare,
+    lex_key,
     mono_div,
     mono_divides,
     mono_lcm,

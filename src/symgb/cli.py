@@ -12,7 +12,7 @@ import os
 import sys
 from typing import List, Optional
 
-from . import groebner, hilbert, involution, symfunc, verify
+from . import groebner, involution, symfunc, verify
 from .poly import PolyParseError, Polynomial, format_polynomial, parse_polynomial
 
 USAGE_ERROR = 2
@@ -115,7 +115,8 @@ def cmd_verify(args) -> int:
     cap = _max_n_cap()
     if cap is not None:
         hi = min(hi, cap)
-    hi = min(hi, verify.DEFAULT_MAX_N[args.target]) if args.no_limit is False else hi
+    if not args.no_limit:
+        hi = min(hi, verify.TARGETS[args.target].max_n)
     if hi < lo:
         raise UsageError("range is empty after applying caps")
     results = verify.run_sweep(args.target, lo, hi, fixed_k=args.k)
@@ -151,9 +152,7 @@ def cmd_involution(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    gb = verify.computed_gb_ek(args.n, args.n)
-    series = hilbert.staircase_series(gb.leading_monomials(), args.n)
-    expected = hilbert.closed_form_series(args.n)
+    series, expected = verify.hilbert_series(args.n)
     if args.format == "records":
         print(f"n={args.n} coeffs={list(series.coeffs)} "
               f"dimension={series.dimension()} "
@@ -182,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gens", required=True,
                    help="comma list of e-indices and/or polynomial text")
-    p.add_argument("--order", choices=("lex",), default="lex")
     p.set_defaults(fn=cmd_gb)
 
     p = sub.add_parser("verify", help="sweep-verify a target")

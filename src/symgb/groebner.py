@@ -7,13 +7,13 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .poly import (
     ArityMismatchError,
-    LexOrder,
     Polynomial,
     ZeroPolynomialError,
+    lex_key,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -39,7 +39,6 @@ class DivisionResult:
 @dataclass(frozen=True)
 class GroebnerBasis:
     arity: int
-    order: LexOrder
     elements: tuple
     reduced: bool = False
 
@@ -53,17 +52,7 @@ class GroebnerBasis:
         return [g.leading_monomial() for g in self.elements]
 
 
-def _default_order(arity: int, order: Optional[LexOrder]) -> LexOrder:
-    if order is None:
-        return LexOrder(arity)
-    if order.arity != arity:
-        raise ArityMismatchError(
-            f"order arity {order.arity} != polynomial arity {arity}")
-    return order
-
-
-def divide(f: Polynomial, divisors: Sequence[Polynomial],
-           order: Optional[LexOrder] = None) -> DivisionResult:
+def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     """Divide f by an ordered list of divisors.
 
     At every step the first divisor (in list order) whose leading term
@@ -73,7 +62,6 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial],
     LT(f) >= LT(a_i * f_i) whenever a_i * f_i != 0.
     """
     arity = f.arity
-    _default_order(arity, order)
     leads = []
     for d in divisors:
         if d.arity != arity:
@@ -126,12 +114,10 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial],
     )
 
 
-def s_polynomial(f: Polynomial, g: Polynomial,
-                 order: Optional[LexOrder] = None) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """(lcm/LT(f))*f - (lcm/LT(g))*g for the lcm of the leading monomials."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomialError("s_polynomial of a zero polynomial")
-    _default_order(f.arity, order)
     fc, fm = f.leading_term()
     gc, gm = g.leading_term()
     lcm = mono_lcm(fm, gm)
@@ -141,20 +127,16 @@ def s_polynomial(f: Polynomial, g: Polynomial,
 
 
 def normal_form(f: Polynomial,
-                basis: Union[GroebnerBasis, Sequence[Polynomial]],
-                order: Optional[LexOrder] = None) -> Polynomial:
+                basis: Union[GroebnerBasis, Sequence[Polynomial]]) -> Polynomial:
     """Remainder of f on division by the basis; zero iff f is in the ideal
     when the basis is a Groebner basis."""
     elements = basis.elements if isinstance(basis, GroebnerBasis) else basis
-    if isinstance(basis, GroebnerBasis) and order is None:
-        order = basis.order
     if not elements:
         return f
-    return divide(f, list(elements), order).remainder
+    return divide(f, list(elements)).remainder
 
 
 def buchberger(generators: Iterable[Polynomial],
-               order: Optional[LexOrder] = None,
                product_criterion: bool = True) -> GroebnerBasis:
     """Buchberger's algorithm with first-in-first-out pair selection.
 
@@ -166,7 +148,6 @@ def buchberger(generators: Iterable[Polynomial],
     if not gens:
         raise ZeroIdealError("all generators are zero")
     arity = gens[0].arity
-    order = _default_order(arity, order)
 
     basis: list = []
     pairs: deque = deque()
@@ -185,10 +166,10 @@ def buchberger(generators: Iterable[Polynomial],
         lmi, lmj = fi.leading_monomial(), fj.leading_monomial()
         if product_criterion and mono_lcm(lmi, lmj) == mono_mul(lmi, lmj):
             continue
-        s = s_polynomial(fi, fj, order)
+        s = s_polynomial(fi, fj)
         if s.is_zero():
             continue
-        r = divide(s, basis, order).remainder
+        r = divide(s, basis).remainder
         if r.is_zero():
             continue
         r = r.monic()
@@ -198,68 +179,58 @@ def buchberger(generators: Iterable[Polynomial],
         if r.leading_monomial() == one:
             # unit ideal: no further pair can contribute anything new
             break
-    return GroebnerBasis(arity=arity, order=order,
-                         elements=tuple(basis), reduced=False)
+    return GroebnerBasis(arity=arity, elements=tuple(basis), reduced=False)
 
 
 def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     """Interreduce a Groebner basis to the unique reduced Groebner basis:
     minimal, monic, every element fully reduced against the others, sorted
     by decreasing leading monomial."""
-    order = gb.order
     elements = [g.monic() for g in gb.elements if not g.is_zero()]
     if not elements:
-        return GroebnerBasis(gb.arity, order, (), reduced=True)
+        return GroebnerBasis(gb.arity, (), reduced=True)
 
     # minimalize: drop g when some other kept element's LM divides LM(g)
-    elements.sort(key=lambda g: order.key(g.leading_monomial()))
+    elements.sort(key=lambda g: lex_key(g.leading_monomial()))
     minimal: list = []
     for g in elements:
         lm = g.leading_monomial()
         if not any(mono_divides(h.leading_monomial(), lm) for h in minimal):
             minimal.append(g)
 
-    # interreduce tails to a fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1:]
-            r = divide(minimal[i], others, order).remainder.monic()
-            if r != minimal[i]:
-                minimal[i] = r
-                changed = True
+    # interreduce tails in one pass: no LM divides another, so division keeps
+    # every leading term, and a remainder reduced against the others' LMs
+    # stays reduced when they are reduced in turn
+    for i in range(len(minimal)):
+        others = minimal[:i] + minimal[i + 1:]
+        minimal[i] = divide(minimal[i], others).remainder
 
-    minimal.sort(key=lambda g: order.key(g.leading_monomial()), reverse=True)
-    return GroebnerBasis(gb.arity, order, tuple(minimal), reduced=True)
+    minimal.sort(key=lambda g: lex_key(g.leading_monomial()), reverse=True)
+    return GroebnerBasis(gb.arity, tuple(minimal), reduced=True)
 
 
-def is_groebner_basis(polys: Sequence[Polynomial],
-                      order: Optional[LexOrder] = None) -> bool:
+def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:
     """Check Buchberger's criterion: every pairwise S-polynomial has
     remainder zero on division by the set."""
     polys = [g for g in polys if not g.is_zero()]
     if not polys:
         return False
-    order = _default_order(polys[0].arity, order)
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
-            s = s_polynomial(polys[i], polys[j], order)
+            s = s_polynomial(polys[i], polys[j])
             if s.is_zero():
                 continue
-            if not divide(s, polys, order).remainder.is_zero():
+            if not divide(s, polys).remainder.is_zero():
                 return False
     return True
 
 
-def is_reduced(polys: Sequence[Polynomial],
-               order: Optional[LexOrder] = None) -> bool:
+def is_reduced(polys: Sequence[Polynomial]) -> bool:
     """True when every element is monic and no monomial of any element is
     divisible by another element's leading monomial."""
     polys = list(polys)
     if not polys:
         return True
-    order = _default_order(polys[0].arity, order)
     for g in polys:
         if g.is_zero() or g.leading_coefficient() != 1:
             return False
@@ -272,7 +243,6 @@ def is_reduced(polys: Sequence[Polynomial],
     return True
 
 
-def reduced_groebner_basis(generators: Iterable[Polynomial],
-                           order: Optional[LexOrder] = None) -> GroebnerBasis:
+def reduced_groebner_basis(generators: Iterable[Polynomial]) -> GroebnerBasis:
     """Convenience: Buchberger followed by interreduction."""
-    return reduce_basis(buchberger(generators, order))
+    return reduce_basis(buchberger(generators))

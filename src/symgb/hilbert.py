@@ -89,5 +89,7 @@ def closed_form_series(n: int) -> SeriesPoly:
 def quotient_dimension(n: int) -> int:
     """Total dimension of the quotient: always n!."""
     dim = closed_form_series(n).dimension()
-    assert dim == factorial(n)
+    if dim != factorial(n):
+        raise ArithmeticError(
+            f"closed form has dimension {dim}, not {n}! = {factorial(n)}")
     return dim

@@ -10,7 +10,6 @@ most significant (``x_n > x_{n-1} > ... > x_1``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -70,29 +69,9 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class LexOrder:
-    """Lex order comparing the exponent of x_n first, then x_{n-1}, ..."""
-
-    arity: int
-    kind: str = "lex-descending"
-
-    def key(self, m: Monomial):
-        return m[::-1]
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        _require_same_arity(a, b)
-        ka, kb = a[::-1], b[::-1]
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
-
-
-def mono_compare(a: Monomial, b: Monomial, order: LexOrder) -> int:
-    """-1, 0 or 1 as a <, =, > b under the order."""
-    return order.compare(a, b)
+def lex_key(m: Monomial) -> Monomial:
+    """Sort key of the lex order: the exponent of x_n first, then x_{n-1}, ..."""
+    return m[::-1]
 
 
 def _as_fraction(c: Coefficient) -> Fraction:
@@ -131,7 +110,7 @@ class Polynomial:
                 merged.pop(mono, None)
         self.arity = arity
         self.terms = tuple(
-            sorted(merged.items(), key=lambda t: t[0][::-1], reverse=True))
+            sorted(merged.items(), key=lambda t: lex_key(t[0]), reverse=True))
 
     # -- constructors ------------------------------------------------------
 

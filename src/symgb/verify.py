@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import groebner, hilbert, involution, symfunc
 from .poly import format_polynomial
@@ -39,117 +39,94 @@ def computed_gb_e1ek(k: int, n: int) -> groebner.GroebnerBasis:
     return groebner.reduced_groebner_basis(gens)
 
 
-def _basis_witness(got, expected) -> str:
-    return ("computed={" + "; ".join(format_polynomial(g) for g in got)
-            + "} expected={" + "; ".join(format_polynomial(g) for g in expected)
-            + "}")
-
-
-def verify_gb_ek(k: int, n: int) -> CellResult:
-    got = list(computed_gb_ek(k, n).elements)
-    expected = symfunc.conjectured_gb_ek(k, n)
-    ok = got == expected
-    return CellResult("gb-ek", k, n, ok,
-                      "" if ok else _basis_witness(got, expected))
-
-
-def verify_gb_e1ek(k: int, n: int) -> CellResult:
-    got = list(computed_gb_e1ek(k, n).elements)
-    expected = symfunc.conjectured_gb_e1ek(k, n)
-    ok = got == expected
-    return CellResult("gb-e1ek", k, n, ok,
-                      "" if ok else _basis_witness(got, expected))
-
-
-def _identity_cell(target: str, defect_fn, k: int, n: int) -> CellResult:
-    defect = defect_fn(k, n)
-    ok = defect.is_zero()
-    return CellResult(target, k, n, ok,
-                      "" if ok else f"defect={format_polynomial(defect)}")
-
-
-def verify_identity(target: str, k: int, n: int) -> CellResult:
-    if target == "hkn":
-        return _identity_cell(target, symfunc.hkn_identity_defect, k, n)
-    if target == "ekn":
-        return _identity_cell(target, symfunc.ekn_identity_defect, k, n)
-    if target == "telescope":
-        return _identity_cell(target, symfunc.telescope_defect, k, n)
-    if target == "newton":
-        return _identity_cell(target, symfunc.newton_defect, k, n)
-    if target == "e1ek-reduction":
-        ok = symfunc.check_e1ek_reduction(k, n)
-        return CellResult(target, k, n, ok,
-                          "" if ok else "reduction identity failed")
-    raise ValueError(f"unknown identity target {target!r}")
-
-
-def verify_involution(family: str, k: int, n: int) -> CellResult:
-    report = involution.certify_involution(family, k, n)
-    witness = "" if report.ok else repr(report)
-    return CellResult(f"involution-{family}", k, n, report.ok, witness)
-
-
-def verify_hilbert(n: int) -> CellResult:
+def hilbert_series(n: int) -> Tuple[hilbert.SeriesPoly, hilbert.SeriesPoly]:
+    """(staircase series of the reduced basis of <e_1..e_n>, closed form)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     gb = computed_gb_ek(n, n)
     series = hilbert.staircase_series(gb.leading_monomials(), n)
-    expected = hilbert.closed_form_series(n)
-    ok = series == expected and series.dimension() == factorial(n)
-    witness = (f"dim={series.dimension()}" if ok
-               else f"computed={series} expected={expected}")
-    return CellResult("hilbert", None, n, ok, witness)
+    return series, hilbert.closed_form_series(n)
 
 
-TARGETS = ("gb-ek", "gb-e1ek", "hkn", "ekn", "telescope", "newton",
-           "e1ek-reduction", "involution-hkn", "involution-ekn", "hilbert")
+# Each check maps a cell (k, n) to (ok, witness).  Checks look symfunc and
+# involution functions up on their modules at call time, so replacing a
+# module attribute (in a test, or to trace it) reaches the sweep.
 
-# Default n ceilings keeping the full sweep fast.
-DEFAULT_MAX_N = {
-    "gb-ek": 6, "gb-e1ek": 7,
-    "hkn": 8, "ekn": 8, "telescope": 8, "newton": 8, "e1ek-reduction": 8,
-    "involution-hkn": 6, "involution-ekn": 6,
-    "hilbert": 6,
+def _basis_check(gb: groebner.GroebnerBasis, expected: list) -> Tuple[bool, str]:
+    got = list(gb.elements)
+    if got == expected:
+        return True, ""
+    return False, ("computed={" + "; ".join(format_polynomial(g) for g in got)
+                   + "} expected={"
+                   + "; ".join(format_polynomial(g) for g in expected) + "}")
+
+
+def _defect_check(defect) -> Tuple[bool, str]:
+    if defect.is_zero():
+        return True, ""
+    return False, f"defect={format_polynomial(defect)}"
+
+
+def _certify_check(report: involution.CertReport) -> Tuple[bool, str]:
+    return report.ok, "" if report.ok else repr(report)
+
+
+def _hilbert_check(k: None, n: int) -> Tuple[bool, str]:
+    series, expected = hilbert_series(n)
+    if series == expected and series.dimension() == factorial(n):
+        return True, f"dim={series.dimension()}"
+    return False, f"computed={series} expected={expected}"
+
+
+def _e1ek_reduction_check(k: int, n: int) -> Tuple[bool, str]:
+    ok = symfunc.check_e1ek_reduction(k, n)
+    return ok, "" if ok else "reduction identity failed"
+
+
+def _ks(lo: int, past_n: int = 0) -> Callable[[int], range]:
+    return lambda n: range(lo, n + 1 + past_n)
+
+
+@dataclass(frozen=True)
+class Target:
+    check: Callable[[Optional[int], int], Tuple[bool, str]]
+    max_n: int  # default n ceiling, keeping the full sweep fast
+    ks: Callable[[int], Sequence[Optional[int]]]  # k of the cells at n; grows with n
+
+
+# hkn, ekn and newton also sweep k = n+1, n+2, where they hold trivially.
+TARGETS = {
+    "gb-ek": Target(lambda k, n: _basis_check(
+        computed_gb_ek(k, n), symfunc.conjectured_gb_ek(k, n)), 6, _ks(1)),
+    "gb-e1ek": Target(lambda k, n: _basis_check(
+        computed_gb_e1ek(k, n), symfunc.conjectured_gb_e1ek(k, n)), 7, _ks(2)),
+    "hkn": Target(lambda k, n: _defect_check(
+        symfunc.hkn_identity_defect(k, n)), 8, _ks(1, 2)),
+    "ekn": Target(lambda k, n: _defect_check(
+        symfunc.ekn_identity_defect(k, n)), 8, _ks(1, 2)),
+    "telescope": Target(lambda k, n: _defect_check(
+        symfunc.telescope_defect(k, n)), 8, _ks(1)),
+    "newton": Target(lambda k, n: _defect_check(
+        symfunc.newton_defect(k, n)), 8, _ks(1, 2)),
+    "e1ek-reduction": Target(_e1ek_reduction_check, 8, _ks(1)),
+    "involution-hkn": Target(lambda k, n: _certify_check(
+        involution.certify_involution("hkn", k, n)), 6, _ks(1)),
+    "involution-ekn": Target(lambda k, n: _certify_check(
+        involution.certify_involution("ekn", k, n)), 6, _ks(1)),
+    "hilbert": Target(_hilbert_check, 6, lambda n: (None,)),
 }
-
-
-def cells_for(target: str, n: int,
-              fixed_k: Optional[int] = None) -> List[Tuple[Optional[int], int]]:
-    """The (k, n) cells a sweep visits at this n for the given target."""
-    if target == "hilbert":
-        return [(None, n)]
-    if target in ("hkn", "ekn", "newton"):
-        ks = range(1, n + 3)  # k > n cases are asserted trivially true
-    elif target == "gb-e1ek":
-        ks = range(2, n + 1)
-    else:
-        ks = range(1, n + 1)
-    if fixed_k is not None:
-        ks = [fixed_k] if fixed_k in ks else []
-    return [(k, n) for k in ks]
-
-
-def run_cell(target: str, k: Optional[int], n: int) -> CellResult:
-    if target == "gb-ek":
-        return verify_gb_ek(k, n)
-    if target == "gb-e1ek":
-        return verify_gb_e1ek(k, n)
-    if target in ("hkn", "ekn", "telescope", "newton", "e1ek-reduction"):
-        return verify_identity(target, k, n)
-    if target == "involution-hkn":
-        return verify_involution("hkn", k, n)
-    if target == "involution-ekn":
-        return verify_involution("ekn", k, n)
-    if target == "hilbert":
-        return verify_hilbert(n)
-    raise ValueError(f"unknown target {target!r}")
 
 
 def run_sweep(target: str, n_lo: int, n_hi: int,
               fixed_k: Optional[int] = None) -> List[CellResult]:
-    if target not in TARGETS:
+    """Check every (k, n) cell of the target with n_lo <= n <= n_hi, or only
+    the cells with k = fixed_k; a fixed_k that selects no cell is an error."""
+    spec = TARGETS.get(target)
+    if spec is None:
         raise ValueError(f"unknown target {target!r}")
-    results = []
-    for n in range(n_lo, n_hi + 1):
-        for k, nn in cells_for(target, n, fixed_k):
-            results.append(run_cell(target, k, nn))
-    return results
+    if fixed_k is not None and fixed_k not in spec.ks(n_hi):
+        raise ValueError(
+            f"{target} has no cell with k={fixed_k} for n in {n_lo}..{n_hi}")
+    return [CellResult(target, k, n, *spec.check(k, n))
+            for n in range(n_lo, n_hi + 1) for k in spec.ks(n)
+            if fixed_k is None or k == fixed_k]

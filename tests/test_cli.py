@@ -94,6 +94,22 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    def test_k_outside_the_targets_range(self, capsys):
+        code, out, err = run(capsys, "verify", "gb-ek", "--n", "3", "--k", "9")
+        assert code == 2
+        assert out == ""
+        assert "k=9" in err
+        code, _, _ = run(capsys, "verify", "gb-e1ek", "--n", "2..4", "--k", "1")
+        assert code == 2
+        code, _, _ = run(capsys, "verify", "hkn", "--n", "1..3", "--k", "6")
+        assert code == 2
+
+    def test_k_for_a_target_without_k(self, capsys):
+        code, out, err = run(capsys, "verify", "hilbert", "--n", "2", "--k", "1")
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
     def test_max_n_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("SYMGB_MAX_N", "2")
         code, out, _ = run(capsys, "verify", "gb-ek", "--n", "1..5")
@@ -150,6 +166,13 @@ class TestInvolutionAndHilbert:
         code, out, _ = run(capsys, "hilbert", "--n", "4")
         assert code == 0
         assert "dimension: 24" in out
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_hilbert_n_below_one(self, capsys, n):
+        code, out, err = run(capsys, "hilbert", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "n must be >= 1" in err
 
     def test_hilbert_records(self, capsys):
         code, out, _ = run(capsys, "hilbert", "--n", "3", "--format", "records")

@@ -75,6 +75,13 @@ class TestClosedForm:
         assert quotient_dimension(3) == 6
         assert quotient_dimension(6) == 720
 
+    def test_quotient_dimension_checks_the_closed_form(self, monkeypatch):
+        import symgb.hilbert as hilbert
+        monkeypatch.setattr(hilbert, "closed_form_series",
+                            lambda n: SeriesPoly((1, 1)))
+        with pytest.raises(ArithmeticError):
+            quotient_dimension(3)
+
 
 class TestAgainstGroebner:
     def test_staircase_matches_closed_form(self):
