@@ -31,15 +31,15 @@ from .groebner import (
 )
 from .symfunc import (
     check_e1ek_reduction,
-    check_ekn_identity,
-    check_hkn_identity,
-    check_newton,
-    check_telescope,
     conjectured_gb_e1ek,
     conjectured_gb_ek,
+    ekn_identity_defect,
     elementary,
+    hkn_identity_defect,
     homogeneous,
+    newton_defect,
     powersum,
+    telescope_defect,
     weight,
 )
 from .involution import (

@@ -18,7 +18,7 @@ from .poly import PolyParseError, Polynomial, format_polynomial, parse_polynomia
 USAGE_ERROR = 2
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -50,8 +50,15 @@ def _max_n_cap() -> Optional[int]:
     return cap
 
 
+def _require_n(n: int) -> int:
+    if n < 1:
+        raise UsageError(f"n must be >= 1, got {n}")
+    return n
+
+
 def _parse_generators(spec: str, n: int, elementary_only: bool = False) -> List[Polynomial]:
     """Comma list of e-indices ("e1,e3") and/or raw polynomial text."""
+    _require_n(n)
     gens = []
     indices = []
     for token in spec.split(","):
@@ -84,7 +91,7 @@ def _print_basis(gb: groebner.GroebnerBasis) -> None:
 def cmd_sym(args) -> int:
     builders = {"e": symfunc.elementary, "h": symfunc.homogeneous,
                 "p": symfunc.powersum}
-    print(format_polynomial(builders[args.kind](args.k, args.n)))
+    print(format_polynomial(builders[args.kind](args.k, _require_n(args.n))))
     return 0
 
 
@@ -139,7 +146,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_involution(args) -> int:
-    report = involution.certify_involution(args.family, args.k, args.n)
+    report = involution.certify_involution(args.family, args.k, _require_n(args.n))
     print(f"family={report.family} k={report.k} n={report.n} "
           f"carrier_size={report.carrier_size}")
     for name in ("carrier_closed", "is_involution", "sign_reversing",
@@ -218,10 +225,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, PolyParseError) as exc:
+    except ValueError as exc:  # UsageError and PolyParseError included
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

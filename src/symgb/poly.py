@@ -41,10 +41,6 @@ def mono_one(arity: int) -> Monomial:
     return (0,) * arity
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     _require_same_arity(a, b)
     return tuple(x + y for x, y in zip(a, b))
@@ -143,16 +139,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return (len(self.terms) == 1
-                and self.terms[0][0] == mono_one(self.arity)
-                and self.terms[0][1] == 1)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ZeroPolynomialError("zero polynomial has no degree")
-        return max(mono_degree(m) for m, _ in self.terms)
 
     # -- leading data ------------------------------------------------------
 

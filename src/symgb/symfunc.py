@@ -1,10 +1,12 @@
 """Elementary, complete homogeneous and power-sum symmetric polynomials,
-built from their recursions, plus symbolic checks of the identities that
-relate them and the closed-form reduced Groebner bases they predict."""
+built from their recursions, plus the defects (signed sums that vanish) of
+the identities that relate them and the closed-form reduced Groebner bases
+they predict."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Optional
 
 from .poly import Monomial, Polynomial
@@ -66,10 +68,8 @@ def powersum(k: int, n: int, arity: Optional[int] = None) -> Polynomial:
     if k < 1:
         raise ValueError("power sums require k >= 1")
     arity = _ambient(n, arity)
-    p = Polynomial.zero(arity)
-    for j in range(1, max(n, 0) + 1):
-        p = p + Polynomial.variable(j, arity) ** k
-    return p
+    return Polynomial(arity, ((tuple(k if i == j else 0 for i in range(1, arity + 1)), 1)
+                              for j in range(1, n + 1)))
 
 
 def weight(elements: Iterable[int], arity: int) -> Monomial:
@@ -82,43 +82,49 @@ def weight(elements: Iterable[int], arity: int) -> Monomial:
     return tuple(exps)
 
 
-# -- identity checkers -------------------------------------------------------
+# -- identity defects ---------------------------------------------------------
 #
-# Each checker moves the identity to one side and tests symbolic equality
-# with zero; the *_defect companion returns that difference polynomial so a
-# failure can be inspected.  k = 0 degenerates (the alternating sums reduce
+# Each identity is stated as the paper states it: a signed sum of products
+# that vanishes.  The *_defect function returns that sum, with the terms of
+# every product merged in one Polynomial construction; the identity holds
+# iff its defect .is_zero().  k = 0 degenerates (the alternating sums reduce
 # to the constant 1) and is rejected.
 
+def _signed_sum(arity: int, parts: Iterable) -> Polynomial:
+    """sum of a * product over the (a, product) pairs of ``parts``; each a is
+    an integer, a sign except in newton's (-1)^k k e_{k,n}.  ``parts`` should
+    be a generator, so only one product is alive at a time."""
+    def terms():
+        for a, product in parts:
+            for m, c in product.terms:
+                yield m, a * c
+            del product  # drop it before the next product is built
+
+    return Polynomial(arity, terms())
+
+
 def hkn_identity_defect(k: int, n: int) -> Polynomial:
-    """h_{k,n-k+1} - sum_{i=1..k} (-1)^{i+1} e_{i,n} h_{k-i,n-k+1}."""
+    """sum_{i=0..k} (-1)^i e_{i,n} h_{k-i,n-k+1}."""
     if k < 1:
         raise ValueError("identity requires k >= 1")
     arity = max(n, 1)
-    acc = homogeneous(k, n - k + 1, arity)
-    for i in range(1, k + 1):
-        sign = 1 if i % 2 == 1 else -1
-        acc = acc - sign * elementary(i, n, arity) * homogeneous(k - i, n - k + 1, arity)
-    return acc
-
-
-def check_hkn_identity(k: int, n: int) -> bool:
-    return hkn_identity_defect(k, n).is_zero()
+    return _signed_sum(arity, (
+        ((-1) ** i, elementary(i, n, arity) * homogeneous(k - i, n - k + 1, arity))
+        for i in range(k + 1)))
 
 
 def ekn_identity_defect(k: int, n: int) -> Polynomial:
-    """e_{k,n} - sum_{i=1..k} (-1)^{i+1} h_{i,n-i+1} e_{k-i,n-i}."""
+    """sum_{i=0..k} (-1)^i h_{i,n-i+1} e_{k-i,n-i}.
+
+    The i = 0 term is e_{k,n}: h_{0,n+1} = 1 would need n+1 variables.
+    """
     if k < 1:
         raise ValueError("identity requires k >= 1")
     arity = max(n, 1)
-    acc = elementary(k, n, arity)
-    for i in range(1, k + 1):
-        sign = 1 if i % 2 == 1 else -1
-        acc = acc - sign * homogeneous(i, n - i + 1, arity) * elementary(k - i, n - i, arity)
-    return acc
-
-
-def check_ekn_identity(k: int, n: int) -> bool:
-    return ekn_identity_defect(k, n).is_zero()
+    return _signed_sum(arity, chain(
+        [(1, elementary(k, n, arity))],
+        (((-1) ** i, homogeneous(i, n - i + 1, arity) * elementary(k - i, n - i, arity))
+         for i in range(1, k + 1))))
 
 
 def telescope_defect(j: int, n: int) -> Polynomial:
@@ -127,14 +133,9 @@ def telescope_defect(j: int, n: int) -> Polynomial:
         raise ValueError("requires 1 <= j <= n")
     arity = max(n, 1)
     x = Polynomial.variable(n - j + 1, arity)
-    acc = -homogeneous(j, n - j + 1, arity)
-    for ell in range(j + 1):
-        acc = acc + x ** ell * homogeneous(j - ell, n - j, arity)
-    return acc
-
-
-def check_telescope(j: int, n: int) -> bool:
-    return telescope_defect(j, n).is_zero()
+    return _signed_sum(arity, chain(
+        ((1, x ** ell * homogeneous(j - ell, n - j, arity)) for ell in range(j + 1)),
+        [(-1, homogeneous(j, n - j + 1, arity))]))
 
 
 def newton_defect(k: int, n: int) -> Polynomial:
@@ -142,16 +143,10 @@ def newton_defect(k: int, n: int) -> Polynomial:
     if k < 1:
         raise ValueError("identity requires k >= 1")
     arity = max(n, 1)
-    acc = Polynomial.zero(arity)
-    for r in range(k):
-        sign = 1 if r % 2 == 0 else -1
-        acc = acc + sign * elementary(r, n, arity) * powersum(k - r, n, arity)
-    sign = 1 if k % 2 == 0 else -1
-    return acc + sign * k * elementary(k, n, arity)
-
-
-def check_newton(k: int, n: int) -> bool:
-    return newton_defect(k, n).is_zero()
+    return _signed_sum(arity, chain(
+        (((-1) ** r, elementary(r, n, arity) * powersum(k - r, n, arity))
+         for r in range(k)),
+        [((-1) ** k * k, elementary(k, n, arity))]))
 
 
 def check_e1ek_reduction(k: int, n: int) -> bool:

@@ -13,14 +13,14 @@ from symgb.involution import certify_involution
 from symgb.poly import Polynomial, lex_key, mono_divides
 from symgb.symfunc import (
     check_e1ek_reduction,
-    check_ekn_identity,
-    check_hkn_identity,
-    check_newton,
-    check_telescope,
     conjectured_gb_e1ek,
     conjectured_gb_ek,
+    ekn_identity_defect,
     elementary,
+    hkn_identity_defect,
     homogeneous,
+    newton_defect,
+    telescope_defect,
     weight,
 )
 from symgb.verify import computed_gb_ek, computed_gb_e1ek
@@ -64,11 +64,11 @@ def test_criterion_3_identity_suite():
     ok = True
     for n in range(1, 9):
         for k in range(1, n + 3):
-            ok = ok and check_hkn_identity(k, n)
-            ok = ok and check_ekn_identity(k, n)
-            ok = ok and check_newton(k, n)
+            ok = ok and hkn_identity_defect(k, n).is_zero()
+            ok = ok and ekn_identity_defect(k, n).is_zero()
+            ok = ok and newton_defect(k, n).is_zero()
         for j in range(1, n + 1):
-            ok = ok and check_telescope(j, n)
+            ok = ok and telescope_defect(j, n).is_zero()
         for k in range(1, n + 1):
             ok = ok and check_e1ek_reduction(k, n)
     report("criterion 3: all five symbolic identities hold for "

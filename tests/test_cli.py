@@ -179,3 +179,20 @@ class TestInvolutionAndHilbert:
         assert code == 0
         assert "coeffs=[1, 2, 2, 1]" in out
         assert "matches_closed_form=True" in out
+
+
+# every command with an integer --n rejects n < 1 like hilbert does
+@pytest.mark.parametrize("argv", [
+    ("sym", "--kind", "h", "--k", "2", "--n", "-3"),
+    ("sym", "--kind", "e", "--k", "1", "--n", "0"),
+    ("gb", "--n", "0", "--gens", "e1"),
+    ("gb", "--n", "0", "--gens", "x1"),
+    ("explore", "--n", "0", "--gens", "e1"),
+    ("involution", "--family", "ekn", "--k", "1", "--n", "-2"),
+    ("involution", "--family", "hkn", "--k", "1", "--n", "0"),
+])
+def test_n_below_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "n must be >= 1" in err

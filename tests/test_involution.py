@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from symgb import involution
 from symgb.involution import (
     SignedPair,
     apply_f,
@@ -12,6 +13,26 @@ from symgb.involution import (
 )
 from symgb.poly import Polynomial
 from symgb.symfunc import elementary, homogeneous
+
+
+def broken_maps(good):
+    """Maps that validate their argument like ``good`` (the real apply_f)
+    but each break a law of the involution."""
+    def identity(p):
+        good(p)
+        return p
+
+    def leaves_carrier(p):
+        q = good(p)
+        return SignedPair(q.family, q.k, q.n, q.a, q.b + (q.n + 1,))
+
+    def not_involutive(p):
+        good(p)
+        return next(q for q in enumerate_carrier(p.family, p.k, p.n)
+                    if q.sign != p.sign)
+
+    return {"identity": identity, "leaves_carrier": leaves_carrier,
+            "not_involutive": not_involutive}
 
 
 def pairs_as_tuples(carrier):
@@ -112,6 +133,21 @@ class TestCertification:
                                         else homogeneous(i, n - i + 1, n))
                             want = h_factor * elementary(k - i, n - i, n)
                         assert got == want, (family, k, n, i)
+
+    @pytest.mark.parametrize("broken, off", [
+        ("identity", {"fixed_point_free", "sign_reversing"}),
+        ("leaves_carrier", {"carrier_closed"}),
+        ("not_involutive", {"is_involution"}),
+    ])
+    @pytest.mark.parametrize("family", ["hkn", "ekn"])
+    def test_broken_map_is_caught(self, monkeypatch, family, broken, off):
+        monkeypatch.setattr(involution, "apply_f",
+                            broken_maps(involution.apply_f)[broken])
+        r = certify_involution(family, 2, 3)
+        flags = ("carrier_closed", "is_involution", "sign_reversing",
+                 "fixed_point_free", "weight_sum_zero")
+        assert {f for f in flags if not getattr(r, f)} == off
+        assert not r.ok
 
     def test_trace_format(self):
         lines = orbit_trace("hkn", 2, 2)

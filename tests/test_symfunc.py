@@ -6,15 +6,15 @@ import pytest
 from symgb.poly import Polynomial, parse_polynomial
 from symgb.symfunc import (
     check_e1ek_reduction,
-    check_ekn_identity,
-    check_hkn_identity,
-    check_newton,
-    check_telescope,
     conjectured_gb_e1ek,
     conjectured_gb_ek,
+    ekn_identity_defect,
     elementary,
+    hkn_identity_defect,
     homogeneous,
+    newton_defect,
     powersum,
+    telescope_defect,
     weight,
 )
 
@@ -107,27 +107,27 @@ class TestConstructors:
 
 class TestIdentities:
     def test_hkn_examples(self):
-        assert check_hkn_identity(2, 3)
-        assert check_hkn_identity(5, 3)  # trivial k > n case
+        assert hkn_identity_defect(2, 3).is_zero()
+        assert hkn_identity_defect(5, 3).is_zero()  # trivial k > n case
         with pytest.raises(ValueError):
-            check_hkn_identity(0, 4)
+            hkn_identity_defect(0, 4)
 
     def test_ekn_examples(self):
-        assert check_ekn_identity(1, 1)
-        assert check_ekn_identity(3, 4)
-        assert check_ekn_identity(6, 4)
+        assert ekn_identity_defect(1, 1).is_zero()
+        assert ekn_identity_defect(3, 4).is_zero()
+        assert ekn_identity_defect(6, 4).is_zero()
 
     def test_telescope_examples(self):
-        assert check_telescope(1, 2)
-        assert check_telescope(2, 3)
-        assert check_telescope(3, 3)
+        assert telescope_defect(1, 2).is_zero()
+        assert telescope_defect(2, 3).is_zero()
+        assert telescope_defect(3, 3).is_zero()
         with pytest.raises(ValueError):
-            check_telescope(4, 3)
+            telescope_defect(4, 3)
 
     def test_newton_examples(self):
-        assert check_newton(1, 3)
-        assert check_newton(2, 2)
-        assert check_newton(4, 3)
+        assert newton_defect(1, 3).is_zero()
+        assert newton_defect(2, 2).is_zero()
+        assert newton_defect(4, 3).is_zero()
 
     def test_e1ek_reduction_examples(self):
         assert check_e1ek_reduction(1, 1)
@@ -137,11 +137,11 @@ class TestIdentities:
     def test_all_identities_small_sweep(self):
         for n in range(1, 6):
             for k in range(1, n + 3):
-                assert check_hkn_identity(k, n), (k, n)
-                assert check_ekn_identity(k, n), (k, n)
-                assert check_newton(k, n), (k, n)
+                assert hkn_identity_defect(k, n).is_zero(), (k, n)
+                assert ekn_identity_defect(k, n).is_zero(), (k, n)
+                assert newton_defect(k, n).is_zero(), (k, n)
             for j in range(1, n + 1):
-                assert check_telescope(j, n), (j, n)
+                assert telescope_defect(j, n).is_zero(), (j, n)
             for k in range(1, n + 1):
                 assert check_e1ek_reduction(k, n), (k, n)
 
