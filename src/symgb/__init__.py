@@ -19,6 +19,7 @@ from .poly import (
 from .groebner import (
     DivisionResult,
     GroebnerBasis,
+    GroebnerStats,
     ZeroIdealError,
     buchberger,
     divide,

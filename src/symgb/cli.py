@@ -16,6 +16,7 @@ from . import groebner, involution, symfunc, verify
 from .poly import PolyParseError, Polynomial, format_polynomial, parse_polynomial
 
 USAGE_ERROR = 2
+STATS_HELP = "print the Buchberger run's counts as one line on stderr"
 
 
 class UsageError(ValueError):
@@ -88,6 +89,12 @@ def _print_basis(gb: groebner.GroebnerBasis) -> None:
         print(format_polynomial(g))
 
 
+def _print_stats(args, gb: groebner.GroebnerBasis) -> None:
+    """With --stats, one line on stderr, so stdout stays the same."""
+    if args.stats:
+        print(f"stats: {gb.stats.record()}", file=sys.stderr)
+
+
 def cmd_sym(args) -> int:
     builders = {"e": symfunc.elementary, "h": symfunc.homogeneous,
                 "p": symfunc.powersum}
@@ -102,6 +109,7 @@ def cmd_gb(args) -> int:
     except groebner.ZeroIdealError:
         return 0  # zero ideal: empty basis, nothing to print
     _print_basis(gb)
+    _print_stats(args, gb)
     return 0
 
 
@@ -114,6 +122,7 @@ def cmd_explore(args) -> int:
     print("leading monomials: "
           + ", ".join(format_polynomial(Polynomial.from_monomial(m))
                       for m in gb.leading_monomials()))
+    _print_stats(args, gb)
     return 0
 
 
@@ -188,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gens", required=True,
                    help="comma list of e-indices and/or polynomial text")
+    p.add_argument("--stats", action="store_true", help=STATS_HELP)
     p.set_defaults(fn=cmd_gb)
 
     p = sub.add_parser("verify", help="sweep-verify a target")
@@ -203,6 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reduced GB of an arbitrary set of elementary generators")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gens", required=True, help="comma list of e-indices")
+    p.add_argument("--stats", action="store_true", help=STATS_HELP)
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("involution", help="certify a cancelling involution")

@@ -4,10 +4,10 @@ interreduction to the unique reduced Groebner basis."""
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from itertools import count
+from typing import Iterable, Optional, Sequence, Union
 
 from .poly import (
     ArityMismatchError,
@@ -36,11 +36,28 @@ class DivisionResult:
     remainder: Polynomial
 
 
+@dataclass
+class GroebnerStats:
+    """What one :func:`buchberger` run did."""
+
+    pairs: int = 0            # critical pairs formed
+    product_skipped: int = 0  # new pairs with coprime leading monomials
+    chain_skipped: int = 0    # new and queued pairs dropped by the chain criterion
+    reductions: int = 0       # S-polynomials divided by the active basis
+    zero_reductions: int = 0  # of those, the ones with remainder zero
+    peak_basis: int = 0       # largest size of the active basis
+
+    def record(self) -> str:
+        return " ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     arity: int
     elements: tuple
     reduced: bool = False
+    # how the basis was computed; not part of its value
+    stats: Optional[GroebnerStats] = field(default=None, compare=False)
 
     def __iter__(self):
         return iter(self.elements)
@@ -138,48 +155,95 @@ def normal_form(f: Polynomial,
 
 def buchberger(generators: Iterable[Polynomial],
                product_criterion: bool = True) -> GroebnerBasis:
-    """Buchberger's algorithm with first-in-first-out pair selection.
+    """Buchberger's algorithm with the Gebauer-Moller pair update and the
+    normal selection strategy.
 
-    Pairs with coprime leading monomials are skipped when
-    ``product_criterion`` is set; correctness does not depend on it.
-    Raises :class:`ZeroIdealError` when no nonzero generator remains.
+    Adding a polynomial h to the basis runs the Gebauer-Moller UPDATE
+    (Becker & Weispfenning, *Groebner Bases*, 1993, p. 230):
+
+    - a new pair (g, h) is dropped when LM(g) and LM(h) are coprime (the
+      product criterion), or when the lcm of another new pair divides its
+      lcm (the chain criterion);
+    - a queued pair (g1, g2) is dropped when LM(h) divides lcm(g1, g2) and
+      both lcm(g1, h) and lcm(g2, h) differ from it (the chain criterion);
+    - g leaves the active basis when LM(h) divides LM(g); its queued pairs
+      stay.
+
+    S-polynomials are reduced by the active basis only, which is returned.
+    Pairs are selected by least lex lcm first; ties go to the pair formed
+    first, so every run of the same input does the same work.
+
+    With ``product_criterion=False`` every pair is formed and processed and
+    no element leaves the basis: the plain algorithm, kept as the reference
+    the fast path is tested against.  The returned basis carries a
+    :class:`GroebnerStats` of the run.  Raises :class:`ZeroIdealError` when
+    no nonzero generator remains.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise ZeroIdealError("all generators are zero")
     arity = gens[0].arity
 
-    basis: list = []
-    pairs: deque = deque()
+    stats = GroebnerStats()
+    polys: list = []    # every element that ever entered the basis
+    lms: list = []      # their leading monomials
+    active: list = []   # indices into polys of the active basis, in order
+    pairs: list = []    # heap of (lex_key(lcm), serial, lcm, i, j), i < j
+    serial = count()
+
+    def update(h: Polynomial) -> None:
+        nonlocal active, pairs
+        ih, mh = len(polys), h.leading_monomial()
+        polys.append(h)
+        lms.append(mh)
+        new = [(mono_lcm(lms[ig], mh), ig) for ig in active]
+        stats.pairs += len(new)
+        if product_criterion:
+            kept = []  # (lcm, index, coprime), the set D of the update
+            for pos, (m, ig) in enumerate(new):
+                coprime = m == mono_mul(lms[ig], mh)
+                if coprime or not (
+                        any(mono_divides(m2, m) for m2, _ in new[pos + 1:])
+                        or any(mono_divides(m2, m) for m2, _, _ in kept)):
+                    kept.append((m, ig, coprime))
+            stats.product_skipped += sum(c for _, _, c in kept)
+            stats.chain_skipped += len(new) - len(kept)
+            new = [(m, ig) for m, ig, coprime in kept if not coprime]
+            queued = len(pairs)
+            pairs = [p for p in pairs
+                     if not mono_divides(mh, p[2])
+                     or mono_lcm(lms[p[3]], mh) == p[2]
+                     or mono_lcm(lms[p[4]], mh) == p[2]]
+            stats.chain_skipped += queued - len(pairs)
+            heapq.heapify(pairs)
+            active = [ig for ig in active if not mono_divides(mh, lms[ig])]
+        for m, ig in new:
+            heapq.heappush(pairs, (lex_key(m), next(serial), m, ig, ih))
+        active.append(ih)
+        stats.peak_basis = max(stats.peak_basis, len(active))
+
     for g in gens:
         g = g.monic()
-        if g in basis:
-            continue
-        basis.append(g)
-        j = len(basis) - 1
-        pairs.extend((i, j) for i in range(j))
+        if g not in polys:
+            update(g)
 
     one = mono_one(arity)
     while pairs:
-        i, j = pairs.popleft()
-        fi, fj = basis[i], basis[j]
-        lmi, lmj = fi.leading_monomial(), fj.leading_monomial()
-        if product_criterion and mono_lcm(lmi, lmj) == mono_mul(lmi, lmj):
-            continue
-        s = s_polynomial(fi, fj)
+        _, _, _, i, j = heapq.heappop(pairs)
+        s = s_polynomial(polys[i], polys[j])
         if s.is_zero():
             continue
-        r = divide(s, basis).remainder
+        stats.reductions += 1
+        r = divide(s, [polys[ig] for ig in active]).remainder
         if r.is_zero():
+            stats.zero_reductions += 1
             continue
         r = r.monic()
-        basis.append(r)
-        j = len(basis) - 1
-        pairs.extend((i, j) for i in range(j))
+        update(r)
         if r.leading_monomial() == one:
             # unit ideal: no further pair can contribute anything new
             break
-    return GroebnerBasis(arity=arity, elements=tuple(basis), reduced=False)
+    return GroebnerBasis(arity, tuple(polys[ig] for ig in active), stats=stats)
 
 
 def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
@@ -188,7 +252,7 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     by decreasing leading monomial."""
     elements = [g.monic() for g in gb.elements if not g.is_zero()]
     if not elements:
-        return GroebnerBasis(gb.arity, (), reduced=True)
+        return GroebnerBasis(gb.arity, (), reduced=True, stats=gb.stats)
 
     # minimalize: drop g when some other kept element's LM divides LM(g)
     elements.sort(key=lambda g: lex_key(g.leading_monomial()))
@@ -206,7 +270,7 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
         minimal[i] = divide(minimal[i], others).remainder
 
     minimal.sort(key=lambda g: lex_key(g.leading_monomial()), reverse=True)
-    return GroebnerBasis(gb.arity, tuple(minimal), reduced=True)
+    return GroebnerBasis(gb.arity, tuple(minimal), reduced=True, stats=gb.stats)
 
 
 def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:

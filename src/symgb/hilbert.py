@@ -5,10 +5,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
 from .poly import Monomial, mono_divides
+
+
+# Largest box staircase_series walks; 10! points pass, 11! do not.
+MAX_BOX_POINTS = 10**7
 
 
 class NonArtinianError(ValueError):
@@ -45,6 +49,8 @@ def staircase_series(leading_monomials: Sequence[Monomial],
 
     Requires an artinian staircase: every variable must have some pure
     power among the generators, otherwise enumeration would not terminate.
+    The walk covers the box below the pure powers; a box of more than
+    ``MAX_BOX_POINTS`` points raises ValueError before it starts.
     """
     lms = [tuple(m) for m in leading_monomials]
     if any(len(m) != arity for m in lms):
@@ -64,6 +70,10 @@ def staircase_series(leading_monomials: Sequence[Monomial],
         raise NonArtinianError(
             "no pure power of x%s in the staircase; quotient is not "
             "finite-dimensional" % ",x".join(map(str, missing)))
+    box = prod(caps)
+    if box > MAX_BOX_POINTS:
+        raise ValueError(f"staircase box has {box} points, more than the "
+                         f"limit of {MAX_BOX_POINTS}")
     counts = [0] * (sum(c - 1 for c in caps) + 1)
     for exps in product(*(range(c) for c in caps)):
         if any(mono_divides(m, exps) for m in lms):

@@ -97,9 +97,9 @@ class Target:
 # hkn, ekn and newton also sweep k = n+1, n+2, where they hold trivially.
 TARGETS = {
     "gb-ek": Target(lambda k, n: _basis_check(
-        computed_gb_ek(k, n), symfunc.conjectured_gb_ek(k, n)), 6, _ks(1)),
+        computed_gb_ek(k, n), symfunc.conjectured_gb_ek(k, n)), 8, _ks(1)),
     "gb-e1ek": Target(lambda k, n: _basis_check(
-        computed_gb_e1ek(k, n), symfunc.conjectured_gb_e1ek(k, n)), 7, _ks(2)),
+        computed_gb_e1ek(k, n), symfunc.conjectured_gb_e1ek(k, n)), 10, _ks(2)),
     "hkn": Target(lambda k, n: _defect_check(
         symfunc.hkn_identity_defect(k, n)), 8, _ks(1, 2)),
     "ekn": Target(lambda k, n: _defect_check(

@@ -1,5 +1,6 @@
 import pytest
 
+from symgb import hilbert
 from symgb.cli import main
 from symgb.poly import parse_polynomial
 
@@ -61,6 +62,18 @@ class TestGb:
         assert code == 0
         for line in out.splitlines():
             assert str(parse_polynomial(line, 4)) == line
+
+
+@pytest.mark.parametrize("command", ["gb", "explore"])
+def test_stats_line_on_stderr(capsys, command):
+    argv = (command, "--n", "4", "--gens", "e1,e2,e3,e4")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, out_with_stats, err = run(capsys, *argv, "--stats")
+    assert code == 0
+    assert out_with_stats == out
+    assert err == ("stats: pairs=21 product_skipped=9 chain_skipped=9 "
+                   "reductions=3 zero_reductions=0 peak_basis=7\n")
 
 
 class TestVerify:
@@ -166,6 +179,13 @@ class TestInvolutionAndHilbert:
         code, out, _ = run(capsys, "hilbert", "--n", "4")
         assert code == 0
         assert "dimension: 24" in out
+
+    def test_hilbert_box_over_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(hilbert, "MAX_BOX_POINTS", 23)
+        code, out, err = run(capsys, "hilbert", "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert "staircase box has 24 points" in err
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_hilbert_n_below_one(self, capsys, n):

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from symgb.groebner import (
     GroebnerBasis,
+    GroebnerStats,
     ZeroIdealError,
     buchberger,
     divide,
@@ -139,10 +141,10 @@ class TestBuchberger:
             assert is_groebner_basis(list(gb.elements))
 
     def test_output_ideal_matches_permuted_rerun(self, rng):
-        # independent re-run with permuted generators and the product
-        # criterion disabled certifies membership of every output element
-        for _ in range(25):
-            gens = [random_polynomial(rng, 3, 3, 3, allow_zero=False)
+        # independent re-run with permuted generators and the pair criteria
+        # disabled certifies membership of every output element
+        for arity in (3,) * 25 + (4,) * 25:
+            gens = [random_polynomial(rng, arity, 3, 3, allow_zero=False)
                     for _ in range(rng.randint(2, 3))]
             gb = buchberger(gens)
             other = buchberger(list(reversed(gens)), product_criterion=False)
@@ -153,6 +155,79 @@ class TestBuchberger:
     def test_unit_ideal(self):
         gb = reduce_basis(buchberger([P("x1+1"), P("x1")]))
         assert list(gb.elements) == [Polynomial.one(3)]
+
+    def test_no_zero_reductions_on_the_paper_ideal(self):
+        for n in range(1, 8):
+            gb = buchberger([elementary(i, n) for i in range(1, n + 1)])
+            s = gb.stats
+            assert s.zero_reductions == 0, n
+            # every pair formed is skipped or reduced, and each reduction
+            # adds one element h_{i,n-i+1}, i >= 2
+            assert s.pairs == s.product_skipped + s.chain_skipped + s.reductions
+            assert s.reductions == n - 1
+            assert reduce_basis(gb).elements == tuple(conjectured_gb_ek(n, n))
+
+    def test_reference_path_processes_every_pair(self):
+        gens = [elementary(i, 4) for i in range(1, 5)]
+        fast = buchberger(gens)
+        ref = buchberger(gens, product_criterion=False)
+        assert ref.stats.product_skipped == ref.stats.chain_skipped == 0
+        # no element leaves the basis, so every remainder is one more element
+        assert len(ref) == ref.stats.peak_basis == (
+            len(gens) + ref.stats.reductions - ref.stats.zero_reductions)
+        assert ref.stats.pairs == len(ref) * (len(ref) - 1) // 2
+        assert ref.stats.zero_reductions > fast.stats.zero_reductions == 0
+        assert reduce_basis(ref) == reduce_basis(fast)
+
+    def test_stats_are_not_part_of_the_value(self):
+        gb = buchberger([elementary(i, 3) for i in (1, 2, 3)])
+        reduced = reduce_basis(gb)
+        assert reduced.stats is gb.stats
+        bare = GroebnerBasis(3, reduced.elements, reduced=True)
+        assert bare == reduced and hash(bare) == hash(reduced)
+        assert GroebnerStats().record() == (
+            "pairs=0 product_skipped=0 chain_skipped=0 reductions=0 "
+            "zero_reductions=0 peak_basis=0")
+
+
+def sympy_reduced_basis(sympy, gens):
+    """sympy.groebner over QQ in lex with x_n > ... > x_1, as symgb polynomials."""
+    arity = gens[0].arity
+    xs = sympy.symbols(f"x1:{arity + 1}")[::-1]
+    polys = [sympy.Poly.from_dict(
+        {m[::-1]: sympy.Rational(c.numerator, c.denominator) for m, c in g.terms},
+        *xs, domain=sympy.QQ) for g in gens]
+    theirs = sympy.groebner(polys, *xs, order="lex", domain=sympy.QQ)
+    basis = [Polynomial(arity, [(m[::-1], Fraction(int(c.p), int(c.q)))
+                                for m, c in p.terms()]).monic()
+             for p in theirs.polys]
+    return sorted(basis, key=lambda g: lex_key(g.leading_monomial()), reverse=True)
+
+
+class TestAgainstSympy:
+    def test_random_rational_ideals(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1988)
+        proper = 0
+        for arity in (3,) * 15 + (4,) * 15:
+            gens = [random_polynomial(rng, arity, 3, 4, allow_zero=False)
+                    for _ in range(rng.randint(2, 3))]
+            gb = reduced_groebner_basis(gens)
+            assert list(gb.elements) == sympy_reduced_basis(sympy, gens)
+            proper += gb.elements[0].leading_monomial() != (0,) * arity
+        assert proper >= 15  # most cases are not the unit ideal
+
+    def test_ideal_that_first_in_first_out_selection_stalls_on(self):
+        # with the Gebauer-Moller deletions, first-in-first-out selection
+        # makes 19 reductions here and spends seconds on huge coefficients;
+        # least-lcm selection makes 13 and finishes in milliseconds
+        sympy = pytest.importorskip("sympy")
+        gens = [P("3/2*x2*x3^2-x1*x3+3*x2"), P("-3*x1*x2-1/6"),
+                P("-x3^3-3*x1+2/3")]
+        gb = reduced_groebner_basis(gens)
+        assert gb.stats.reductions <= 13
+        assert list(gb.elements) == sympy_reduced_basis(sympy, gens)
+        assert reduce_basis(buchberger(gens, product_criterion=False)) == gb
 
 
 class TestReduceBasis:

@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from symgb import hilbert
 from symgb.hilbert import (
     NonArtinianError,
     SeriesPoly,
@@ -47,6 +48,17 @@ class TestStaircase:
     def test_non_artinian_rejected(self):
         with pytest.raises(NonArtinianError):
             staircase_series([(0, 1)], 2)
+
+    def test_huge_box_rejected_before_the_walk(self):
+        caps = [tuple(10**4 * (i == j) for j in range(3)) for i in range(3)]
+        with pytest.raises(ValueError, match=r"1000000000000 points"):
+            staircase_series(caps, 3)
+
+    def test_box_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "MAX_BOX_POINTS", 6)
+        assert staircase_series([(2, 0), (0, 3)], 2).dimension() == 6
+        with pytest.raises(ValueError, match=r"has 7 points"):
+            staircase_series([(7, 0), (0, 1)], 2)
 
 
 class TestClosedForm:
