@@ -16,6 +16,10 @@ from . import groebner, involution, symfunc, verify
 from .poly import PolyParseError, Polynomial, format_polynomial, parse_polynomial
 
 USAGE_ERROR = 2
+# Limits of the build `sym` runs: exponents stored, counting what the
+# recursions cache on the way (h_{10,10} stores 3527150), and call depth.
+MAX_SYM_EXPONENTS = 4 * 10**6
+MAX_SYM_DEPTH = 300
 STATS_HELP = "print the Buchberger run's counts as one line on stderr"
 
 
@@ -95,10 +99,55 @@ def _print_stats(args, gb: groebner.GroebnerBasis) -> None:
         print(f"stats: {gb.stats.record()}", file=sys.stderr)
 
 
+def _comb_capped(n: int, k: int, cap: int) -> int:
+    """C(n, k) when it is at most cap, else cap + 1; cheap for any n, k."""
+    k = min(k, n - k)
+    if k < 0:
+        return 0
+    c = 1
+    for i in range(k):  # C(n, i) grows with i up to n/2
+        c = c * (n - i) // (i + 1)
+        if c > cap:
+            return cap + 1
+    return c
+
+
+def sym_build_size(kind: str, k: int, n: int) -> int:
+    """Exponents stored while building e_{k,n}, h_{k,n} or p_{k,n} in n
+    variables, counted without building anything; MAX_SYM_EXPONENTS + 1
+    stands for every count above the limit.
+
+    The recursions cache every e_{j,m} (j <= k, m - j <= n - k) or h_{j,m}
+    (j <= k, m <= n) on the way, C(m, j) or C(m+j-1, j) terms each; by the
+    hockey-stick identity that is C(n+2, k+1) - 1 or C(n+k+1, k+1) - 1 terms
+    in all, n exponents per term.  0 for a negative k, which the builders
+    reject."""
+    cap = MAX_SYM_EXPONENTS
+    if k < 0:
+        return 0
+    if kind == "p":
+        terms = n
+    elif kind == "e":
+        terms = _comb_capped(n + 2, k + 1, cap + 1) - 1 if k <= n else 0
+    else:
+        terms = _comb_capped(n + k + 1, k + 1, cap + 1) - 1
+    return min(terms * n, cap + 1)
+
+
 def cmd_sym(args) -> int:
     builders = {"e": symfunc.elementary, "h": symfunc.homogeneous,
                 "p": symfunc.powersum}
-    print(format_polynomial(builders[args.kind](args.k, _require_n(args.n))))
+    kind, k, n = args.kind, args.k, _require_n(args.n)
+    name = f"{kind}_{{{k},{n}}}"
+    # e recurses once per variable, h once per variable and per degree
+    depth = {"e": n if k <= n else 0, "h": n + k, "p": 0}[kind]
+    if depth > MAX_SYM_DEPTH:
+        raise UsageError(f"building {name} recurses {depth} calls deep, more "
+                         f"than the limit of {MAX_SYM_DEPTH}")
+    if sym_build_size(kind, k, n) > MAX_SYM_EXPONENTS:
+        raise UsageError(f"building {name} stores more than the limit of "
+                         f"{MAX_SYM_EXPONENTS} exponents")
+    print(format_polynomial(builders[kind](k, n)))
     return 0
 
 

@@ -5,14 +5,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from itertools import count
+from operator import add, le, neg, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .poly import (
     ArityMismatchError,
     Polynomial,
     ZeroPolynomialError,
+    _coefficient,
+    _exact_div,
     lex_key,
     mono_div,
     mono_divides,
@@ -20,8 +22,6 @@ from .poly import (
     mono_mul,
     mono_one,
 )
-
-_ZERO = Fraction(0)
 
 
 class ZeroIdealError(ValueError):
@@ -89,46 +89,55 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
         lc, lm = d.leading_term()
         leads.append((lm, lc, d))
 
-    work = {m: c for m, c in f.terms}
+    work = dict(f.terms)
     # min-heap over negated reversed exponent tuples pops the lex-largest
     # monomial first; `queued` prevents duplicate heap entries.
-    heap = [tuple(-e for e in m[::-1]) for m in work]
+    heap = [(tuple(map(neg, m[::-1])), m) for m in work]
     heapq.heapify(heap)
     queued = set(work)
     quotients = [dict() for _ in divisors]
     remainder = {}
 
+    # every divisor has f's arity, so the monomial loops below skip the
+    # per-call arity checks of the public mono_* functions
     while heap:
-        key = heapq.heappop(heap)
-        m = tuple(-e for e in key[::-1])
+        _, m = heapq.heappop(heap)
         queued.discard(m)
         c = work.pop(m, None)
         if c is None:
             continue
         for qi, (lm, lc, d) in enumerate(leads):
-            if mono_divides(lm, m):
-                t = mono_div(m, lm)
-                tc = c / lc
-                quotients[qi][t] = quotients[qi].get(t, _ZERO) + tc
+            if all(map(le, lm, m)):
+                t = tuple(map(sub, m, lm))
+                tc = c if lc == 1 else _exact_div(c, lc)
+                quotients[qi][t] = tc
                 # leading terms cancel; fold in the divisor's tail
                 for dm, dc in d.terms[1:]:
-                    mm = mono_mul(t, dm)
-                    nc = work.get(mm, _ZERO) - tc * dc
+                    mm = tuple(map(add, t, dm))
+                    nc = work.get(mm, 0) - tc * dc
                     if nc:
                         work[mm] = nc
                         if mm not in queued:
-                            heapq.heappush(
-                                heap, tuple(-e for e in mm[::-1]))
+                            heapq.heappush(heap, (tuple(map(neg, mm[::-1])), mm))
                             queued.add(mm)
                     else:
                         work.pop(mm, None)
                 break
         else:
             remainder[m] = c
+    # monomials leave the heap in strictly decreasing lex order, and so do
+    # the quotient monomials m / LM(f_i) of each divisor: both are canonical
+    # once their coefficients are
     return DivisionResult(
-        quotients=tuple(Polynomial(arity, q.items()) for q in quotients),
-        remainder=Polynomial(arity, remainder.items()),
+        quotients=tuple(_canonical(arity, q) for q in quotients),
+        remainder=_canonical(arity, remainder),
     )
+
+
+def _canonical(arity: int, decreasing: dict) -> Polynomial:
+    """The polynomial of a dict of nonzero terms in decreasing lex order."""
+    return Polynomial._trusted(arity, tuple(
+        (m, _coefficient(c)) for m, c in decreasing.items()))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -138,8 +147,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     fc, fm = f.leading_term()
     gc, gm = g.leading_term()
     lcm = mono_lcm(fm, gm)
-    left = f.mul_term(mono_div(lcm, fm), Fraction(1) / fc)
-    right = g.mul_term(mono_div(lcm, gm), Fraction(1) / gc)
+    left = f.mul_term(mono_div(lcm, fm), _exact_div(1, fc))
+    right = g.mul_term(mono_div(lcm, gm), _exact_div(1, gc))
     return left - right
 
 

@@ -35,6 +35,13 @@ class SeriesPoly:
         return "[" + ", ".join(map(str, self.coeffs)) + "]"
 
 
+def check_box_points(points: int) -> None:
+    """Raise ValueError when a box of ``points`` points is too large to walk."""
+    if points > MAX_BOX_POINTS:
+        raise ValueError(f"staircase box has {points} points, more than the "
+                         f"limit of {MAX_BOX_POINTS}")
+
+
 def _trim(coeffs: Sequence[int]) -> tuple:
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -70,10 +77,7 @@ def staircase_series(leading_monomials: Sequence[Monomial],
         raise NonArtinianError(
             "no pure power of x%s in the staircase; quotient is not "
             "finite-dimensional" % ",x".join(map(str, missing)))
-    box = prod(caps)
-    if box > MAX_BOX_POINTS:
-        raise ValueError(f"staircase box has {box} points, more than the "
-                         f"limit of {MAX_BOX_POINTS}")
+    check_box_points(prod(caps))
     counts = [0] * (sum(c - 1 for c in caps) + 1)
     for exps in product(*(range(c) for c in caps)):
         if any(mono_divides(m, exps) for m in lms):

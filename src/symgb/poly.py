@@ -2,7 +2,9 @@
 
 Monomials are dense exponent tuples of a fixed arity; ``exps[i-1]`` is the
 exponent of the variable ``x_i``.  Polynomials are canonical sorted term
-lists with exact :class:`fractions.Fraction` coefficients.  The only
+lists with exact coefficients: an integral coefficient is always an
+``int`` and any other one a :class:`fractions.Fraction`, so integer
+polynomials stay in ``int`` arithmetic until a division.  The only
 monomial order provided is lexicographic with the highest-index variable
 most significant (``x_n > x_{n-1} > ... > x_1``).
 """
@@ -11,13 +13,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Iterator, Union
 
 Monomial = tuple
 Coefficient = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ArityMismatchError(ValueError):
@@ -43,26 +43,26 @@ def mono_one(arity: int) -> Monomial:
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     _require_same_arity(a, b)
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True iff a | b, i.e. exponents of a are componentwise <= those of b."""
     _require_same_arity(a, b)
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b: Monomial, a: Monomial) -> Monomial:
     """Return b / a.  Raises ValueError when a does not divide b."""
     _require_same_arity(a, b)
-    if not all(x <= y for x, y in zip(a, b)):
+    if not all(map(le, a, b)):
         raise ValueError(f"{a} does not divide {b}")
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     _require_same_arity(a, b)
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def lex_key(m: Monomial) -> Monomial:
@@ -70,12 +70,44 @@ def lex_key(m: Monomial) -> Monomial:
     return m[::-1]
 
 
-def _as_fraction(c: Coefficient) -> Fraction:
-    if isinstance(c, Fraction):
+def _coefficient(c: Coefficient) -> Coefficient:
+    """c in canonical form: an int when integral, else a Fraction."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c)!r}")
+
+
+def _exact_div(a: Coefficient, b: Coefficient) -> Coefficient:
+    """a / b in canonical form; never the float that int / int gives."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coefficient(a / b)
+
+
+def _term_key(term: tuple) -> Monomial:
+    return term[0][::-1]  # lex_key of the monomial, inlined: every result sorts by it
+
+
+def _check_monomial(mono: Monomial, arity: int) -> None:
+    if len(mono) != arity:
+        raise ArityMismatchError(
+            f"monomial arity {len(mono)} != polynomial arity {arity}")
+    if any(e < 0 for e in mono):
+        raise ValueError(f"negative exponent in {mono}")
+
+
+def _sorted_terms(acc: dict) -> tuple:
+    """Canonical terms of a monomial -> coefficient dict: zeros dropped,
+    coefficients canonical, sorted strictly decreasing under lex."""
+    terms = [(m, c if type(c) is int else _coefficient(c))
+             for m, c in acc.items() if c]
+    terms.sort(key=_term_key, reverse=True)
+    return tuple(terms)
 
 
 class Polynomial:
@@ -94,19 +126,19 @@ class Polynomial:
         merged: dict = {}
         for mono, coeff in terms:
             mono = tuple(mono)
-            if len(mono) != arity:
-                raise ArityMismatchError(
-                    f"monomial arity {len(mono)} != polynomial arity {arity}")
-            if any(e < 0 for e in mono):
-                raise ValueError(f"negative exponent in {mono}")
-            c = merged.get(mono, _ZERO) + _as_fraction(coeff)
-            if c:
-                merged[mono] = c
-            else:
-                merged.pop(mono, None)
+            _check_monomial(mono, arity)
+            merged[mono] = merged.get(mono, 0) + _coefficient(coeff)
         self.arity = arity
-        self.terms = tuple(
-            sorted(merged.items(), key=lambda t: lex_key(t[0]), reverse=True))
+        self.terms = _sorted_terms(merged)
+
+    @classmethod
+    def _trusted(cls, arity: int, terms: tuple) -> "Polynomial":
+        """A polynomial whose ``terms`` are already canonical (see the class
+        docstring); nothing is checked, merged or sorted."""
+        p = object.__new__(cls)
+        p.arity = arity
+        p.terms = terms
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -152,14 +184,14 @@ class Polynomial:
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[1]
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Coefficient:
         return self.leading_term()[0]
 
     def monic(self) -> "Polynomial":
         lc = self.leading_coefficient()
         if lc == 1:
             return self
-        return self * (Fraction(1) / lc)
+        return self * _exact_div(1, lc)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -177,12 +209,17 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial(self.arity, list(self.terms) + list(other.terms))
+        acc = dict(self.terms)
+        get = acc.get
+        for m, c in other.terms:
+            acc[m] = get(m, 0) + c
+        return Polynomial._trusted(self.arity, _sorted_terms(acc))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.arity, [(m, -c) for m, c in self.terms])
+        return Polynomial._trusted(self.arity,
+                                   tuple((m, -c) for m, c in self.terms))
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -195,32 +232,31 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _coefficient(other)
             if not c:
                 return Polynomial.zero(self.arity)
-            return Polynomial(self.arity, [(m, cc * c) for m, cc in self.terms])
+            # a nonzero scalar keeps every term nonzero and the order intact
+            return Polynomial._trusted(self.arity, tuple(
+                (m, _coefficient(cc * c)) for m, cc in self.terms))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         acc: dict = {}
+        get = acc.get
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                m = tuple(x + y for x, y in zip(m1, m2))
-                c = acc.get(m, _ZERO) + c1 * c2
-                if c:
-                    acc[m] = c
-                else:
-                    del acc[m]
-        return Polynomial(self.arity, acc.items())
+                m = tuple(map(add, m1, m2))
+                acc[m] = get(m, 0) + c1 * c2
+        return Polynomial._trusted(self.arity, _sorted_terms(acc))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _coefficient(other)
             if not c:
                 raise ZeroDivisionError("division of polynomial by zero scalar")
-            return self * (Fraction(1) / c)
+            return self * _exact_div(1, c)
         return NotImplemented
 
     def __pow__(self, exp: int) -> "Polynomial":
@@ -237,13 +273,16 @@ class Polynomial:
 
     def mul_term(self, mono: Monomial, coeff: Coefficient) -> "Polynomial":
         """Fast multiplication by a single term."""
-        c = _as_fraction(coeff)
+        mono = tuple(mono)
+        _check_monomial(mono, self.arity)
+        c = _coefficient(coeff)
         if not c:
             return Polynomial.zero(self.arity)
-        return Polynomial(
-            self.arity,
-            [(tuple(x + y for x, y in zip(m, mono)), cc * c) for m, cc in self.terms],
-        )
+        # a monomial order is compatible with multiplication: the terms stay
+        # sorted, and a nonzero c keeps them nonzero
+        return Polynomial._trusted(self.arity, tuple(
+            (tuple(map(add, m, mono)), _coefficient(cc * c))
+            for m, cc in self.terms))
 
     # -- equality / hashing ------------------------------------------------
 
@@ -290,7 +329,7 @@ def _format_mono(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def _format_coeff(c: Fraction) -> str:
+def _format_coeff(c: Coefficient) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"

@@ -9,7 +9,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Optional
 
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, _sorted_terms
 
 
 def _ambient(n: int, arity: Optional[int]) -> int:
@@ -94,13 +94,13 @@ def _signed_sum(arity: int, parts: Iterable) -> Polynomial:
     """sum of a * product over the (a, product) pairs of ``parts``; each a is
     an integer, a sign except in newton's (-1)^k k e_{k,n}.  ``parts`` should
     be a generator, so only one product is alive at a time."""
-    def terms():
-        for a, product in parts:
-            for m, c in product.terms:
-                yield m, a * c
-            del product  # drop it before the next product is built
-
-    return Polynomial(arity, terms())
+    acc: dict = {}
+    get = acc.get
+    for a, product in parts:
+        for m, c in product.terms:
+            acc[m] = get(m, 0) + a * c
+        del product  # drop it before the next product is built
+    return Polynomial._trusted(arity, _sorted_terms(acc))
 
 
 def hkn_identity_defect(k: int, n: int) -> Polynomial:

@@ -43,6 +43,9 @@ def hilbert_series(n: int) -> Tuple[hilbert.SeriesPoly, hilbert.SeriesPoly]:
     """(staircase series of the reduced basis of <e_1..e_n>, closed form)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    # the staircase of <e_1..e_n> is x_i^i for i = 1..n, a box of n! points:
+    # refuse it before any Groebner work
+    hilbert.check_box_points(factorial(n))
     gb = computed_gb_ek(n, n)
     series = hilbert.staircase_series(gb.leading_monomials(), n)
     return series, hilbert.closed_form_series(n)

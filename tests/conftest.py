@@ -13,16 +13,18 @@ def random_monomial(rng: random.Random, arity: int, max_degree: int) -> tuple:
     return tuple(exps)
 
 
-def random_coefficient(rng: random.Random) -> Fraction:
+def random_coefficient(rng: random.Random, integral: bool = False) -> Fraction:
     num = rng.choice([-3, -2, -1, 1, 2, 3])
-    den = rng.choice([1, 1, 1, 2, 3])
+    den = 1 if integral else rng.choice([1, 1, 1, 2, 3])
     return Fraction(num, den)
 
 
 def random_polynomial(rng: random.Random, arity: int, max_degree: int,
-                      max_terms: int, allow_zero: bool = True) -> Polynomial:
+                      max_terms: int, allow_zero: bool = True,
+                      integral: bool = False) -> Polynomial:
     n_terms = rng.randint(0 if allow_zero else 1, max_terms)
-    terms = [(random_monomial(rng, arity, max_degree), random_coefficient(rng))
+    terms = [(random_monomial(rng, arity, max_degree),
+              random_coefficient(rng, integral))
              for _ in range(n_terms)]
     p = Polynomial(arity, terms)
     if not allow_zero and p.is_zero():

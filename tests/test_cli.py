@@ -1,7 +1,7 @@
 import pytest
 
-from symgb import hilbert
-from symgb.cli import main
+from symgb import cli, hilbert, symfunc
+from symgb.cli import main, sym_build_size
 from symgb.poly import parse_polynomial
 
 
@@ -31,6 +31,72 @@ class TestSym:
         code, _, err = run(capsys, "sym", "--kind", "p", "--k", "0", "--n", "3")
         assert code == 2
         assert "error" in err
+
+
+class TestSymBudget:
+    def test_build_size_counts_every_cached_polynomial(self):
+        # the recursions cache e_{j,m} for j <= k, m - j <= n - k and h_{j,m}
+        # for j <= k, 1 <= m <= n; each term has n exponents
+        for n in range(1, 6):
+            for k in range(0, n + 1):
+                e = sum(len(symfunc.elementary(j, j + d, n).terms)
+                        for j in range(k + 1) for d in range(n - k + 1))
+                assert sym_build_size("e", k, n) == e * n
+            for k in range(0, 6):
+                h = sum(len(symfunc.homogeneous(j, m, n).terms)
+                        for j in range(k + 1) for m in range(1, n + 1))
+                assert sym_build_size("h", k, n) == h * n
+            assert sym_build_size("p", 3, n) == n * n
+        assert sym_build_size("e", 4, 3) == 0  # e_{4,3} = 0 at once
+        assert sym_build_size("h", -1, 3) == 0
+
+    def test_huge_inputs_are_counted_without_building(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the guard must refuse before building")
+
+        for name in ("elementary", "homogeneous", "powersum"):
+            monkeypatch.setattr(symfunc, name, refuse)
+        over = cli.MAX_SYM_EXPONENTS + 1
+        assert sym_build_size("h", 10**12, 10**12) == over
+        assert sym_build_size("e", 10**6, 2 * 10**6) == over
+        assert sym_build_size("h", 10**12, 1) == over  # x1^k, k+1 cached terms
+        assert sym_build_size("h", cli.MAX_SYM_EXPONENTS - 1, 1) == cli.MAX_SYM_EXPONENTS
+        for argv in (("h", "30", "30"), ("e", "12", "40"), ("p", "1", "2001"),
+                     ("h", "2000", "1")):
+            code, out, err = run(capsys, "sym", "--kind", argv[0],
+                                 "--k", argv[1], "--n", argv[2])
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: building {argv[0]}_")
+
+    @pytest.mark.parametrize("kind,k,n", [("e", 3, 6), ("h", 3, 4), ("p", 2, 5)])
+    def test_size_limit_is_inclusive(self, capsys, monkeypatch, kind, k, n):
+        size = sym_build_size(kind, k, n)
+        monkeypatch.setattr(cli, "MAX_SYM_EXPONENTS", size)
+        code, out, _ = run(capsys, "sym", "--kind", kind, "--k", str(k), "--n", str(n))
+        assert code == 0 and out.strip() != "0"
+        monkeypatch.setattr(cli, "MAX_SYM_EXPONENTS", size - 1)
+        code, out, err = run(capsys, "sym", "--kind", kind, "--k", str(k), "--n", str(n))
+        assert code == 2
+        assert out == ""
+        assert (f"error: building {kind}_{{{k},{n}}} stores more than the limit "
+                f"of {size - 1} exponents") in err
+
+    def test_depth_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SYM_DEPTH", 5)
+        assert run(capsys, "sym", "--kind", "h", "--k", "2", "--n", "3")[0] == 0
+        assert run(capsys, "sym", "--kind", "e", "--k", "2", "--n", "5")[0] == 0
+        code, out, err = run(capsys, "sym", "--kind", "h", "--k", "3", "--n", "3")
+        assert code == 2 and out == ""
+        assert "building h_{3,3} recurses 6 calls deep, more than the limit of 5" in err
+        code, _, err = run(capsys, "sym", "--kind", "e", "--k", "2", "--n", "6")
+        assert code == 2 and "recurses 6 calls deep" in err
+
+    def test_default_limits_fit_the_recursion(self, capsys):
+        # at the default depth limit the build still fits Python's recursion
+        depth = cli.MAX_SYM_DEPTH
+        code, out, _ = run(capsys, "sym", "--kind", "h", "--k", str(depth - 1),
+                           "--n", "1")
+        assert code == 0 and out.strip() == f"x1^{depth - 1}"
 
 
 class TestGb:

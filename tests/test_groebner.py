@@ -190,17 +190,30 @@ class TestBuchberger:
             "zero_reductions=0 peak_basis=0")
 
 
+def to_sympy(sympy, p):
+    """p as a sympy Poly over QQ in x_n > ... > x_1."""
+    xs = sympy.symbols(f"x1:{p.arity + 1}")[::-1]
+    return sympy.Poly.from_dict(
+        {m[::-1]: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms},
+        *xs, domain=sympy.QQ)
+
+
+def from_sympy(arity, poly):
+    return Polynomial(arity, [(m[::-1], Fraction(int(c.p), int(c.q)))
+                              for m, c in poly.terms() if c])
+
+
+def sympy_groebner(sympy, gens):
+    xs = sympy.symbols(f"x1:{gens[0].arity + 1}")[::-1]
+    return sympy.groebner([to_sympy(sympy, g) for g in gens], *xs,
+                          order="lex", domain=sympy.QQ)
+
+
 def sympy_reduced_basis(sympy, gens):
     """sympy.groebner over QQ in lex with x_n > ... > x_1, as symgb polynomials."""
     arity = gens[0].arity
-    xs = sympy.symbols(f"x1:{arity + 1}")[::-1]
-    polys = [sympy.Poly.from_dict(
-        {m[::-1]: sympy.Rational(c.numerator, c.denominator) for m, c in g.terms},
-        *xs, domain=sympy.QQ) for g in gens]
-    theirs = sympy.groebner(polys, *xs, order="lex", domain=sympy.QQ)
-    basis = [Polynomial(arity, [(m[::-1], Fraction(int(c.p), int(c.q)))
-                                for m, c in p.terms()]).monic()
-             for p in theirs.polys]
+    basis = [from_sympy(arity, p).monic()
+             for p in sympy_groebner(sympy, gens).polys]
     return sorted(basis, key=lambda g: lex_key(g.leading_monomial()), reverse=True)
 
 
@@ -228,6 +241,32 @@ class TestAgainstSympy:
         assert gb.stats.reductions <= 13
         assert list(gb.elements) == sympy_reduced_basis(sympy, gens)
         assert reduce_basis(buchberger(gens, product_criterion=False)) == gb
+
+
+    def test_normal_forms(self):
+        # the normal form modulo a Groebner basis is unique, so symgb's
+        # remainder must equal sympy's whatever the division order
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1965)
+        for arity in (2,) * 10 + (3,) * 10:
+            gens = [random_polynomial(rng, arity, 2, 3, allow_zero=False)
+                    for _ in range(rng.randint(1, 3))]
+            gb = reduced_groebner_basis(gens)
+            theirs = sympy_groebner(sympy, gens)
+            for _ in range(3):
+                f = random_polynomial(rng, arity, 4, 6)
+                _, r = theirs.reduce(to_sympy(sympy, f))
+                assert normal_form(f, gb) == from_sympy(arity, r)
+
+    def test_products(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1988)
+        for arity in (1, 2, 3, 4) * 10:
+            integral = rng.random() < 0.5
+            a, b = (random_polynomial(rng, arity, 4, 6, integral=integral)
+                    for _ in range(2))
+            product = from_sympy(arity, to_sympy(sympy, a) * to_sympy(sympy, b))
+            assert a * b == product
 
 
 class TestReduceBasis:

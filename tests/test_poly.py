@@ -122,6 +122,13 @@ class TestArithmetic:
             P("x1", 2) + P("x1", 3)
         with pytest.raises(ArityMismatchError):
             P("x1", 2) * P("x1", 3)
+        # mul_term builds its result unchecked, so it checks its monomial
+        with pytest.raises(ArityMismatchError):
+            P("x1", 2).mul_term((1, 0, 0), 1)
+        with pytest.raises(ValueError, match="negative exponent"):
+            P("x1", 2).mul_term((0, -1), 1)
+        with pytest.raises(TypeError):
+            P("x1", 2).mul_term((0, 1), 0.5)
 
     def test_pow(self):
         f = P("x1+x2")

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from symgb import hilbert, involution, symfunc
+from symgb import hilbert, involution, symfunc, verify
 from symgb.cli import main
 from symgb.poly import Polynomial, format_polynomial
 from symgb.verify import TARGETS, run_sweep
@@ -23,6 +23,16 @@ def test_k_range_of_each_target():
 def test_fixed_k_selects_one_cell_per_n():
     results = run_sweep("gb-e1ek", 2, 4, fixed_k=3)
     assert [(r.k, r.n, r.ok) for r in results] == [(3, 3, True), (3, 4, True)]
+
+
+def test_hilbert_box_refused_before_any_groebner_work(monkeypatch):
+    def no_basis(k, n):
+        raise AssertionError("the box must be refused before the basis is built")
+
+    monkeypatch.setattr(verify, "computed_gb_ek", no_basis)
+    with pytest.raises(ValueError, match=r"^staircase box has 39916800 points, "
+                                         r"more than the limit of 10000000$"):
+        verify.hilbert_series(11)
 
 
 def test_unknown_target():
