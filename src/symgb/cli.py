@@ -16,10 +16,11 @@ from . import groebner, involution, symfunc, verify
 from .poly import PolyParseError, Polynomial, format_polynomial, parse_polynomial
 
 USAGE_ERROR = 2
-# Limits of the build `sym` runs: exponents stored, counting what the
-# recursions cache on the way (h_{10,10} stores 3527150), and call depth.
+# Limit of the builds `sym`, `gb` and `explore` run, in exponents stored
+# (h_{10,10} stores 1847560), and of the pairs `involution` enumerates
+# (10^6 pairs take about 10 s).
 MAX_SYM_EXPONENTS = 4 * 10**6
-MAX_SYM_DEPTH = 300
+MAX_CARRIER_PAIRS = 10**6
 STATS_HELP = "print the Buchberger run's counts as one line on stderr"
 
 
@@ -75,6 +76,7 @@ def _parse_generators(spec: str, n: int, elementary_only: bool = False) -> List[
             if not 1 <= i <= n:
                 raise UsageError(f"generator {token} out of range e1..e{n}")
             indices.append(i)
+            _check_sym_size("e", i, n)
             gens.append(symfunc.elementary(i, n, n))
         elif elementary_only:
             raise UsageError(f"explore accepts only e-indices, got {token!r}")
@@ -113,40 +115,57 @@ def _comb_capped(n: int, k: int, cap: int) -> int:
 
 
 def sym_build_size(kind: str, k: int, n: int) -> int:
-    """Exponents stored while building e_{k,n}, h_{k,n} or p_{k,n} in n
-    variables, counted without building anything; MAX_SYM_EXPONENTS + 1
-    stands for every count above the limit.
+    """Cost of building e_{k,n}, h_{k,n} or p_{k,n} in n variables, counted
+    without building anything; MAX_SYM_EXPONENTS + 1 stands for every count
+    above the limit.
 
-    The recursions cache every e_{j,m} (j <= k, m - j <= n - k) or h_{j,m}
-    (j <= k, m <= n) on the way, C(m, j) or C(m+j-1, j) terms each; by the
-    hockey-stick identity that is C(n+2, k+1) - 1 or C(n+k+1, k+1) - 1 terms
-    in all, n exponents per term.  0 for a negative k, which the builders
-    reject."""
+    The result has C(n, k), C(n+k-1, k) or n terms of n exponents each, and
+    each term is the weight of an enumerated k-tuple, so a term costs n + k:
+    h_{k,1} = x1^k is one term but k steps.  0 for a negative k, which the
+    builders reject."""
     cap = MAX_SYM_EXPONENTS
     if k < 0:
         return 0
     if kind == "p":
         terms = n
     elif kind == "e":
-        terms = _comb_capped(n + 2, k + 1, cap + 1) - 1 if k <= n else 0
+        terms = _comb_capped(n, k, cap)
     else:
-        terms = _comb_capped(n + k + 1, k + 1, cap + 1) - 1
-    return min(terms * n, cap + 1)
+        terms = _comb_capped(n + k - 1, k, cap)
+    return min(terms * (n + k), cap + 1)
+
+
+def _check_sym_size(kind: str, k: int, n: int) -> None:
+    if sym_build_size(kind, k, n) > MAX_SYM_EXPONENTS:
+        raise UsageError(f"building {kind}_{{{k},{n}}} stores more than the "
+                         f"limit of {MAX_SYM_EXPONENTS} exponents")
+
+
+def carrier_size(k: int, n: int) -> int:
+    """Pairs in the hkn or ekn carrier, counted without enumerating them;
+    MAX_CARRIER_PAIRS + 1 stands for every count above the limit.
+
+    Both families have sum_i C(n, i) C(n-i, k-i) pairs with |A| = i: for
+    hkn, i-subsets of {1..n} times (k-i)-multisets of {1..n-k+1}; for ekn,
+    i-multisets of {1..n-i+1} times (k-i)-subsets of {1..n-i}.  The carrier
+    is empty for k > n, and otherwise every term is at least 1, so the loop
+    stops after at most MAX_CARRIER_PAIRS + 1 terms."""
+    cap = MAX_CARRIER_PAIRS
+    if k > n:
+        return 0
+    total = 0
+    for i in range(k + 1):
+        total += _comb_capped(n, i, cap) * _comb_capped(n - i, k - i, cap)
+        if total > cap:
+            return cap + 1
+    return total
 
 
 def cmd_sym(args) -> int:
     builders = {"e": symfunc.elementary, "h": symfunc.homogeneous,
                 "p": symfunc.powersum}
     kind, k, n = args.kind, args.k, _require_n(args.n)
-    name = f"{kind}_{{{k},{n}}}"
-    # e recurses once per variable, h once per variable and per degree
-    depth = {"e": n if k <= n else 0, "h": n + k, "p": 0}[kind]
-    if depth > MAX_SYM_DEPTH:
-        raise UsageError(f"building {name} recurses {depth} calls deep, more "
-                         f"than the limit of {MAX_SYM_DEPTH}")
-    if sym_build_size(kind, k, n) > MAX_SYM_EXPONENTS:
-        raise UsageError(f"building {name} stores more than the limit of "
-                         f"{MAX_SYM_EXPONENTS} exponents")
+    _check_sym_size(kind, k, n)
     print(format_polynomial(builders[kind](k, n)))
     return 0
 
@@ -204,7 +223,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_involution(args) -> int:
-    report = involution.certify_involution(args.family, args.k, _require_n(args.n))
+    k, n = args.k, _require_n(args.n)
+    if carrier_size(k, n) > MAX_CARRIER_PAIRS:
+        raise UsageError(f"the {args.family} carrier for k={k}, n={n} has more "
+                         f"than the limit of {MAX_CARRIER_PAIRS} pairs")
+    report = involution.certify_involution(args.family, k, n)
     print(f"family={report.family} k={report.k} n={report.n} "
           f"carrier_size={report.carrier_size}")
     for name in ("carrier_closed", "is_involution", "sign_reversing",

@@ -1,12 +1,11 @@
 """Elementary, complete homogeneous and power-sum symmetric polynomials,
-built from their recursions, plus the defects (signed sums that vanish) of
-the identities that relate them and the closed-form reduced Groebner bases
-they predict."""
+each built as the sum of wt(S) over the sets S that define it, plus the
+defects (signed sums that vanish) of the identities that relate them and the
+closed-form reduced Groebner bases they predict."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Iterable, Optional
 
 from .poly import Monomial, Polynomial, _sorted_terms
@@ -22,24 +21,13 @@ def _ambient(n: int, arity: Optional[int]) -> int:
     return arity
 
 
-@lru_cache(maxsize=None)
-def _elementary(k: int, n: int, arity: int) -> Polynomial:
-    if k == 0:
-        return Polynomial.one(arity)
-    if n < k or n <= 0:
-        return Polynomial.zero(arity)
-    xn = Polynomial.variable(n, arity)
-    return _elementary(k, n - 1, arity) + xn * _elementary(k - 1, n - 1, arity)
-
-
-@lru_cache(maxsize=None)
-def _homogeneous(k: int, n: int, arity: int) -> Polynomial:
-    if k == 0:
-        return Polynomial.one(arity)
-    if n <= 0:
-        return Polynomial.zero(arity)
-    xn = Polynomial.variable(n, arity)
-    return _homogeneous(k, n - 1, arity) + xn * _homogeneous(k - 1, n, arity)
+def _sum_of_weights(arity: int, sets: Iterable[tuple]) -> Polynomial:
+    """sum of wt(S) over ``sets``, which must be distinct, each listed in
+    decreasing order and all in decreasing lex order, as the combinations of
+    range(n, 0, -1) come.  Their weights are then in decreasing lex order
+    too, because the first element where two sets differ is the largest
+    variable whose exponents differ; so the terms need no sort."""
+    return Polynomial._trusted(arity, tuple((weight(s, arity), 1) for s in sets))
 
 
 def elementary(k: int, n: int, arity: Optional[int] = None) -> Polynomial:
@@ -50,7 +38,7 @@ def elementary(k: int, n: int, arity: Optional[int] = None) -> Polynomial:
     """
     if k < 0:
         raise ValueError("degree k must be >= 0")
-    return _elementary(k, n, _ambient(n, arity))
+    return _sum_of_weights(_ambient(n, arity), combinations(range(n, 0, -1), k))
 
 
 def homogeneous(k: int, n: int, arity: Optional[int] = None) -> Polynomial:
@@ -60,16 +48,15 @@ def homogeneous(k: int, n: int, arity: Optional[int] = None) -> Polynomial:
     """
     if k < 0:
         raise ValueError("degree k must be >= 0")
-    return _homogeneous(k, n, _ambient(n, arity))
+    return _sum_of_weights(_ambient(n, arity),
+                           combinations_with_replacement(range(n, 0, -1), k))
 
 
 def powersum(k: int, n: int, arity: Optional[int] = None) -> Polynomial:
     """p_{k,n} = x_1^k + ... + x_n^k for k >= 1."""
     if k < 1:
         raise ValueError("power sums require k >= 1")
-    arity = _ambient(n, arity)
-    return Polynomial(arity, ((tuple(k if i == j else 0 for i in range(1, arity + 1)), 1)
-                              for j in range(1, n + 1)))
+    return _sum_of_weights(_ambient(n, arity), ((j,) * k for j in range(n, 0, -1)))
 
 
 def weight(elements: Iterable[int], arity: int) -> Monomial:

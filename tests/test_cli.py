@@ -1,7 +1,7 @@
 import pytest
 
-from symgb import cli, hilbert, symfunc
-from symgb.cli import main, sym_build_size
+from symgb import cli, hilbert, involution, symfunc
+from symgb.cli import carrier_size, main, sym_build_size
 from symgb.poly import parse_polynomial
 
 
@@ -9,6 +9,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse(*args):
+    raise AssertionError("the guard must refuse before building")
 
 
 class TestSym:
@@ -34,35 +38,29 @@ class TestSym:
 
 
 class TestSymBudget:
-    def test_build_size_counts_every_cached_polynomial(self):
-        # the recursions cache e_{j,m} for j <= k, m - j <= n - k and h_{j,m}
-        # for j <= k, 1 <= m <= n; each term has n exponents
+    def test_build_size_counts_the_result(self):
+        # each term of the result has n exponents and is the weight of a k-tuple
+        builders = {"e": symfunc.elementary, "h": symfunc.homogeneous,
+                    "p": symfunc.powersum}
         for n in range(1, 6):
-            for k in range(0, n + 1):
-                e = sum(len(symfunc.elementary(j, j + d, n).terms)
-                        for j in range(k + 1) for d in range(n - k + 1))
-                assert sym_build_size("e", k, n) == e * n
-            for k in range(0, 6):
-                h = sum(len(symfunc.homogeneous(j, m, n).terms)
-                        for j in range(k + 1) for m in range(1, n + 1))
-                assert sym_build_size("h", k, n) == h * n
-            assert sym_build_size("p", 3, n) == n * n
+            for k in range(0, n + 2):
+                for kind, build in builders.items():
+                    if kind == "p" and k == 0:
+                        continue
+                    terms = len(build(k, n).terms)
+                    assert sym_build_size(kind, k, n) == terms * (n + k)
         assert sym_build_size("e", 4, 3) == 0  # e_{4,3} = 0 at once
         assert sym_build_size("h", -1, 3) == 0
 
     def test_huge_inputs_are_counted_without_building(self, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the guard must refuse before building")
-
         for name in ("elementary", "homogeneous", "powersum"):
             monkeypatch.setattr(symfunc, name, refuse)
         over = cli.MAX_SYM_EXPONENTS + 1
         assert sym_build_size("h", 10**12, 10**12) == over
         assert sym_build_size("e", 10**6, 2 * 10**6) == over
-        assert sym_build_size("h", 10**12, 1) == over  # x1^k, k+1 cached terms
-        assert sym_build_size("h", cli.MAX_SYM_EXPONENTS - 1, 1) == cli.MAX_SYM_EXPONENTS
+        assert sym_build_size("h", 10**7, 1) == over  # x1^k: one term, k steps
         for argv in (("h", "30", "30"), ("e", "12", "40"), ("p", "1", "2001"),
-                     ("h", "2000", "1")):
+                     ("h", str(10**7), "1")):
             code, out, err = run(capsys, "sym", "--kind", argv[0],
                                  "--k", argv[1], "--n", argv[2])
             assert code == 2 and out == ""
@@ -81,22 +79,21 @@ class TestSymBudget:
         assert (f"error: building {kind}_{{{k},{n}}} stores more than the limit "
                 f"of {size - 1} exponents") in err
 
-    def test_depth_limit_is_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_SYM_DEPTH", 5)
-        assert run(capsys, "sym", "--kind", "h", "--k", "2", "--n", "3")[0] == 0
-        assert run(capsys, "sym", "--kind", "e", "--k", "2", "--n", "5")[0] == 0
-        code, out, err = run(capsys, "sym", "--kind", "h", "--k", "3", "--n", "3")
-        assert code == 2 and out == ""
-        assert "building h_{3,3} recurses 6 calls deep, more than the limit of 5" in err
-        code, _, err = run(capsys, "sym", "--kind", "e", "--k", "2", "--n", "6")
-        assert code == 2 and "recurses 6 calls deep" in err
+    def test_long_tuples_within_the_limit_run(self, capsys):
+        # no depth limit: only the size of the result counts
+        code, out, _ = run(capsys, "sym", "--kind", "e", "--k", "1200", "--n", "1200")
+        assert code == 0
+        assert out.strip() == "*".join(f"x{i}" for i in range(1, 1201))
+        code, out, _ = run(capsys, "sym", "--kind", "h", "--k", "2000", "--n", "1")
+        assert code == 0 and out.strip() == "x1^2000"
 
-    def test_default_limits_fit_the_recursion(self, capsys):
-        # at the default depth limit the build still fits Python's recursion
-        depth = cli.MAX_SYM_DEPTH
-        code, out, _ = run(capsys, "sym", "--kind", "h", "--k", str(depth - 1),
-                           "--n", "1")
-        assert code == 0 and out.strip() == f"x1^{depth - 1}"
+    @pytest.mark.parametrize("command", ["gb", "explore"])
+    def test_generators_over_the_limit_are_refused(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(symfunc, "elementary", refuse)
+        code, out, err = run(capsys, command, "--n", "40", "--gens", "e20")
+        assert code == 2 and out == ""
+        assert (f"error: building e_{{20,40}} stores more than the limit of "
+                f"{cli.MAX_SYM_EXPONENTS} exponents") in err
 
 
 class TestGb:
@@ -240,6 +237,39 @@ class TestInvolutionAndHilbert:
                            "--k", "2", "--n", "2", "--trace")
         assert code == 0
         assert "({2}|{1}) <-> ({1,2}|{}) weight -x1*x2" in out
+
+    def test_carrier_size_closed_form(self):
+        for family in involution.FAMILIES:
+            for n in range(1, 7):
+                for k in range(1, n + 3):
+                    carrier = involution.enumerate_carrier(family, k, n)
+                    assert carrier_size(k, n) == len(carrier)
+
+    def test_huge_carrier_refused_without_enumerating(self, capsys, monkeypatch):
+        monkeypatch.setattr(involution, "enumerate_carrier", refuse)
+        monkeypatch.setattr(involution, "certify_involution", refuse)
+        over = cli.MAX_CARRIER_PAIRS + 1
+        assert carrier_size(60, 60) == over
+        assert carrier_size(10**12, 10**12) == over
+        assert carrier_size(10**12 + 1, 10**12) == 0
+        code, out, err = run(capsys, "involution", "--family", "hkn",
+                             "--k", "60", "--n", "60")
+        assert code == 2 and out == ""
+        assert (f"error: the hkn carrier for k=60, n=60 has more than the limit "
+                f"of {cli.MAX_CARRIER_PAIRS} pairs") in err
+
+    def test_carrier_limit_is_inclusive(self, capsys, monkeypatch):
+        size = carrier_size(3, 5)
+        monkeypatch.setattr(cli, "MAX_CARRIER_PAIRS", size)
+        code, out, _ = run(capsys, "involution", "--family", "ekn",
+                           "--k", "3", "--n", "5", "--trace")
+        assert code == 0 and f"carrier_size={size}" in out
+        monkeypatch.setattr(cli, "MAX_CARRIER_PAIRS", size - 1)
+        code, out, err = run(capsys, "involution", "--family", "ekn",
+                             "--k", "3", "--n", "5")
+        assert code == 2 and out == ""
+        assert (f"the ekn carrier for k=3, n=5 has more than the limit of "
+                f"{size - 1} pairs") in err
 
     def test_hilbert_text(self, capsys):
         code, out, _ = run(capsys, "hilbert", "--n", "4")

@@ -31,6 +31,10 @@ def brute_homogeneous(k, n, arity):
          for s in combinations_with_replacement(range(1, n + 1), k)])
 
 
+def brute_powersum(k, n, arity):
+    return Polynomial(arity, [(weight([j] * k, arity), 1) for j in range(1, n + 1)])
+
+
 def permute_variables(p, perm):
     """perm maps 1-based old index -> new index."""
     return Polynomial(
@@ -72,11 +76,15 @@ class TestConstructors:
             elementary(1, 3, arity=2)
 
     def test_matches_brute_force(self):
-        for n in range(0, 7):
-            arity = max(n, 1)
-            for k in range(0, n + 1):
-                assert elementary(k, n, arity) == brute_elementary(k, n, arity)
-                assert homogeneous(k, n, arity) == brute_homogeneous(k, n, arity)
+        # the builders skip the sort, and == compares the terms in order; the
+        # defects build h_{j,n-k+1} in more variables than it has (arity > n)
+        for n in range(-1, 7):
+            for arity in (max(n, 1), max(n, 1) + 2):
+                for k in range(0, n + 3):
+                    assert elementary(k, n, arity) == brute_elementary(k, n, arity)
+                    assert homogeneous(k, n, arity) == brute_homogeneous(k, n, arity)
+                    if k >= 1:
+                        assert powersum(k, n, arity) == brute_powersum(k, n, arity)
 
     def test_term_counts(self):
         for n in range(1, 7):
