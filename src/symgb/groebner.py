@@ -55,7 +55,6 @@ class GroebnerStats:
 class GroebnerBasis:
     arity: int
     elements: tuple
-    reduced: bool = False
     # how the basis was computed; not part of its value
     stats: Optional[GroebnerStats] = field(default=None, compare=False)
 
@@ -261,7 +260,7 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     by decreasing leading monomial."""
     elements = [g.monic() for g in gb.elements if not g.is_zero()]
     if not elements:
-        return GroebnerBasis(gb.arity, (), reduced=True, stats=gb.stats)
+        return GroebnerBasis(gb.arity, (), stats=gb.stats)
 
     # minimalize: drop g when some other kept element's LM divides LM(g)
     elements.sort(key=lambda g: lex_key(g.leading_monomial()))
@@ -279,7 +278,7 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
         minimal[i] = divide(minimal[i], others).remainder
 
     minimal.sort(key=lambda g: lex_key(g.leading_monomial()), reverse=True)
-    return GroebnerBasis(gb.arity, tuple(minimal), reduced=True, stats=gb.stats)
+    return GroebnerBasis(gb.arity, tuple(minimal), stats=gb.stats)
 
 
 def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:

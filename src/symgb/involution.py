@@ -82,13 +82,14 @@ def in_carrier(p: SignedPair) -> bool:
 
 def enumerate_carrier(family: str, k: int, n: int) -> List[SignedPair]:
     """All carrier pairs, ordered lexicographically by (|A|, A, B)."""
-    _check_family(family)
-    if k < 1:
-        raise ValueError("carrier requires k >= 1")
     return list(_iter_carrier(family, k, n))
 
 
 def _iter_carrier(family: str, k: int, n: int) -> Iterator[SignedPair]:
+    """Stream the carrier pairs in ``enumerate_carrier`` order."""
+    _check_family(family)
+    if k < 1:
+        raise ValueError("carrier requires k >= 1")
     for i in range(k + 1):
         if family == "hkn":
             a_choices = combinations(range(1, n + 1), i)
@@ -104,33 +105,30 @@ def _iter_carrier(family: str, k: int, n: int) -> Iterator[SignedPair]:
                     yield SignedPair(family, k, n, a, b)
 
 
+def _flip(p: SignedPair) -> SignedPair:
+    """The involution step on a nonempty carrier pair, unchecked.  The moved
+    element is the least of its new home (hkn) or the greatest (ekn), so it
+    goes on the front or the back of the tuple."""
+    a, b = p.a, p.b
+    if p.family == "hkn":
+        if b and (not a or b[0] < a[0]):
+            a, b = b[:1] + a, b[1:]
+        else:
+            a, b = a[1:], a[:1] + b
+    elif b and (not a or b[-1] >= a[-1]):
+        a, b = a + b[-1:], b[:-1]
+    else:
+        a, b = a[:-1], b + a[-1:]
+    return SignedPair(p.family, p.k, p.n, a, b)
+
+
 def apply_f(p: SignedPair) -> SignedPair:
     """One application of the family's sign-reversing involution."""
-    _check_family(p.family)
     if not in_carrier(p):
         raise ValueError(f"{p} is not in the {p.family} carrier")
     if not p.a and not p.b:
         raise ValueError("involution undefined on the empty pair (k=0)")
-    a, b = list(p.a), list(p.b)
-    if p.family == "hkn":
-        min_a = a[0] if a else None
-        min_b = b[0] if b else None
-        if min_b is not None and (min_a is None or min_b < min_a):
-            b.pop(0)
-            a = sorted(a + [min_b])
-        else:
-            a.pop(0)
-            b = sorted(b + [min_a])
-    else:
-        max_a = a[-1] if a else None
-        max_b = b[-1] if b else None
-        if max_b is not None and (max_a is None or max_b >= max_a):
-            b.pop()
-            a = sorted(a + [max_b])
-        else:
-            a.pop()
-            b = sorted(b + [max_a])
-    return SignedPair(p.family, p.k, p.n, tuple(a), tuple(b))
+    return _flip(p)
 
 
 @dataclass(frozen=True)
@@ -153,22 +151,23 @@ class CertReport:
 
 
 def certify_involution(family: str, k: int, n: int) -> CertReport:
-    """Enumerate the carrier, apply the involution everywhere, and check
+    """Stream the carrier, apply the involution to each pair, and check
     closure, involutivity, sign reversal, freeness from fixed points, and
-    that the signed weights sum to the zero polynomial.  ``apply_f`` validates
-    its argument, so closure fails exactly where it rejects an image; the
-    other flags are checked on the images that stay in the carrier."""
-    carrier = enumerate_carrier(family, k, n)
+    that the signed weights sum to the zero polynomial.  The enumerated pairs
+    are trusted; ``apply_f`` validates each image, so closure fails exactly
+    where it rejects one, and the other flags are checked on the images
+    that stay in the carrier."""
+    carrier_size = 0
     carrier_closed = True
     is_involution = True
     sign_reversing = True
     fixed_point_free = True
     weight_acc: dict = {}
-    arity = max(n, 1)
-    for p in carrier:
+    for p in _iter_carrier(family, k, n):
+        carrier_size += 1
         m = p.weight_monomial()
         weight_acc[m] = weight_acc.get(m, 0) + p.sign
-        q = apply_f(p)
+        q = _flip(p)
         try:
             back = apply_f(q)
         except ValueError:
@@ -180,10 +179,10 @@ def certify_involution(family: str, k: int, n: int) -> CertReport:
             sign_reversing = False
         if back != p:
             is_involution = False
-    weight_sum = Polynomial(arity, weight_acc.items())
+    weight_sum = Polynomial(max(n, 1), weight_acc.items())
     return CertReport(
         family=family, k=k, n=n,
-        carrier_size=len(carrier),
+        carrier_size=carrier_size,
         carrier_closed=carrier_closed,
         is_involution=is_involution,
         sign_reversing=sign_reversing,
@@ -198,10 +197,10 @@ def orbit_trace(family: str, k: int, n: int) -> List[str]:
 
     seen = set()
     lines = []
-    for p in enumerate_carrier(family, k, n):
+    for p in _iter_carrier(family, k, n):
         if p in seen:
             continue
-        q = apply_f(p)
+        q = _flip(p)
         seen.add(p)
         seen.add(q)
         wpoly = Polynomial(max(n, 1), [(p.weight_monomial(), p.sign)])

@@ -95,6 +95,25 @@ class TestSymBudget:
         assert (f"error: building e_{{20,40}} stores more than the limit of "
                 f"{cli.MAX_SYM_EXPONENTS} exponents") in err
 
+    def test_polynomial_text_over_the_limit_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "parse_polynomial", refuse)
+        for n, gens, first in ((2 * 10**7, "x1+x2,x2", "x1+x2"),
+                               (10**9, "x1", "x1")):
+            code, out, err = run(capsys, "gb", "--n", str(n), "--gens", gens)
+            assert code == 2 and out == ""
+            assert (f"error: parsing {first!r} in {n} variables stores more "
+                    f"than the limit of {cli.MAX_SYM_EXPONENTS} exponents") in err
+
+    def test_polynomial_text_limit_is_inclusive(self, capsys, monkeypatch):
+        gens = "-x1+x2-3*x1^2"  # 3 terms of 4 exponents
+        monkeypatch.setattr(cli, "MAX_SYM_EXPONENTS", 12)
+        code, out, _ = run(capsys, "gb", "--n", "4", f"--gens={gens}")
+        assert code == 0 and out != ""
+        monkeypatch.setattr(cli, "MAX_SYM_EXPONENTS", 11)
+        code, out, err = run(capsys, "gb", "--n", "4", f"--gens={gens}")
+        assert code == 2 and out == ""
+        assert f"error: parsing {gens!r} in 4 variables" in err
+
 
 class TestGb:
     def test_elementary_generators(self, capsys):
@@ -186,12 +205,6 @@ class TestVerify:
         assert out == ""
         assert "error" in err
 
-    def test_max_n_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYMGB_MAX_N", "2")
-        code, out, _ = run(capsys, "verify", "gb-ek", "--n", "1..5")
-        assert code == 0
-        assert "n=3" not in out
-
 
 class TestExplore:
     def test_informational_output(self, capsys):
@@ -246,7 +259,7 @@ class TestInvolutionAndHilbert:
                     assert carrier_size(k, n) == len(carrier)
 
     def test_huge_carrier_refused_without_enumerating(self, capsys, monkeypatch):
-        monkeypatch.setattr(involution, "enumerate_carrier", refuse)
+        monkeypatch.setattr(involution, "_iter_carrier", refuse)
         monkeypatch.setattr(involution, "certify_involution", refuse)
         over = cli.MAX_CARRIER_PAIRS + 1
         assert carrier_size(60, 60) == over

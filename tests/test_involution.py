@@ -16,10 +16,9 @@ from symgb.symfunc import elementary, homogeneous
 
 
 def broken_maps(good):
-    """Maps that validate their argument like ``good`` (the real apply_f)
-    but each break a law of the involution."""
+    """Steps that stand in for ``good`` (the real ``_flip``) but each break
+    a law of the involution."""
     def identity(p):
-        good(p)
         return p
 
     def leaves_carrier(p):
@@ -27,7 +26,6 @@ def broken_maps(good):
         return SignedPair(q.family, q.k, q.n, q.a, q.b + (q.n + 1,))
 
     def not_involutive(p):
-        good(p)
         return next(q for q in enumerate_carrier(p.family, p.k, p.n)
                     if q.sign != p.sign)
 
@@ -37,6 +35,25 @@ def broken_maps(good):
 
 def pairs_as_tuples(carrier):
     return [(p.a, p.b) for p in carrier]
+
+
+def sorted_step(p):
+    """The involution rule as the module docstring states it, re-sorting
+    both sides after the move."""
+    a, b = list(p.a), list(p.b)
+    if p.family == "hkn":
+        from_b = bool(b) and (not a or min(b) < min(a))
+        x = min(b) if from_b else min(a)
+    else:
+        from_b = bool(b) and (not a or max(b) >= max(a))
+        x = max(b) if from_b else max(a)
+    if from_b:
+        b.remove(x)
+        a.append(x)
+    else:
+        a.remove(x)
+        b.append(x)
+    return SignedPair(p.family, p.k, p.n, tuple(sorted(a)), tuple(sorted(b)))
 
 
 class TestEnumeration:
@@ -91,6 +108,13 @@ class TestApplyF:
         with pytest.raises(ValueError):
             apply_f(SignedPair("ekn", 1, 2, (), (1, 1)))
 
+    def test_flip_matches_the_sorted_rule(self):
+        for family in ("hkn", "ekn"):
+            for n in range(1, 7):
+                for k in range(1, n + 1):
+                    for p in enumerate_carrier(family, k, n):
+                        assert involution._flip(p) == sorted_step(p), p
+
     def test_involution_laws_sweep(self):
         for family in ("hkn", "ekn"):
             for n in range(1, 7):
@@ -141,13 +165,33 @@ class TestCertification:
     ])
     @pytest.mark.parametrize("family", ["hkn", "ekn"])
     def test_broken_map_is_caught(self, monkeypatch, family, broken, off):
-        monkeypatch.setattr(involution, "apply_f",
-                            broken_maps(involution.apply_f)[broken])
+        monkeypatch.setattr(involution, "_flip",
+                            broken_maps(involution._flip)[broken])
         r = certify_involution(family, 2, 3)
         flags = ("carrier_closed", "is_involution", "sign_reversing",
                  "fixed_point_free", "weight_sum_zero")
         assert {f for f in flags if not getattr(r, f)} == off
         assert not r.ok
+
+    def test_carrier_is_streamed(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("certify must not build the carrier list")
+
+        monkeypatch.setattr(involution, "enumerate_carrier", refuse)
+        assert certify_involution("hkn", 3, 4).ok
+        assert certify_involution("ekn", 3, 4).ok
+
+    @pytest.mark.parametrize("family", ["hkn", "ekn"])
+    def test_one_validation_per_pair(self, monkeypatch, family):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return in_carrier(p)
+
+        monkeypatch.setattr(involution, "in_carrier", counted)
+        r = certify_involution(family, 3, 5)
+        assert r.ok and len(calls) == r.carrier_size
 
     def test_trace_format(self):
         lines = orbit_trace("hkn", 2, 2)

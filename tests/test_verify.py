@@ -120,13 +120,19 @@ def test_basis_fail_path(monkeypatch):
     assert all(" expected={" in r.witness for r in results)
 
 
+# the flags of a certificate whose step maps every pair to itself
+IDENTITY_STEP_FLAGS = ("carrier_closed=True, is_involution=True, "
+                       "sign_reversing=False, fixed_point_free=False, "
+                       "weight_sum_zero=True")
+
+
 def test_certificate_fail_path(monkeypatch):
-    monkeypatch.setattr(involution, "apply_f", lambda p: p)
+    monkeypatch.setattr(involution, "_flip", lambda p: p)
     results = run_sweep("involution-hkn", 1, 3)
     assert not any(r.ok for r in results)
     for r in results:
         assert r.witness == repr(involution.certify_involution("hkn", r.k, r.n))
-        assert "fixed_point_free=False" in r.witness
+        assert IDENTITY_STEP_FLAGS in r.witness
 
 
 def test_hilbert_fail_path(monkeypatch):
@@ -140,10 +146,13 @@ def test_hilbert_fail_path(monkeypatch):
 @pytest.mark.parametrize("target", ["gb-ek", "hkn", "involution-ekn", "hilbert"])
 def test_cli_exits_1_when_a_cell_fails(monkeypatch, capsys, target):
     perturb_builders(monkeypatch)
-    monkeypatch.setattr(involution, "apply_f", lambda p: p)
+    monkeypatch.setattr(involution, "_flip", lambda p: p)
     break_closed_form(monkeypatch)
     assert main(["verify", target, "--n", "2..3"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+    if target.startswith("involution"):
+        assert all(IDENTITY_STEP_FLAGS in line
+                   for line in out.splitlines() if line.startswith("FAIL"))
     summary = re.fullmatch(r"(\d+)/(\d+) cells passed", out.splitlines()[-1])
     assert summary and int(summary[1]) < int(summary[2])
