@@ -55,6 +55,7 @@ from .hilbert import (
     NonArtinianError,
     SeriesPoly,
     closed_form_series,
+    hilbert_numerator,
     quotient_dimension,
     staircase_series,
 )

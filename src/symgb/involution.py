@@ -191,18 +191,15 @@ def certify_involution(family: str, k: int, n: int) -> CertReport:
     )
 
 
-def orbit_trace(family: str, k: int, n: int) -> List[str]:
-    """Trace lines "(A|B) <-> (A'|B') weight ±monomial", one per orbit."""
+def orbit_trace(family: str, k: int, n: int) -> Iterator[str]:
+    """Trace lines "(A|B) <-> (A'|B') weight ±monomial", one per orbit, as
+    the carrier streams.  The carrier runs in (|A|, A, B) order and the step
+    changes |A| by one, so each orbit is met first at its pair with the
+    smaller |A|, and the line is made there."""
     from .poly import format_polynomial
 
-    seen = set()
-    lines = []
     for p in _iter_carrier(family, k, n):
-        if p in seen:
-            continue
         q = _flip(p)
-        seen.add(p)
-        seen.add(q)
-        wpoly = Polynomial(max(n, 1), [(p.weight_monomial(), p.sign)])
-        lines.append(f"{p} <-> {q} weight {format_polynomial(wpoly)}")
-    return lines
+        if len(p.a) < len(q.a):
+            wpoly = Polynomial(max(n, 1), [(p.weight_monomial(), p.sign)])
+            yield f"{p} <-> {q} weight {format_polynomial(wpoly)}"

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from math import factorial
+
 import pytest
 
-from symgb import cli, hilbert, involution, symfunc
+import symgb
+from symgb import cli, involution, symfunc, verify
 from symgb.cli import carrier_size, main, sym_build_size
 from symgb.poly import parse_polynomial
 
@@ -290,11 +296,30 @@ class TestInvolutionAndHilbert:
         assert "dimension: 24" in out
 
     def test_hilbert_box_over_the_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr(hilbert, "MAX_BOX_POINTS", 23)
-        code, out, err = run(capsys, "hilbert", "--n", "4")
+        # the limit is now on n, the size of the <e_1..e_n> basis, and it is
+        # inclusive and checked before any Groebner work
+        monkeypatch.setattr(verify, "MAX_HILBERT_N", 4)
+        code, out, _ = run(capsys, "hilbert", "--n", "4")
+        assert code == 0 and "dimension: 24" in out
+        monkeypatch.setattr(verify, "computed_gb_ek", refuse)
+        code, out, err = run(capsys, "hilbert", "--n", "5")
         assert code == 2
         assert out == ""
-        assert "staircase box has 24 points" in err
+        assert ("error: the Hilbert series at n=5 needs the Groebner basis of "
+                "<e_1..e_5>, more than the limit of n=4") in err
+
+    def test_hilbert_far_over_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "computed_gb_ek", refuse)
+        code, out, err = run(capsys, "hilbert", "--n", "40")
+        assert code == 2 and out == ""
+        assert f"more than the limit of n={verify.MAX_HILBERT_N}" in err
+
+    def test_hilbert_n10_prints_the_closed_form(self, capsys):
+        code, out, _ = run(capsys, "hilbert", "--n", "10")
+        assert code == 0
+        assert f"dimension: {factorial(10)}" in out
+        staircase, closed = out.splitlines()[:2]
+        assert staircase.split(":", 1)[1].strip() == closed.split(":", 1)[1].strip()
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_hilbert_n_below_one(self, capsys, n):
@@ -325,3 +350,18 @@ def test_n_below_one(capsys, argv):
     assert code == 2
     assert out == ""
     assert "n must be >= 1" in err
+
+
+def test_python_m_symgb():
+    src = os.path.dirname(os.path.dirname(symgb.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "symgb", "sym", "--kind", "e", "--k", "2", "--n", "3"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "x2*x3+x1*x3+x1*x2\n", "")
+    done = subprocess.run([sys.executable, "-m", "symgb", "hilbert", "--n", "0"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and "n must be >= 1" in done.stderr

@@ -11,7 +11,7 @@ from symgb.involution import (
     in_carrier,
     orbit_trace,
 )
-from symgb.poly import Polynomial
+from symgb.poly import Polynomial, format_polynomial
 from symgb.symfunc import elementary, homogeneous
 
 
@@ -194,8 +194,38 @@ class TestCertification:
         assert r.ok and len(calls) == r.carrier_size
 
     def test_trace_format(self):
-        lines = orbit_trace("hkn", 2, 2)
+        lines = list(orbit_trace("hkn", 2, 2))
         assert lines == [
             "({}|{1,1}) <-> ({1}|{1}) weight x1^2",
             "({2}|{1}) <-> ({1,2}|{}) weight -x1*x2",
         ]
+
+
+def set_based_trace(family, k, n):
+    """The trace by the rule of a visited set: one line per orbit, made at
+    whichever of its two pairs the carrier yields first."""
+    seen = set()
+    lines = []
+    for p in enumerate_carrier(family, k, n):
+        if p in seen:
+            continue
+        q = apply_f(p)
+        seen.update((p, q))
+        wpoly = Polynomial(max(n, 1), [(p.weight_monomial(), p.sign)])
+        lines.append(f"{p} <-> {q} weight {format_polynomial(wpoly)}")
+    return lines
+
+
+class TestOrbitTrace:
+    @pytest.mark.parametrize("family", involution.FAMILIES)
+    def test_matches_the_set_based_rule(self, family):
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                lines = list(orbit_trace(family, k, n))
+                assert lines == set_based_trace(family, k, n)
+                assert 2 * len(lines) == len(enumerate_carrier(family, k, n))
+
+    def test_trace_is_streamed(self):
+        trace = orbit_trace("hkn", 8, 13)
+        assert iter(trace) is trace
+        assert next(trace) == "({}|{1,1,1,1,1,1,1,1}) <-> ({1}|{1,1,1,1,1,1,1}) weight x1^8"

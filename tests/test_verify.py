@@ -1,4 +1,5 @@
 import re
+from math import factorial
 
 import pytest
 
@@ -26,13 +27,27 @@ def test_fixed_k_selects_one_cell_per_n():
 
 
 def test_hilbert_box_refused_before_any_groebner_work(monkeypatch):
+    # the limit is now MAX_HILBERT_N on n, not the n! points of the box
     def no_basis(k, n):
-        raise AssertionError("the box must be refused before the basis is built")
+        raise AssertionError("n must be refused before the basis is built")
 
+    limit = verify.MAX_HILBERT_N
     monkeypatch.setattr(verify, "computed_gb_ek", no_basis)
-    with pytest.raises(ValueError, match=r"^staircase box has 39916800 points, "
-                                         r"more than the limit of 10000000$"):
-        verify.hilbert_series(11)
+    with pytest.raises(ValueError, match=(
+            rf"^the Hilbert series at n={limit + 1} needs the Groebner basis "
+            rf"of <e_1..e_{limit + 1}>, more than the limit of n={limit}$")):
+        verify.hilbert_series(limit + 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "MAX_HILBERT_N", 3)
+    series, expected = verify.hilbert_series(3)  # inclusive
+    assert series == expected
+
+
+def test_hilbert_sweep_to_the_new_ceiling():
+    assert verify.TARGETS["hilbert"].max_n == 10
+    results = run_sweep("hilbert", 7, 10)
+    assert [(r.n, r.ok, r.witness) for r in results] == [
+        (n, True, f"dim={factorial(n)}") for n in range(7, 11)]
 
 
 def test_unknown_target():
