@@ -6,7 +6,8 @@ lists with exact coefficients: an integral coefficient is always an
 ``int`` and any other one a :class:`fractions.Fraction`, so integer
 polynomials stay in ``int`` arithmetic until a division.  The only
 monomial order provided is lexicographic with the highest-index variable
-most significant (``x_n > x_{n-1} > ... > x_1``).
+most significant (``x_n > x_{n-1} > ... > x_1``).  Products are formed on
+monomials packed into ints (``_product_sum``) and unpacked into tuples.
 """
 
 from __future__ import annotations
@@ -241,13 +242,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc: dict = {}
-        get = acc.get
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(map(add, m1, m2))
-                acc[m] = get(m, 0) + c1 * c2
-        return Polynomial._trusted(self.arity, _sorted_terms(acc))
+        return _product_sum(self.arity, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -306,6 +301,66 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.arity}, {format_polynomial(self)!r})"
+
+
+# -- packed products ---------------------------------------------------------
+#
+# A product packs each monomial into one int with a field of whole bytes per
+# variable, x_1 in the lowest field and x_n in the top one.  While no field
+# overflows, the product of two monomials is the sum of their ints and lex
+# order is int order (Monagan and Pearce, "Sparse polynomial division using
+# a heap", J. Symbolic Comput. 46, 2011).
+
+def _max_exponent(p: Polynomial) -> int:
+    return max(map(max, zip(*[m for m, _ in p.terms])), default=0)
+
+
+def _packers(arity: int, width: int) -> tuple:
+    """(pack, unpack) between monomials and ints with ``width``-byte fields."""
+    if width == 1:
+        return (lambda m: int.from_bytes(bytes(m), "little"),
+                lambda k: tuple(k.to_bytes(arity, "little")))
+    size = arity * width
+
+    def pack(m: Monomial) -> int:
+        return int.from_bytes(
+            b"".join(e.to_bytes(width, "little") for e in m), "little")
+
+    def unpack(k: int) -> Monomial:
+        b = k.to_bytes(size, "little")
+        return tuple(int.from_bytes(b[i:i + width], "little")
+                     for i in range(0, size, width))
+
+    return pack, unpack
+
+
+def _product_sum(arity: int, parts: Iterable[tuple]) -> Polynomial:
+    """sum of a * f * g over the (a, f, g) triples of ``parts``: a is an int
+    or a Fraction, f and g are polynomials of the given arity.
+
+    The fields are wide enough for the largest exponent of any f * g, so no
+    sum of packed monomials carries.  The products are merged in one dict
+    keyed on packed monomials, and only the nonzero sums are unpacked."""
+    parts = list(parts)
+    top = max((_max_exponent(f) + _max_exponent(g) for _, f, g in parts),
+              default=0)
+    pack, unpack = _packers(arity, max(1, (top.bit_length() + 7) // 8))
+    acc: dict = {}
+    get = acc.get
+    for a, f, g in parts:
+        if len(f.terms) > len(g.terms):
+            f, g = g, f  # the longer factor in the inner loop
+        packed = [(pack(m), c) for m, c in g.terms]
+        for m, c in f.terms:
+            k1, c1 = pack(m), a * c
+            for k2, c2 in packed:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    keys = [k for k, c in acc.items() if c]
+    keys.sort(reverse=True)
+    return Polynomial._trusted(arity, tuple(
+        (unpack(k), c if type(c := acc[k]) is int else _coefficient(c))
+        for k in keys))
 
 
 # -- canonical text grammar -------------------------------------------------

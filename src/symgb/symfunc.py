@@ -8,7 +8,7 @@ from __future__ import annotations
 from itertools import chain, combinations, combinations_with_replacement
 from typing import Iterable, Optional
 
-from .poly import Monomial, Polynomial, _sorted_terms
+from .poly import Monomial, Polynomial, _product_sum
 
 
 def _ambient(n: int, arity: Optional[int]) -> int:
@@ -72,22 +72,11 @@ def weight(elements: Iterable[int], arity: int) -> Monomial:
 # -- identity defects ---------------------------------------------------------
 #
 # Each identity is stated as the paper states it: a signed sum of products
-# that vanishes.  The *_defect function returns that sum, with the terms of
-# every product merged in one Polynomial construction; the identity holds
-# iff its defect .is_zero().  k = 0 degenerates (the alternating sums reduce
-# to the constant 1) and is rejected.
-
-def _signed_sum(arity: int, parts: Iterable) -> Polynomial:
-    """sum of a * product over the (a, product) pairs of ``parts``; each a is
-    an integer, a sign except in newton's (-1)^k k e_{k,n}.  ``parts`` should
-    be a generator, so only one product is alive at a time."""
-    acc: dict = {}
-    get = acc.get
-    for a, product in parts:
-        for m, c in product.terms:
-            acc[m] = get(m, 0) + a * c
-        del product  # drop it before the next product is built
-    return Polynomial._trusted(arity, _sorted_terms(acc))
+# that vanishes.  The *_defect function returns that sum, computed by one
+# _product_sum over the (sign, factor, factor) triples, so no product is
+# built on its own; the identity holds iff its defect .is_zero().  k = 0
+# degenerates (the alternating sums reduce to the constant 1) and is
+# rejected.
 
 
 def hkn_identity_defect(k: int, n: int) -> Polynomial:
@@ -95,8 +84,8 @@ def hkn_identity_defect(k: int, n: int) -> Polynomial:
     if k < 1:
         raise ValueError("identity requires k >= 1")
     arity = max(n, 1)
-    return _signed_sum(arity, (
-        ((-1) ** i, elementary(i, n, arity) * homogeneous(k - i, n - k + 1, arity))
+    return _product_sum(arity, (
+        ((-1) ** i, elementary(i, n, arity), homogeneous(k - i, n - k + 1, arity))
         for i in range(k + 1)))
 
 
@@ -108,9 +97,9 @@ def ekn_identity_defect(k: int, n: int) -> Polynomial:
     if k < 1:
         raise ValueError("identity requires k >= 1")
     arity = max(n, 1)
-    return _signed_sum(arity, chain(
-        [(1, elementary(k, n, arity))],
-        (((-1) ** i, homogeneous(i, n - i + 1, arity) * elementary(k - i, n - i, arity))
+    return _product_sum(arity, chain(
+        [(1, elementary(k, n, arity), Polynomial.one(arity))],
+        (((-1) ** i, homogeneous(i, n - i + 1, arity), elementary(k - i, n - i, arity))
          for i in range(1, k + 1))))
 
 
@@ -119,10 +108,10 @@ def telescope_defect(j: int, n: int) -> Polynomial:
     if not 1 <= j <= n:
         raise ValueError("requires 1 <= j <= n")
     arity = max(n, 1)
-    x = Polynomial.variable(n - j + 1, arity)
-    return _signed_sum(arity, chain(
-        ((1, x ** ell * homogeneous(j - ell, n - j, arity)) for ell in range(j + 1)),
-        [(-1, homogeneous(j, n - j + 1, arity))]))
+    return _product_sum(arity, chain(
+        ((1, Polynomial.from_monomial(weight((n - j + 1,) * ell, arity)),
+          homogeneous(j - ell, n - j, arity)) for ell in range(j + 1)),
+        [(-1, homogeneous(j, n - j + 1, arity), Polynomial.one(arity))]))
 
 
 def newton_defect(k: int, n: int) -> Polynomial:
@@ -130,10 +119,10 @@ def newton_defect(k: int, n: int) -> Polynomial:
     if k < 1:
         raise ValueError("identity requires k >= 1")
     arity = max(n, 1)
-    return _signed_sum(arity, chain(
-        (((-1) ** r, elementary(r, n, arity) * powersum(k - r, n, arity))
+    return _product_sum(arity, chain(
+        (((-1) ** r, elementary(r, n, arity), powersum(k - r, n, arity))
          for r in range(k)),
-        [((-1) ** k * k, elementary(k, n, arity))]))
+        [((-1) ** k * k, elementary(k, n, arity), Polynomial.one(arity))]))
 
 
 def check_e1ek_reduction(k: int, n: int) -> bool:

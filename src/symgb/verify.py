@@ -45,14 +45,18 @@ def computed_gb_e1ek(k: int, n: int) -> groebner.GroebnerBasis:
 MAX_HILBERT_N = 13
 
 
+def _refuse_hilbert_n(n: int) -> None:
+    if n > MAX_HILBERT_N:
+        raise ValueError(f"the Hilbert series at n={n} needs the Groebner "
+                         f"basis of <e_1..e_{n}>, more than the limit of "
+                         f"n={MAX_HILBERT_N}")
+
+
 def hilbert_series(n: int) -> Tuple[hilbert.SeriesPoly, hilbert.SeriesPoly]:
     """(staircase series of the reduced basis of <e_1..e_n>, closed form)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > MAX_HILBERT_N:  # before any Groebner work
-        raise ValueError(f"the Hilbert series at n={n} needs the Groebner "
-                         f"basis of <e_1..e_{n}>, more than the limit of "
-                         f"n={MAX_HILBERT_N}")
+    _refuse_hilbert_n(n)  # before any Groebner work
     gb = computed_gb_ek(n, n)
     series = hilbert.staircase_series(gb.leading_monomials(), n)
     return series, hilbert.closed_form_series(n)
@@ -102,6 +106,9 @@ class Target:
     check: Callable[[Optional[int], int], Tuple[bool, str]]
     max_n: int  # default n ceiling, keeping the full sweep fast
     ks: Callable[[int], Sequence[Optional[int]]]  # k of the cells at n; grows with n
+    # raises ValueError for the top n of a sweep past a hard limit, so that
+    # run_sweep refuses the sweep before its first cell
+    refuse_n: Optional[Callable[[int], None]] = None
 
 
 # hkn, ekn and newton also sweep k = n+1, n+2, where they hold trivially.
@@ -123,7 +130,7 @@ TARGETS = {
         involution.certify_involution("hkn", k, n)), 6, _ks(1)),
     "involution-ekn": Target(lambda k, n: _certify_check(
         involution.certify_involution("ekn", k, n)), 6, _ks(1)),
-    "hilbert": Target(_hilbert_check, 10, lambda n: (None,)),
+    "hilbert": Target(_hilbert_check, 10, lambda n: (None,), _refuse_hilbert_n),
 }
 
 
@@ -137,6 +144,8 @@ def run_sweep(target: str, n_lo: int, n_hi: int,
     if fixed_k is not None and fixed_k not in spec.ks(n_hi):
         raise ValueError(
             f"{target} has no cell with k={fixed_k} for n in {n_lo}..{n_hi}")
+    if spec.refuse_n is not None:
+        spec.refuse_n(n_hi)
     return [CellResult(target, k, n, *spec.check(k, n))
             for n in range(n_lo, n_hi + 1) for k in spec.ks(n)
             if fixed_k is None or k == fixed_k]

@@ -314,6 +314,14 @@ class TestInvolutionAndHilbert:
         assert code == 2 and out == ""
         assert f"more than the limit of n={verify.MAX_HILBERT_N}" in err
 
+    def test_hilbert_sweep_past_the_limit(self, capsys, monkeypatch):
+        # refused before the first cell, so no basis is built and no cell printed
+        monkeypatch.setattr(verify, "computed_gb_ek", refuse)
+        code, out, err = run(capsys, "verify", "hilbert", "--n", "1..40", "--no-limit")
+        assert code == 2 and out == ""
+        assert ("error: the Hilbert series at n=40 needs the Groebner basis of "
+                f"<e_1..e_40>, more than the limit of n={verify.MAX_HILBERT_N}") in err
+
     def test_hilbert_n10_prints_the_closed_form(self, capsys):
         code, out, _ = run(capsys, "hilbert", "--n", "10")
         assert code == 0

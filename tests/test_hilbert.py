@@ -130,6 +130,24 @@ class TestStaircase:
         with pytest.raises(ValueError, match=r"has up to 7 coefficients"):
             staircase_series([(7, 0), (0, 1)], 2)
 
+    def test_division_steps_limit_is_inclusive(self, monkeypatch):
+        # one prefix-sum pass per variable over the whole series
+        monkeypatch.setattr(hilbert, "MAX_DIVISION_STEPS", 12)
+        assert staircase_series([(2, 0), (0, 5)], 2).degree() == 5  # 2 x 6
+        monkeypatch.setattr(hilbert, "_numerator", refuse)
+        with pytest.raises(ValueError, match=r"^staircase series takes 2 passes "
+                                             r"over 7 coefficients, more than "
+                                             r"the limit of 12 steps$"):
+            staircase_series([(7, 0), (0, 1)], 2)
+
+    def test_many_long_pure_powers_refused_before_the_numerator(self, monkeypatch):
+        # under the length limit (999951 coefficients), but 50 passes over it
+        monkeypatch.setattr(hilbert, "_numerator", refuse)
+        powers = [tuple(20000 * (i == j) for j in range(50)) for i in range(50)]
+        with pytest.raises(ValueError, match=r"^staircase series takes 50 passes "
+                                             r"over 999951 coefficients"):
+            staircase_series(powers, 50)
+
     def test_numerator_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(hilbert, "MAX_SERIES_COEFFS", 6)
         # lcm x1^2 x2^3 has degree 5

@@ -43,6 +43,21 @@ def test_hilbert_box_refused_before_any_groebner_work(monkeypatch):
     assert series == expected
 
 
+def test_hilbert_sweep_refused_before_its_first_cell(monkeypatch):
+    def no_basis(k, n):
+        raise AssertionError("the sweep must be refused before any cell")
+
+    limit = verify.MAX_HILBERT_N
+    monkeypatch.setattr(verify, "computed_gb_ek", no_basis)
+    with pytest.raises(ValueError, match=(
+            rf"^the Hilbert series at n={limit + 1} needs the Groebner basis "
+            rf"of <e_1..e_{limit + 1}>, more than the limit of n={limit}$")):
+        run_sweep("hilbert", 1, limit + 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "MAX_HILBERT_N", 3)
+    assert [r.ok for r in run_sweep("hilbert", 1, 3)] == [True] * 3  # inclusive
+
+
 def test_hilbert_sweep_to_the_new_ceiling():
     assert verify.TARGETS["hilbert"].max_n == 10
     results = run_sweep("hilbert", 7, 10)
