@@ -158,6 +158,12 @@ def carrier_size(k: int, n: int) -> int:
     return total
 
 
+def _check_carrier(family: str, k: int, n: int) -> None:
+    if carrier_size(k, n) > MAX_CARRIER_PAIRS:
+        raise UsageError(f"the {family} carrier for k={k}, n={n} has more "
+                         f"than the limit of {MAX_CARRIER_PAIRS} pairs")
+
+
 def cmd_sym(args) -> int:
     builders = {"e": symfunc.elementary, "h": symfunc.homogeneous,
                 "p": symfunc.powersum}
@@ -197,6 +203,14 @@ def cmd_verify(args) -> int:
         hi = min(hi, verify.TARGETS[args.target].max_n)
     if hi < lo:
         raise UsageError("range is empty after applying caps")
+    if args.target.startswith("involution-"):
+        # a carrier has 2^k C(n, k) pairs, which grows with n, and every k of
+        # the sweep is in ks(hi): no selected cell is larger than one at hi
+        ks = verify.TARGETS[args.target].ks(hi)
+        if args.k is not None:
+            ks = [args.k] if args.k in ks else []
+        for k in ks:
+            _check_carrier(args.target[len("involution-"):], k, hi)
     results = verify.run_sweep(args.target, lo, hi, fixed_k=args.k)
     failed = False
     for r in results:
@@ -218,9 +232,7 @@ def cmd_verify(args) -> int:
 
 def cmd_involution(args) -> int:
     k, n = args.k, _require_n(args.n)
-    if carrier_size(k, n) > MAX_CARRIER_PAIRS:
-        raise UsageError(f"the {args.family} carrier for k={k}, n={n} has more "
-                         f"than the limit of {MAX_CARRIER_PAIRS} pairs")
+    _check_carrier(args.family, k, n)
     report = involution.certify_involution(args.family, k, n)
     print(f"family={report.family} k={report.k} n={report.n} "
           f"carrier_size={report.carrier_size}")

@@ -15,6 +15,7 @@ from .poly import (
     ZeroPolynomialError,
     _coefficient,
     _exact_div,
+    _product_sum,
     lex_key,
     mono_div,
     mono_divides,
@@ -146,19 +147,20 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     fc, fm = f.leading_term()
     gc, gm = g.leading_term()
     lcm = mono_lcm(fm, gm)
-    left = f.mul_term(mono_div(lcm, fm), _exact_div(1, fc))
-    right = g.mul_term(mono_div(lcm, gm), _exact_div(1, gc))
-    return left - right
+    arity = f.arity
+    return _product_sum(arity, (
+        (_exact_div(1, fc), Polynomial._trusted(arity, ((mono_div(lcm, fm), 1),)), f),
+        (-_exact_div(1, gc), Polynomial._trusted(arity, ((mono_div(lcm, gm), 1),)), g)))
 
 
 def normal_form(f: Polynomial,
                 basis: Union[GroebnerBasis, Sequence[Polynomial]]) -> Polynomial:
     """Remainder of f on division by the basis; zero iff f is in the ideal
     when the basis is a Groebner basis."""
-    elements = basis.elements if isinstance(basis, GroebnerBasis) else basis
+    elements = list(basis)
     if not elements:
         return f
-    return divide(f, list(elements)).remainder
+    return divide(f, elements).remainder
 
 
 def buchberger(generators: Iterable[Polynomial],

@@ -23,7 +23,7 @@ from math import factorial
 from operator import le
 from typing import Dict, List, Sequence
 
-from .poly import Monomial
+from .poly import Monomial, _check_monomial
 
 
 # Longest series or numerator built as a dense list of coefficients: on a
@@ -74,6 +74,8 @@ def _checked(leading_monomials: Sequence[Monomial], arity: int) -> List[Monomial
     lms = [tuple(m) for m in leading_monomials]
     if any(len(m) != arity for m in lms):
         raise ValueError("staircase monomial arity mismatch")
+    for m in lms:
+        _check_monomial(m, arity)  # int exponents, none negative
     return lms
 
 

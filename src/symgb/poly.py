@@ -98,6 +98,8 @@ def _check_monomial(mono: Monomial, arity: int) -> None:
     if len(mono) != arity:
         raise ArityMismatchError(
             f"monomial arity {len(mono)} != polynomial arity {arity}")
+    if not all(isinstance(e, int) for e in mono):
+        raise TypeError(f"exponents must be ints, got {mono}")
     if any(e < 0 for e in mono):
         raise ValueError(f"negative exponent in {mono}")
 
@@ -270,14 +272,8 @@ class Polynomial:
         """Fast multiplication by a single term."""
         mono = tuple(mono)
         _check_monomial(mono, self.arity)
-        c = _coefficient(coeff)
-        if not c:
-            return Polynomial.zero(self.arity)
-        # a monomial order is compatible with multiplication: the terms stay
-        # sorted, and a nonzero c keeps them nonzero
-        return Polynomial._trusted(self.arity, tuple(
-            (tuple(map(add, m, mono)), _coefficient(cc * c))
-            for m, cc in self.terms))
+        term = Polynomial._trusted(self.arity, ((mono, 1),))
+        return _product_sum(self.arity, ((_coefficient(coeff), self, term),))
 
     # -- equality / hashing ------------------------------------------------
 

@@ -131,14 +131,12 @@ def check_e1ek_reduction(k: int, n: int) -> bool:
     if not 1 <= k <= n:
         raise ValueError("requires 1 <= k <= n")
     arity = max(n, 1)
-    xn = Polynomial.variable(n, arity)
-    ek1 = elementary(k - 1, n - 1, arity)
-    step = elementary(k, n, arity) - elementary(k, n - 1, arity) - xn * ek1
-    if not step.is_zero():
-        return False
-    lhs = elementary(1, n - 1, arity) * ek1 - elementary(k, n - 1, arity)
-    rhs = elementary(1, n, arity) * ek1 - elementary(k, n, arity)
-    return (lhs - rhs).is_zero()
+    one, ek1 = Polynomial.one(arity), elementary(k - 1, n - 1, arity)
+    ekn, ekn1 = elementary(k, n, arity), elementary(k, n - 1, arity)
+    step = [(1, ekn, one), (-1, ekn1, one), (-1, Polynomial.variable(n, arity), ek1)]
+    generator = [(1, elementary(1, n - 1, arity), ek1), (-1, ekn1, one),
+                 (-1, elementary(1, n, arity), ek1), (1, ekn, one)]
+    return all(_product_sum(arity, parts).is_zero() for parts in (step, generator))
 
 
 # -- closed-form reduced Groebner bases --------------------------------------
@@ -157,8 +155,9 @@ def conjectured_gb_e1ek(k: int, n: int) -> list:
     if not 1 <= k <= n:
         raise ValueError("requires 1 <= k <= n")
     first = elementary(1, n, n)
-    second = (elementary(1, n - 1, n) * elementary(k - 1, n - 1, n)
-              - elementary(k, n - 1, n))
+    second = _product_sum(n, (
+        (1, elementary(1, n - 1, n), elementary(k - 1, n - 1, n)),
+        (-1, elementary(k, n - 1, n), Polynomial.one(n))))
     out = [first]
     if not second.is_zero():
         out.append(second.monic())

@@ -290,6 +290,25 @@ class TestInvolutionAndHilbert:
         assert (f"the ekn carrier for k=3, n=5 has more than the limit of "
                 f"{size - 1} pairs") in err
 
+    @pytest.mark.parametrize("family", involution.FAMILIES)
+    def test_verify_carrier_past_the_limit(self, capsys, monkeypatch, family):
+        # --no-limit lifts the n ceiling of the sweep, not the carrier budget
+        # of `involution`: every selected cell is checked before the first
+        size = carrier_size(3, 5)
+        monkeypatch.setattr(cli, "MAX_CARRIER_PAIRS", size - 1)
+        monkeypatch.setattr(involution, "certify_involution", refuse)
+        target = f"involution-{family}"
+        for argv in (["--n", "5", "--k", "3"], ["--n", "1..5"]):
+            code, out, err = run(capsys, "verify", target, *argv, "--no-limit")
+            assert code == 2 and out == ""
+            assert (f"error: the {family} carrier for k=3, n=5 has more than "
+                    f"the limit of {size - 1} pairs") in err
+        # the cells below the limit still run
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_CARRIER_PAIRS", size)
+        code, out, _ = run(capsys, "verify", target, "--n", "5", "--k", "3", "--no-limit")
+        assert code == 0 and out.endswith("1/1 cells passed\n")
+
     def test_hilbert_text(self, capsys):
         code, out, _ = run(capsys, "hilbert", "--n", "4")
         assert code == 0

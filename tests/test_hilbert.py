@@ -113,6 +113,18 @@ class TestStaircase:
         with pytest.raises(NonArtinianError):
             staircase_series([(0, 1)], 2)
 
+    @pytest.mark.parametrize("series", [staircase_series, hilbert_numerator])
+    def test_bad_exponents_rejected_before_any_work(self, monkeypatch, series):
+        monkeypatch.setattr(hilbert, "_minimal", refuse)
+        monkeypatch.setattr(hilbert, "_numerator", refuse)
+        # (-1, 0) used to pass for a pure power of nothing: staircase_series
+        # called the ideal non-artinian, hilbert_numerator raised IndexError
+        with pytest.raises(ValueError, match="negative exponent") as info:
+            series([(-1, 0), (0, 2)], 2)
+        assert not isinstance(info.value, NonArtinianError)
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            series([(1.5, 0), (0, 2)], 2)
+
     # the limit is now on the length of the series, sum(c_i - 1) + 1 for
     # the pure powers x_i^c_i, not on the prod(c_i) points of the box
     def test_huge_box_rejected_before_the_walk(self, monkeypatch):

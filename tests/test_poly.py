@@ -130,6 +130,15 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             P("x1", 2).mul_term((0, 1), 0.5)
 
+    def test_non_int_exponent_rejected(self):
+        # a float exponent used to print as x1^1.5 and fail in the next product
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            Polynomial(2, [((1.5, 0), 1)])
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            Polynomial(2, [((Fraction(3), 0), 1)])
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            P("x1", 2).mul_term((0, 2.0), 1)
+
     def test_pow(self):
         f = P("x1+x2")
         assert f ** 0 == Polynomial.one(3)

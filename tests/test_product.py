@@ -1,13 +1,14 @@
-"""The packed product kernel, ``poly._product_sum``, behind ``*`` and the
-identity defects, against a plain reference written here: exponent tuples
-added componentwise, coefficients summed as Fractions in a dict, sorted by
-the reversed tuple."""
+"""The packed product kernel, ``poly._product_sum``, behind ``*``,
+``mul_term``, ``s_polynomial``, the identity defects and the e1ek identity,
+against a plain reference written here: exponent tuples added componentwise,
+coefficients summed as Fractions in a dict, sorted by the reversed tuple."""
 
 from fractions import Fraction
 
 import pytest
 
 from symgb import poly, symfunc
+from symgb.groebner import s_polynomial
 from symgb.poly import Polynomial, _product_sum
 from conftest import random_polynomial
 
@@ -213,3 +214,111 @@ def test_defects_match_the_reference(monkeypatch, defect, parts, ks):
             assert got == reference(parts(k, n))
             nonzero += bool(got)
     assert nonzero > 0
+
+
+# -- mul_term and s_polynomial, formed by the same kernel
+
+def nonzero(rng, arity, integral):
+    if rng.random() < 0.3:
+        p = edge_polynomial(rng, arity, integral)
+        if p:  # its terms may cancel
+            return p
+    return random_polynomial(rng, arity, 4, 6, allow_zero=False, integral=integral)
+
+
+def s_reference(f, g):
+    """(lcm/LM f) f / LC f - (lcm/LM g) g / LC g, through the reference."""
+    (fc, fm), (gc, gm) = f.leading_term(), g.leading_term()
+    lcm = tuple(map(max, fm, gm))
+
+    def cofactor(m):
+        return Polynomial.from_monomial(tuple(a - b for a, b in zip(lcm, m)))
+    return reference([(1 / Fraction(fc), cofactor(fm), f),
+                      (-1 / Fraction(gc), cofactor(gm), g)])
+
+
+class TestMulTerm:
+    @pytest.mark.parametrize("arity", [1, 2, 12])
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_random(self, rng, arity, integral):
+        for _ in range(150):
+            f = factor(rng, arity, integral)
+            m = tuple(rng.choice((0, 1, 2, 255, 256)) for _ in range(arity))
+            c = rng.choice([1, -2, 3, Fraction(4, 2), Fraction(-1, 3), Fraction(5, 2)])
+            assert typed(f.mul_term(m, c)) == reference([(c, f, Polynomial.from_monomial(m))])
+
+    def test_field_boundaries(self):
+        # x1^255 fits a one-byte field, x1^256 needs two
+        f = Polynomial(2, [((255, 1), 1), ((1, 0), Fraction(1, 2))])
+        assert typed(f.mul_term((0, 0), 2)) == [((255, 1), int, 2), ((1, 0), int, 1)]
+        assert typed(f.mul_term((1, 255), 1)) == [
+            ((256, 256), int, 1), ((2, 255), Fraction, Fraction(1, 2))]
+
+    def test_zero(self, rng):
+        f = random_polynomial(rng, 3, 4, 6, allow_zero=False)
+        assert f.mul_term((1, 2, 3), 0).is_zero()
+        assert Polynomial.zero(3).mul_term((1, 2, 3), 5).is_zero()
+
+
+class TestSPolynomial:
+    @pytest.mark.parametrize("arity", [1, 2, 12])
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_random(self, rng, arity, integral):
+        for _ in range(150):
+            f, g = nonzero(rng, arity, integral), nonzero(rng, arity, integral)
+            s = s_polynomial(f, g)
+            assert typed(s) == s_reference(f, g)
+            lcm = tuple(map(max, f.leading_monomial(), g.leading_monomial()))
+            assert lcm not in dict(s.terms)
+
+    def test_field_boundaries(self):
+        # S(x2^255 + x1^255, x1^256 x2 + x1) = x1^256 (x2^255 + x1^255)
+        # - x2^254 (x1^256 x2 + x1): x1^511 needs a two-byte field
+        f = Polynomial(2, [((0, 255), 1), ((255, 0), 1)])
+        g = Polynomial(2, [((256, 1), 2), ((1, 0), 1)])
+        assert typed(s_polynomial(f, g)) == [
+            ((1, 254), Fraction, Fraction(-1, 2)), ((511, 0), int, 1)]
+        assert typed(s_polynomial(f, g)) == s_reference(f, g)
+
+    def test_cancels_to_zero(self, rng):
+        for arity in (2, 12):
+            for _ in range(50):
+                p = nonzero(rng, arity, rng.random() < 0.5)
+                x1 = Polynomial.variable(1, arity)
+                x2 = Polynomial.variable(2, arity)
+                # (lcm / x1 LM p) x1 p = (lcm / x2 LM p) x2 p
+                assert s_polynomial(x1 * p, x2 * p).is_zero()
+                assert s_polynomial(p, p * 3).is_zero()
+                assert s_reference(x1 * p, x2 * p) == []
+
+
+class TestE1ek:
+    def test_conjectured_basis_matches_the_reference(self):
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                def e(i, m):
+                    return symfunc.elementary(i, m, n)
+                parts = [(1, e(1, n - 1), e(k - 1, n - 1)), (-1, e(k, n - 1), Polynomial.one(n))]
+                expected = [typed(e(1, n))]
+                if reference(parts):
+                    lc = reference(parts)[0][2]
+                    expected.append(reference([(a / lc, f, g) for a, f, g in parts]))
+                assert [typed(p) for p in symfunc.conjectured_gb_e1ek(k, n)] == expected
+
+    def test_reduction_fails_on_a_perturbed_e(self, monkeypatch):
+        good = symfunc.elementary
+        for n in range(2, 6):
+            for k in range(2, n + 1):
+                assert symfunc.check_e1ek_reduction(k, n)
+                # each e the two identities use, perturbed on its own: the
+                # first three break e_{k,n} - e_{k,n-1} = x_n e_{k-1,n-1},
+                # the last two only the generator identity
+                for one in [(k, n), (k, n - 1), (k - 1, n - 1), (1, n), (1, n - 1)]:
+                    def build(i, m, arity=None, one=one):
+                        p = good(i, m, arity)
+                        if (i, m) != one:
+                            return p
+                        return p + Polynomial(p.arity, [(monomial(p.arity, [i]), Fraction(1, 2))])
+                    monkeypatch.setattr(symfunc, "elementary", build)
+                    assert not symfunc.check_e1ek_reduction(k, n), one
+                    monkeypatch.setattr(symfunc, "elementary", good)
