@@ -17,8 +17,9 @@ from .poly import (PolyParseError, Polynomial, _split_terms, format_polynomial,
 
 USAGE_ERROR = 2
 # Limit of the builds `sym`, `gb` and `explore` run, in exponents stored
-# (h_{10,10} stores 1847560), and of the pairs `involution` streams
-# (10^6 pairs take about 13 s and 60 MB on a 2-vCPU Xeon).
+# (h_{10,10} stores 1847560), and of the pairs `involution` streams (the
+# largest carrier under it, 860160 pairs at k=13, n=15, takes 4-5 s and
+# 44 MB on a 2-vCPU Xeon).
 MAX_SYM_EXPONENTS = 4 * 10**6
 MAX_CARRIER_PAIRS = 10**6
 STATS_HELP = "print the Buchberger run's counts as one line on stderr"
@@ -138,28 +139,15 @@ def _check_text_size(text: str, n: int) -> None:
                          f"the limit of {MAX_SYM_EXPONENTS} exponents")
 
 
-def carrier_size(k: int, n: int) -> int:
-    """Pairs in the hkn or ekn carrier, counted without enumerating them;
-    MAX_CARRIER_PAIRS + 1 stands for every count above the limit.
-
-    Both families have sum_i C(n, i) C(n-i, k-i) pairs with |A| = i: for
-    hkn, i-subsets of {1..n} times (k-i)-multisets of {1..n-k+1}; for ekn,
-    i-multisets of {1..n-i+1} times (k-i)-subsets of {1..n-i}.  The carrier
-    is empty for k > n, and otherwise every term is at least 1, so the loop
-    stops after at most MAX_CARRIER_PAIRS + 1 terms."""
-    cap = MAX_CARRIER_PAIRS
-    if k > n:
-        return 0
-    total = 0
-    for i in range(k + 1):
-        total += _comb_capped(n, i, cap) * _comb_capped(n - i, k - i, cap)
-        if total > cap:
-            return cap + 1
-    return total
+def carrier_size(family: str, k: int, n: int) -> int:
+    """Pairs in the family's carrier, by the closed form of its
+    ``involution.FAMILIES`` entry, counted without enumerating them;
+    MAX_CARRIER_PAIRS + 1 stands for every count above the limit."""
+    return involution.FAMILIES[family].size(k, n, MAX_CARRIER_PAIRS)
 
 
 def _check_carrier(family: str, k: int, n: int) -> None:
-    if carrier_size(k, n) > MAX_CARRIER_PAIRS:
+    if carrier_size(family, k, n) > MAX_CARRIER_PAIRS:
         raise UsageError(f"the {family} carrier for k={k}, n={n} has more "
                          f"than the limit of {MAX_CARRIER_PAIRS} pairs")
 

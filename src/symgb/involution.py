@@ -15,18 +15,112 @@ with sign (-1)^|A| and weight wt(A) * wt(B):
   of cardinality k - |A|.  Here the element ranges shrink as |A| grows, so
   the mirrored rule on maxima is the one that stays inside the carrier:
   move max(B) into A when max(B) >= max(A), else move max(A) into B.
+
+Both carriers have sum_i C(n, i) C(n-i, k-i) = 2^k C(n, k) pairs.
+
+Each family is one ``Family`` entry of ``FAMILIES``, and every function here
+works through that table on plain ``(a, b)`` tuples of sorted elements;
+``SignedPair`` is the public view of one pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
-from typing import Iterator, List
+from itertools import chain, combinations, combinations_with_replacement, product
+from math import comb
+from operator import le, lt
+from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 from .poly import Polynomial
 from .symfunc import weight
 
-FAMILIES = ("hkn", "ekn")
+Pair = Tuple[tuple, tuple]
+
+
+class Family(NamedTuple):
+    # (k, n) -> the carrier's (a, b) pairs in (|A|, A, B) lexicographic order
+    carrier: Callable[[int, int], Iterator[Pair]]
+    # (a, b) -> the involution's image of a nonempty carrier pair, unchecked
+    step: Callable[[tuple, tuple], Pair]
+    # (k, n, a, b) -> whether (a, b) is in the carrier
+    member: Callable[[int, int, tuple, tuple], bool]
+    # (k, n, cap) -> the carrier's size in closed form, or cap + 1 above cap
+    size: Callable[[int, int, int], int]
+
+
+def _pow2_binomial(k: int, n: int, cap: int) -> int:
+    """2^k C(n, k), or cap + 1 when it is larger; cheap for any k and n,
+    since C(n, k) >= 1 lets 2^k alone decide every k past cap's bits."""
+    if not 0 <= k <= n:
+        return 0
+    if k >= cap.bit_length():
+        return cap + 1
+    return min(comb(n, k) << k, cap + 1)
+
+
+def _hkn_carrier(k: int, n: int) -> Iterator[Pair]:
+    b_pool = range(1, n - k + 2)
+    return chain.from_iterable(
+        product(combinations(range(1, n + 1), i),
+                combinations_with_replacement(b_pool, k - i))
+        for i in range(k + 1))
+
+
+def _hkn_step(a: tuple, b: tuple) -> Pair:
+    # the moved element is the least of its new home: it goes on the front
+    if b and (not a or b[0] < a[0]):
+        return b[:1] + a, b[1:]
+    return a[1:], a[:1] + b
+
+
+def _hkn_member(k: int, n: int, a: tuple, b: tuple) -> bool:
+    # A: set in {1..n}; B: multiset in {1..n-k+1}
+    i = len(a)
+    return (i <= k and len(b) == k - i
+            and all(map(lt, a, a[1:])) and all(map(le, b, b[1:]))
+            and (not a or 1 <= a[0] and a[-1] <= n)
+            and (not b or 1 <= b[0] and b[-1] <= n - k + 1))
+
+
+def _ekn_carrier(k: int, n: int) -> Iterator[Pair]:
+    return chain.from_iterable(
+        product(combinations_with_replacement(range(1, n - i + 2), i),
+                combinations(range(1, n - i + 1), k - i))
+        for i in range(k + 1))
+
+
+def _ekn_step(a: tuple, b: tuple) -> Pair:
+    # the moved element is the greatest of its new home: it goes on the back
+    if b and (not a or b[-1] >= a[-1]):
+        return a + b[-1:], b[:-1]
+    return a[:-1], b + a[-1:]
+
+
+def _ekn_member(k: int, n: int, a: tuple, b: tuple) -> bool:
+    # A: multiset in {1..n-i+1}; B: set in {1..n-i}
+    i = len(a)
+    return (i <= k and len(b) == k - i
+            and all(map(le, a, a[1:])) and all(map(lt, b, b[1:]))
+            and (not a or 1 <= a[0] and a[-1] <= n - i + 1)
+            and (not b or 1 <= b[0] and b[-1] <= n - i))
+
+
+FAMILIES: Dict[str, Family] = {
+    "hkn": Family(_hkn_carrier, _hkn_step, _hkn_member, _pow2_binomial),
+    "ekn": Family(_ekn_carrier, _ekn_step, _ekn_member, _pow2_binomial),
+}
+
+
+def _family(family: str) -> Family:
+    spec = FAMILIES.get(family)
+    if spec is None:
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
+    return spec
+
+
+def _format_pair(a: tuple, b: tuple) -> str:
+    fmt = lambda xs: "{" + ",".join(map(str, xs)) + "}"
+    return f"({fmt(a)}|{fmt(b)})"
 
 
 @dataclass(frozen=True)
@@ -45,81 +139,27 @@ class SignedPair:
         return weight(self.a + self.b, max(self.n, 1))
 
     def __str__(self) -> str:
-        fmt = lambda xs: "{" + ",".join(map(str, xs)) + "}"
-        return f"({fmt(self.a)}|{fmt(self.b)})"
-
-
-def _check_family(family: str) -> None:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        return _format_pair(self.a, self.b)
 
 
 def in_carrier(p: SignedPair) -> bool:
-    """Explicit membership test for the pair's carrier."""
-    _check_family(p.family)
-    k, n = p.k, p.n
-    i = len(p.a)
-    if i > k or len(p.b) != k - i:
-        return False
-    if p.family == "hkn":
-        # A: set in {1..n}; B: multiset in {1..n-k+1}
-        if len(set(p.a)) != i or p.a != tuple(sorted(p.a)):
-            return False
-        if any(not 1 <= x <= n for x in p.a):
-            return False
-        if p.b != tuple(sorted(p.b)):
-            return False
-        return all(1 <= x <= n - k + 1 for x in p.b)
-    # ekn: A multiset in {1..n-i+1}; B set in {1..n-i}
-    if p.a != tuple(sorted(p.a)):
-        return False
-    if any(not 1 <= x <= n - i + 1 for x in p.a):
-        return False
-    if len(set(p.b)) != len(p.b) or p.b != tuple(sorted(p.b)):
-        return False
-    return all(1 <= x <= n - i for x in p.b)
+    """Explicit membership test for the pair's carrier; A and B are tuples."""
+    member = _family(p.family).member
+    return (isinstance(p.a, tuple) and isinstance(p.b, tuple)
+            and member(p.k, p.n, p.a, p.b))
+
+
+def _iter_carrier(family: str, k: int, n: int) -> Iterator[Pair]:
+    """Stream the carrier's (a, b) pairs in ``enumerate_carrier`` order."""
+    spec = _family(family)
+    if k < 1:
+        raise ValueError("carrier requires k >= 1")
+    return spec.carrier(k, n)
 
 
 def enumerate_carrier(family: str, k: int, n: int) -> List[SignedPair]:
     """All carrier pairs, ordered lexicographically by (|A|, A, B)."""
-    return list(_iter_carrier(family, k, n))
-
-
-def _iter_carrier(family: str, k: int, n: int) -> Iterator[SignedPair]:
-    """Stream the carrier pairs in ``enumerate_carrier`` order."""
-    _check_family(family)
-    if k < 1:
-        raise ValueError("carrier requires k >= 1")
-    for i in range(k + 1):
-        if family == "hkn":
-            a_choices = combinations(range(1, n + 1), i)
-            b_pool = range(1, n - k + 2)
-            for a in a_choices:
-                for b in combinations_with_replacement(b_pool, k - i):
-                    yield SignedPair(family, k, n, a, b)
-        else:
-            a_pool = range(1, n - i + 2)
-            b_pool = range(1, n - i + 1)
-            for a in combinations_with_replacement(a_pool, i):
-                for b in combinations(b_pool, k - i):
-                    yield SignedPair(family, k, n, a, b)
-
-
-def _flip(p: SignedPair) -> SignedPair:
-    """The involution step on a nonempty carrier pair, unchecked.  The moved
-    element is the least of its new home (hkn) or the greatest (ekn), so it
-    goes on the front or the back of the tuple."""
-    a, b = p.a, p.b
-    if p.family == "hkn":
-        if b and (not a or b[0] < a[0]):
-            a, b = b[:1] + a, b[1:]
-        else:
-            a, b = a[1:], a[:1] + b
-    elif b and (not a or b[-1] >= a[-1]):
-        a, b = a + b[-1:], b[:-1]
-    else:
-        a, b = a[:-1], b + a[-1:]
-    return SignedPair(p.family, p.k, p.n, a, b)
+    return [SignedPair(family, k, n, a, b) for a, b in _iter_carrier(family, k, n)]
 
 
 def apply_f(p: SignedPair) -> SignedPair:
@@ -128,7 +168,7 @@ def apply_f(p: SignedPair) -> SignedPair:
         raise ValueError(f"{p} is not in the {p.family} carrier")
     if not p.a and not p.b:
         raise ValueError("involution undefined on the empty pair (k=0)")
-    return _flip(p)
+    return SignedPair(p.family, p.k, p.n, *FAMILIES[p.family].step(p.a, p.b))
 
 
 @dataclass(frozen=True)
@@ -154,32 +194,41 @@ def certify_involution(family: str, k: int, n: int) -> CertReport:
     """Stream the carrier, apply the involution to each pair, and check
     closure, involutivity, sign reversal, freeness from fixed points, and
     that the signed weights sum to the zero polynomial.  The enumerated pairs
-    are trusted; ``apply_f`` validates each image, so closure fails exactly
-    where it rejects one, and the other flags are checked on the images
-    that stay in the carrier."""
+    are trusted; each image gets one ``member`` test, so closure fails
+    exactly where an image leaves the carrier, and the other flags are
+    checked on the images that stay in it.
+
+    The sign of (a, b) is read as the parity ``len(a) & 1`` and its weight
+    as the sorted tuple of a + b; only the weights whose signed counts do
+    not cancel become monomials."""
+    pairs = _iter_carrier(family, k, n)
+    spec = FAMILIES[family]
+    step, member = spec.step, spec.member
     carrier_size = 0
     carrier_closed = True
     is_involution = True
     sign_reversing = True
     fixed_point_free = True
     weight_acc: dict = {}
-    for p in _iter_carrier(family, k, n):
+    for p in pairs:
         carrier_size += 1
-        m = p.weight_monomial()
-        weight_acc[m] = weight_acc.get(m, 0) + p.sign
-        q = _flip(p)
-        try:
-            back = apply_f(q)
-        except ValueError:
+        a, b = p
+        odd = len(a) & 1
+        key = tuple(sorted(a + b))
+        weight_acc[key] = weight_acc.get(key, 0) + (-1 if odd else 1)
+        q = qa, qb = step(a, b)
+        if not member(k, n, qa, qb):
             carrier_closed = False
             continue
         if q == p:
             fixed_point_free = False
-        if q.sign != -p.sign:
+        if len(qa) & 1 == odd:
             sign_reversing = False
-        if back != p:
+        if step(qa, qb) != p:
             is_involution = False
-    weight_sum = Polynomial(max(n, 1), weight_acc.items())
+    arity = max(n, 1)
+    weight_sum = Polynomial(arity, [(weight(key, arity), c)
+                                    for key, c in weight_acc.items() if c])
     return CertReport(
         family=family, k=k, n=n,
         carrier_size=carrier_size,
@@ -198,8 +247,13 @@ def orbit_trace(family: str, k: int, n: int) -> Iterator[str]:
     smaller |A|, and the line is made there."""
     from .poly import format_polynomial
 
-    for p in _iter_carrier(family, k, n):
-        q = _flip(p)
-        if len(p.a) < len(q.a):
-            wpoly = Polynomial(max(n, 1), [(p.weight_monomial(), p.sign)])
-            yield f"{p} <-> {q} weight {format_polynomial(wpoly)}"
+    pairs = _iter_carrier(family, k, n)
+    step = FAMILIES[family].step
+    arity = max(n, 1)
+    for a, b in pairs:
+        qa, qb = step(a, b)
+        if len(a) < len(qa):
+            sign = -1 if len(a) & 1 else 1
+            wpoly = Polynomial(arity, [(weight(a + b, arity), sign)])
+            yield (f"{_format_pair(a, b)} <-> {_format_pair(qa, qb)} "
+                   f"weight {format_polynomial(wpoly)}")

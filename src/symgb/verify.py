@@ -127,9 +127,9 @@ TARGETS = {
         symfunc.newton_defect(k, n)), 8, _ks(1, 2)),
     "e1ek-reduction": Target(_e1ek_reduction_check, 8, _ks(1)),
     "involution-hkn": Target(lambda k, n: _certify_check(
-        involution.certify_involution("hkn", k, n)), 6, _ks(1)),
+        involution.certify_involution("hkn", k, n)), 10, _ks(1)),
     "involution-ekn": Target(lambda k, n: _certify_check(
-        involution.certify_involution("ekn", k, n)), 6, _ks(1)),
+        involution.certify_involution("ekn", k, n)), 10, _ks(1)),
     "hilbert": Target(_hilbert_check, 10, lambda n: (None,), _refuse_hilbert_n),
 }
 

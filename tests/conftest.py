@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from symgb import involution
 from symgb.poly import Polynomial
 
 
@@ -35,3 +36,13 @@ def random_polynomial(rng: random.Random, arity: int, max_degree: int,
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def patch_family(monkeypatch):
+    """``patch_family(name, step=...)`` replaces fields of one
+    ``involution.FAMILIES`` entry until the test ends."""
+    def patch(name, **fields):
+        monkeypatch.setitem(involution.FAMILIES, name,
+                            involution.FAMILIES[name]._replace(**fields))
+    return patch

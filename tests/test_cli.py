@@ -262,15 +262,16 @@ class TestInvolutionAndHilbert:
             for n in range(1, 7):
                 for k in range(1, n + 3):
                     carrier = involution.enumerate_carrier(family, k, n)
-                    assert carrier_size(k, n) == len(carrier)
+                    assert carrier_size(family, k, n) == len(carrier)
 
     def test_huge_carrier_refused_without_enumerating(self, capsys, monkeypatch):
         monkeypatch.setattr(involution, "_iter_carrier", refuse)
         monkeypatch.setattr(involution, "certify_involution", refuse)
         over = cli.MAX_CARRIER_PAIRS + 1
-        assert carrier_size(60, 60) == over
-        assert carrier_size(10**12, 10**12) == over
-        assert carrier_size(10**12 + 1, 10**12) == 0
+        for family in involution.FAMILIES:
+            assert carrier_size(family, 60, 60) == over
+            assert carrier_size(family, 10**12, 10**12) == over
+            assert carrier_size(family, 10**12 + 1, 10**12) == 0
         code, out, err = run(capsys, "involution", "--family", "hkn",
                              "--k", "60", "--n", "60")
         assert code == 2 and out == ""
@@ -278,7 +279,7 @@ class TestInvolutionAndHilbert:
                 f"of {cli.MAX_CARRIER_PAIRS} pairs") in err
 
     def test_carrier_limit_is_inclusive(self, capsys, monkeypatch):
-        size = carrier_size(3, 5)
+        size = carrier_size("ekn", 3, 5)
         monkeypatch.setattr(cli, "MAX_CARRIER_PAIRS", size)
         code, out, _ = run(capsys, "involution", "--family", "ekn",
                            "--k", "3", "--n", "5", "--trace")
@@ -294,7 +295,7 @@ class TestInvolutionAndHilbert:
     def test_verify_carrier_past_the_limit(self, capsys, monkeypatch, family):
         # --no-limit lifts the n ceiling of the sweep, not the carrier budget
         # of `involution`: every selected cell is checked before the first
-        size = carrier_size(3, 5)
+        size = carrier_size(family, 3, 5)
         monkeypatch.setattr(cli, "MAX_CARRIER_PAIRS", size - 1)
         monkeypatch.setattr(involution, "certify_involution", refuse)
         target = f"involution-{family}"

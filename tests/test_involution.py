@@ -15,22 +15,116 @@ from symgb.poly import Polynomial, format_polynomial
 from symgb.symfunc import elementary, homogeneous
 
 
-def broken_maps(good):
-    """Steps that stand in for ``good`` (the real ``_flip``) but each break
-    a law of the involution."""
-    def identity(p):
-        return p
+def broken_steps(family, k, n, good):
+    """Steps on (a, b) that stand in for ``good`` (the family's real step)
+    in the (k, n) carrier but each break a law of the involution."""
+    def identity(a, b):
+        return a, b
 
-    def leaves_carrier(p):
-        q = good(p)
-        return SignedPair(q.family, q.k, q.n, q.a, q.b + (q.n + 1,))
+    def leaves_carrier(a, b):
+        qa, qb = good(a, b)
+        return qa, qb + (n + 1,)
 
-    def not_involutive(p):
-        return next(q for q in enumerate_carrier(p.family, p.k, p.n)
-                    if q.sign != p.sign)
+    def not_involutive(a, b):
+        sign = SignedPair(family, k, n, a, b).sign
+        return next((q.a, q.b) for q in enumerate_carrier(family, k, n)
+                    if q.sign != sign)
+
+    def unsorted_image(a, b):
+        # on the orbits whose two pairs both have an unsorted arrangement,
+        # so that the pairs left alone still map back to themselves
+        q = good(a, b)
+        if reversed_side((a, b)) and reversed_side(q):
+            return reversed_side(q)
+        return q
+
+    def out_of_range(a, b):
+        # the last element of a nonempty side becomes n + 1, which is past
+        # every range: the image stays sorted and keeps its lengths
+        qa, qb = good(a, b)
+        if qb:
+            return qa, qb[:-1] + (n + 1,)
+        return qa[:-1] + (n + 1,), qb
 
     return {"identity": identity, "leaves_carrier": leaves_carrier,
-            "not_involutive": not_involutive}
+            "not_involutive": not_involutive, "unsorted_image": unsorted_image,
+            "out_of_range": out_of_range}
+
+
+def reversed_side(pair):
+    """The pair with its first side that reversal unsorts reversed, or None."""
+    a, b = pair
+    if a != a[::-1]:
+        return a[::-1], b
+    if b != b[::-1]:
+        return a, b[::-1]
+    return None
+
+
+FLAGS = ("carrier_closed", "is_involution", "sign_reversing",
+         "fixed_point_free", "weight_sum_zero")
+
+
+def reference_certificate(family, k, n, step):
+    """The carrier size and the five flags, from the public view alone: the
+    enumerated pairs, ``step`` on them, ``in_carrier``, ``.sign`` and
+    ``.weight_monomial``."""
+    carrier = enumerate_carrier(family, k, n)
+    flags = dict.fromkeys(FLAGS, True)
+    for p in carrier:
+        q = step(p)
+        if not in_carrier(q):
+            flags["carrier_closed"] = False
+            continue
+        flags["fixed_point_free"] &= q != p
+        flags["sign_reversing"] &= q.sign == -p.sign
+        flags["is_involution"] &= step(q) == p
+    weights = Polynomial(max(n, 1), [(p.weight_monomial(), p.sign) for p in carrier])
+    flags["weight_sum_zero"] = weights.is_zero()
+    return {"carrier_size": len(carrier), **flags}
+
+
+def report_fields(r):
+    return {"carrier_size": r.carrier_size,
+            **{f: getattr(r, f) for f in FLAGS}}
+
+
+def pair_step(step):
+    """A step on (a, b) as a step on ``SignedPair``s."""
+    return lambda p: SignedPair(p.family, p.k, p.n, *step(p.a, p.b))
+
+
+def reference_member(family, k, n, a, b):
+    """Carrier membership as the module docstring states it."""
+    i = len(a)
+    if i > k or len(b) != k - i:
+        return False
+    if family == "hkn":
+        set_side, multiset, a_top, b_top = a, b, n, n - k + 1
+    else:
+        set_side, multiset, a_top, b_top = b, a, n - i + 1, n - i
+    return (list(set_side) == sorted(set(set_side))
+            and list(multiset) == sorted(multiset)
+            and all(1 <= x <= a_top for x in a)
+            and all(1 <= x <= b_top for x in b))
+
+
+def perturbed(family, k, n, a, b):
+    """Pairs near the carrier pair (a, b): 0 in front of a side and one past
+    its range end at its back, a repeat on the set side, an adjacent pair
+    swapped, and a length one off."""
+    i = len(a)
+    tops = (n, n - k + 1) if family == "hkn" else (n - i + 1, n - i)
+    out = []
+    for j, side in enumerate((a, b)):
+        if not side:
+            continue
+        for new in ((0,) + side[1:], side[:-1] + (tops[j] + 1,),
+                    side[:1] + side[:1] + side[2:],
+                    side[1:2] + side[:1] + side[2:],
+                    side[:-1], side + side[-1:]):
+            out.append((new, b) if j == 0 else (a, new))
+    return out
 
 
 def pairs_as_tuples(carrier):
@@ -88,6 +182,21 @@ class TestEnumeration:
                     assert len(set(carrier)) == len(carrier)
                     assert all(in_carrier(p) for p in carrier)
 
+    @pytest.mark.parametrize("family", ["hkn", "ekn"])
+    def test_member_matches_the_reference_near_the_carrier(self, family):
+        member = involution.FAMILIES[family].member
+        rejected = 0
+        for n in range(1, 7):
+            for k in range(1, n + 3):
+                for p in enumerate_carrier(family, k, n):
+                    assert member(k, n, p.a, p.b)
+                    for a, b in perturbed(family, k, n, p.a, p.b):
+                        want = reference_member(family, k, n, a, b)
+                        assert member(k, n, a, b) == want, (k, n, a, b)
+                        assert in_carrier(SignedPair(family, k, n, a, b)) == want
+                        rejected += not want
+        assert rejected > 0
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             enumerate_carrier("xyz", 1, 1)
@@ -107,13 +216,16 @@ class TestApplyF:
             apply_f(SignedPair("hkn", 2, 2, (3,), (1,)))
         with pytest.raises(ValueError):
             apply_f(SignedPair("ekn", 1, 2, (), (1, 1)))
+        with pytest.raises(ValueError):
+            apply_f(SignedPair("hkn", 2, 2, [1], (1,)))
 
     def test_flip_matches_the_sorted_rule(self):
         for family in ("hkn", "ekn"):
+            step = pair_step(involution.FAMILIES[family].step)
             for n in range(1, 7):
                 for k in range(1, n + 1):
                     for p in enumerate_carrier(family, k, n):
-                        assert involution._flip(p) == sorted_step(p), p
+                        assert step(p) == sorted_step(p), p
 
     def test_involution_laws_sweep(self):
         for family in ("hkn", "ekn"):
@@ -164,14 +276,35 @@ class TestCertification:
         ("not_involutive", {"is_involution"}),
     ])
     @pytest.mark.parametrize("family", ["hkn", "ekn"])
-    def test_broken_map_is_caught(self, monkeypatch, family, broken, off):
-        monkeypatch.setattr(involution, "_flip",
-                            broken_maps(involution._flip)[broken])
+    def test_broken_map_is_caught(self, patch_family, family, broken, off):
+        good = involution.FAMILIES[family].step
+        step = broken_steps(family, 2, 3, good)[broken]
+        patch_family(family, step=step)
         r = certify_involution(family, 2, 3)
-        flags = ("carrier_closed", "is_involution", "sign_reversing",
-                 "fixed_point_free", "weight_sum_zero")
-        assert {f for f in flags if not getattr(r, f)} == off
+        assert {f for f in FLAGS if not getattr(r, f)} == off
         assert not r.ok
+        assert report_fields(r) == reference_certificate(family, 2, 3, pair_step(step))
+
+    @pytest.mark.parametrize("broken", ["unsorted_image", "out_of_range"])
+    @pytest.mark.parametrize("family", ["hkn", "ekn"])
+    def test_broken_image_switches_off_closure_alone(self, patch_family, family, broken):
+        good = involution.FAMILIES[family].step
+        for n in range(3, 7):
+            for k in range(3, n + 1):
+                step = broken_steps(family, k, n, good)[broken]
+                patch_family(family, step=step)
+                r = certify_involution(family, k, n)
+                assert {f for f in FLAGS if not getattr(r, f)} == {"carrier_closed"}
+                assert report_fields(r) == reference_certificate(
+                    family, k, n, pair_step(step))
+
+    @pytest.mark.parametrize("family", ["hkn", "ekn"])
+    def test_matches_the_reference_certificate(self, family):
+        for n in range(1, 7):
+            for k in range(1, n + 3):
+                r = certify_involution(family, k, n)
+                assert report_fields(r) == reference_certificate(
+                    family, k, n, sorted_step), (k, n)
 
     def test_carrier_is_streamed(self, monkeypatch):
         def refuse(*args):
@@ -182,14 +315,15 @@ class TestCertification:
         assert certify_involution("ekn", 3, 4).ok
 
     @pytest.mark.parametrize("family", ["hkn", "ekn"])
-    def test_one_validation_per_pair(self, monkeypatch, family):
+    def test_one_validation_per_pair(self, patch_family, family):
         calls = []
+        member = involution.FAMILIES[family].member
 
-        def counted(p):
-            calls.append(p)
-            return in_carrier(p)
+        def counted(k, n, a, b):
+            calls.append((a, b))
+            return member(k, n, a, b)
 
-        monkeypatch.setattr(involution, "in_carrier", counted)
+        patch_family(family, member=counted)
         r = certify_involution(family, 3, 5)
         assert r.ok and len(calls) == r.carrier_size
 

@@ -65,6 +65,15 @@ def test_hilbert_sweep_to_the_new_ceiling():
         (n, True, f"dim={factorial(n)}") for n in range(7, 11)]
 
 
+@pytest.mark.parametrize("family", involution.FAMILIES)
+def test_involution_sweep_to_the_new_ceiling(family):
+    target = f"involution-{family}"
+    assert verify.TARGETS[target].max_n == 10
+    results = run_sweep(target, 7, 10)
+    assert [(r.k, r.n, r.ok, r.witness) for r in results] == [
+        (k, n, True, "") for n in range(7, 11) for k in range(1, n + 1)]
+
+
 def test_unknown_target():
     with pytest.raises(ValueError, match="unknown target"):
         run_sweep("gb", 1, 2)
@@ -156,8 +165,12 @@ IDENTITY_STEP_FLAGS = ("carrier_closed=True, is_involution=True, "
                        "weight_sum_zero=True")
 
 
-def test_certificate_fail_path(monkeypatch):
-    monkeypatch.setattr(involution, "_flip", lambda p: p)
+def identity_step(a, b):
+    return a, b
+
+
+def test_certificate_fail_path(patch_family):
+    patch_family("hkn", step=identity_step)
     results = run_sweep("involution-hkn", 1, 3)
     assert not any(r.ok for r in results)
     for r in results:
@@ -174,9 +187,10 @@ def test_hilbert_fail_path(monkeypatch):
 
 
 @pytest.mark.parametrize("target", ["gb-ek", "hkn", "involution-ekn", "hilbert"])
-def test_cli_exits_1_when_a_cell_fails(monkeypatch, capsys, target):
+def test_cli_exits_1_when_a_cell_fails(monkeypatch, patch_family, capsys, target):
     perturb_builders(monkeypatch)
-    monkeypatch.setattr(involution, "_flip", lambda p: p)
+    for family in involution.FAMILIES:
+        patch_family(family, step=identity_step)
     break_closed_form(monkeypatch)
     assert main(["verify", target, "--n", "2..3"]) == 1
     out = capsys.readouterr().out
