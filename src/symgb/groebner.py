@@ -6,7 +6,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, fields
 from itertools import count
-from operator import add, le, neg, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .poly import (
@@ -15,6 +14,8 @@ from .poly import (
     ZeroPolynomialError,
     _coefficient,
     _exact_div,
+    _max_exponent,
+    _packers,
     _product_sum,
     lex_key,
     mono_div,
@@ -79,65 +80,115 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     LT(f) >= LT(a_i * f_i) whenever a_i * f_i != 0.
     """
     arity = f.arity
-    leads = []
     for d in divisors:
         if d.arity != arity:
             raise ArityMismatchError(
                 f"arity mismatch: {arity} vs {d.arity}")
         if d.is_zero():
             raise ZeroPolynomialError("zero divisor in division")
-        lc, lm = d.leading_term()
-        leads.append((lm, lc, d))
+    packed = _Packed(arity, divisors, _max_exponent(f))
 
-    work = dict(f.terms)
-    # min-heap over negated reversed exponent tuples pops the lex-largest
-    # monomial first; `queued` prevents duplicate heap entries.
-    heap = [(tuple(map(neg, m[::-1])), m) for m in work]
-    heapq.heapify(heap)
-    queued = set(work)
-    quotients = [dict() for _ in divisors]
-    remainder = {}
+    def step() -> tuple:
+        pack = packed.pack
+        quotients = [{} for _ in divisors]
+        work = {pack(m): c for m, c in f.terms}
+        return quotients, packed.reduce(work, packed.reducers, quotients)
 
-    # every divisor has f's arity, so the monomial loops below skip the
-    # per-call arity checks of the public mono_* functions
-    while heap:
-        _, m = heapq.heappop(heap)
-        queued.discard(m)
-        c = work.pop(m, None)
-        if c is None:
-            continue
-        for qi, (lm, lc, d) in enumerate(leads):
-            if all(map(le, lm, m)):
-                t = tuple(map(sub, m, lm))
-                tc = c if lc == 1 else _exact_div(c, lc)
-                quotients[qi][t] = tc
-                # leading terms cancel; fold in the divisor's tail
-                for dm, dc in d.terms[1:]:
-                    mm = tuple(map(add, t, dm))
-                    nc = work.get(mm, 0) - tc * dc
-                    if nc:
-                        work[mm] = nc
-                        if mm not in queued:
-                            heapq.heappush(heap, (tuple(map(neg, mm[::-1])), mm))
-                            queued.add(mm)
-                    else:
-                        work.pop(mm, None)
-                break
-        else:
-            remainder[m] = c
-    # monomials leave the heap in strictly decreasing lex order, and so do
-    # the quotient monomials m / LM(f_i) of each divisor: both are canonical
-    # once their coefficients are
-    return DivisionResult(
-        quotients=tuple(_canonical(arity, q) for q in quotients),
-        remainder=_canonical(arity, remainder),
-    )
+    quotients, remainder = packed.run(step)
+    return DivisionResult(quotients=tuple(map(packed.polynomial, quotients)),
+                          remainder=packed.polynomial(remainder))
 
 
-def _canonical(arity: int, decreasing: dict) -> Polynomial:
-    """The polynomial of a dict of nonzero terms in decreasing lex order."""
-    return Polynomial._trusted(arity, tuple(
-        (m, _coefficient(c)) for m, c in decreasing.items()))
+# -- the reduction kernel ----------------------------------------------------
+#
+# Monomials are packed as in products (``poly._packers``), with the top bit of
+# each field kept clear as a guard bit: LM | m iff (m - LM) & guard == 0.  Lex
+# reduction can raise exponents past any width (x2 - x1^100 turns x2^2 into
+# x1^200), so a monomial entering the work that sets a guard bit raises
+# _Overflow, and the caller re-packs one byte wider and redoes the reduction.
+
+class _Overflow(Exception):
+    """A packed exponent reached the guard bit of its field."""
+
+
+class _Packed:
+    """Polynomials of one arity as the kernel's reducers: ``reducers[i]`` is
+    (LM, LC, tail, i) of ``polys[i]``, with packed LM and tail monomials."""
+
+    def __init__(self, arity: int, polys: Iterable[Polynomial], top: int = 0):
+        self.arity = arity
+        self.polys = list(polys)
+        # the fewest bytes that keep every exponent, and top, under the guard
+        self.width = max([top, *map(_max_exponent, self.polys)]).bit_length() // 8
+        self.widen()
+
+    def widen(self) -> None:
+        """Re-pack every polynomial with fields one byte wider."""
+        self.width += 1
+        self.pack, self.unpack = _packers(self.arity, self.width)
+        self.guard = int.from_bytes(
+            (bytes(self.width - 1) + b"\x80") * self.arity, "little")
+        self.reducers = [self.reducer(i) for i in range(len(self.polys))]
+
+    def reducer(self, i: int) -> tuple:
+        pack = self.pack
+        (lm, lc), *tail = self.polys[i].terms
+        return pack(lm), lc, tuple((pack(m), c) for m, c in tail), i
+
+    def run(self, step, *args):
+        """step(*args), redone one byte wider for as long as it overflows."""
+        while True:
+            try:
+                return step(*args)
+            except _Overflow:
+                self.widen()
+
+    def polynomial(self, terms: dict) -> Polynomial:
+        """The polynomial of packed nonzero terms in decreasing lex order."""
+        unpack = self.unpack
+        return Polynomial._trusted(self.arity, tuple(
+            (unpack(k), _coefficient(c)) for k, c in terms.items()))
+
+    def reduce(self, work: dict, reducers: Sequence[tuple],
+               quotients: Optional[list] = None) -> dict:
+        """Reduce the packed ``work`` (consumed) by the first reducer whose LM
+        divides, and return the remainder's nonzero terms in decreasing lex
+        order; with ``quotients``, reducer i's quotient goes to quotients[i]."""
+        guard = self.guard
+        get, heappush, heappop = work.get, heapq.heappush, heapq.heappop
+        # a max-heap of the monomials that entered the work, each pushed once;
+        # one whose coefficient cancelled since is skipped when it pops
+        heap = [-k for k in work]
+        heapq.heapify(heap)
+        remainder = {}
+        while heap:
+            k = -heappop(heap)
+            c = work.pop(k)
+            if not c:
+                continue
+            for lm, lc, tail, i in reducers:
+                t = k - lm
+                if not t & guard:
+                    break
+            else:
+                remainder[k] = c
+                continue
+            tc = c if lc == 1 else _exact_div(c, lc)
+            if quotients is not None:
+                quotients[i][t] = tc
+            # the leading terms cancel; fold in the reducer's tail times -tc
+            tc = -tc
+            for dk, dc in tail:
+                dk += t
+                nc = get(dk)
+                if nc is None:
+                    if dk & guard:
+                        raise _Overflow
+                    work[dk] = tc * dc
+                    heappush(heap, -dk)
+                else:
+                    work[dk] = nc + tc * dc
+        return remainder
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -195,7 +246,9 @@ def buchberger(generators: Iterable[Polynomial],
     arity = gens[0].arity
 
     stats = GroebnerStats()
-    polys: list = []    # every element that ever entered the basis
+    # every element that ever entered the basis, packed once on entry
+    packed = _Packed(arity, (), max(map(_max_exponent, gens)))
+    polys = packed.polys
     lms: list = []      # their leading monomials
     active: list = []   # indices into polys of the active basis, in order
     pairs: list = []    # heap of (lex_key(lcm), serial, lcm, i, j), i < j
@@ -205,6 +258,7 @@ def buchberger(generators: Iterable[Polynomial],
         nonlocal active, pairs
         ih, mh = len(polys), h.leading_monomial()
         polys.append(h)
+        packed.reducers.append(packed.reducer(ih))
         lms.append(mh)
         new = [(mono_lcm(lms[ig], mh), ig) for ig in active]
         stats.pairs += len(new)
@@ -237,18 +291,35 @@ def buchberger(generators: Iterable[Polynomial],
         if g not in polys:
             update(g)
 
+    def s_remainder(m: tuple, i: int, j: int) -> Optional[dict]:
+        """The packed remainder of S(polys[i], polys[j]) on the active
+        basis, or None when the S-polynomial is zero."""
+        lcm, reducers = packed.pack(m), packed.reducers
+        (li, _, ti, _), (lj, _, tj, _) = reducers[i], reducers[j]
+        # both elements are monic, so S is the difference of their tails
+        # scaled to the lcm; it is seeded straight into the work
+        work = {k + (lcm - li): c for k, c in ti}
+        get, shift = work.get, lcm - lj
+        for k, c in tj:
+            k += shift
+            work[k] = get(k, 0) - c
+        if any(k & packed.guard for k in work):
+            raise _Overflow
+        if not any(work.values()):
+            return None
+        return packed.reduce(work, [reducers[ig] for ig in active])
+
     one = mono_one(arity)
     while pairs:
-        _, _, _, i, j = heapq.heappop(pairs)
-        s = s_polynomial(polys[i], polys[j])
-        if s.is_zero():
+        _, _, m, i, j = heapq.heappop(pairs)
+        r = packed.run(s_remainder, m, i, j)
+        if r is None:
             continue
         stats.reductions += 1
-        r = divide(s, [polys[ig] for ig in active]).remainder
-        if r.is_zero():
+        if not r:
             stats.zero_reductions += 1
             continue
-        r = r.monic()
+        r = packed.polynomial(r).monic()
         update(r)
         if r.leading_monomial() == one:
             # unit ideal: no further pair can contribute anything new
@@ -272,12 +343,21 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
         if not any(mono_divides(h.leading_monomial(), lm) for h in minimal):
             minimal.append(g)
 
-    # interreduce tails in one pass: no LM divides another, so division keeps
-    # every leading term, and a remainder reduced against the others' LMs
-    # stays reduced when they are reduced in turn
-    for i in range(len(minimal)):
-        others = minimal[:i] + minimal[i + 1:]
-        minimal[i] = divide(minimal[i], others).remainder
+    # interreduce in one pass: no LM divides another, so only the tails need
+    # reducing, and a tail reduced against the others' LMs stays reduced
+    # when they are reduced in turn
+    packed = _Packed(gb.arity, minimal)
+    minimal = packed.polys
+
+    def tail_remainder(i: int) -> dict:
+        reducers = packed.reducers
+        return packed.reduce(dict(reducers[i][2]),
+                             reducers[:i] + reducers[i + 1:])
+
+    for i, g in enumerate(minimal):
+        tail = packed.polynomial(packed.run(tail_remainder, i))
+        minimal[i] = Polynomial._trusted(gb.arity, g.terms[:1] + tail.terms)
+        packed.reducers[i] = packed.reducer(i)
 
     minimal.sort(key=lambda g: lex_key(g.leading_monomial()), reverse=True)
     return GroebnerBasis(gb.arity, tuple(minimal), stats=gb.stats)

@@ -305,7 +305,8 @@ class Polynomial:
 # variable, x_1 in the lowest field and x_n in the top one.  While no field
 # overflows, the product of two monomials is the sum of their ints and lex
 # order is int order (Monagan and Pearce, "Sparse polynomial division using
-# a heap", J. Symbolic Comput. 46, 2011).
+# a heap", J. Symbolic Comput. 46, 2011).  ``groebner``'s reductions use the
+# same packing, with the top bit of each field kept clear as a guard bit.
 
 def _max_exponent(p: Polynomial) -> int:
     return max(map(max, zip(*[m for m, _ in p.terms])), default=0)

@@ -40,8 +40,8 @@ def computed_gb_e1ek(k: int, n: int) -> groebner.GroebnerBasis:
 
 
 # Largest n whose <e_1..e_n> basis hilbert_series builds: that basis takes
-# 0.16 / 0.58 / 1.8 / 6.4 s at n = 10 / 11 / 12 / 13 on a 2-vCPU Xeon, about
-# 3x more for each step of n.
+# 0.05 / 0.12 / 0.31 / 0.75 s at n = 10 / 11 / 12 / 13 on a 2-vCPU Xeon,
+# about 2.5x more for each step of n.
 MAX_HILBERT_N = 13
 
 
@@ -114,7 +114,7 @@ class Target:
 # hkn, ekn and newton also sweep k = n+1, n+2, where they hold trivially.
 TARGETS = {
     "gb-ek": Target(lambda k, n: _basis_check(
-        computed_gb_ek(k, n), symfunc.conjectured_gb_ek(k, n)), 8, _ks(1)),
+        computed_gb_ek(k, n), symfunc.conjectured_gb_ek(k, n)), 9, _ks(1)),
     "gb-e1ek": Target(lambda k, n: _basis_check(
         computed_gb_e1ek(k, n), symfunc.conjectured_gb_e1ek(k, n)), 10, _ks(2)),
     "hkn": Target(lambda k, n: _defect_check(

@@ -151,6 +151,15 @@ class TestGb:
         for line in out.splitlines():
             assert str(parse_polynomial(line, 4)) == line
 
+    def test_exponent_past_every_field_width(self, capsys):
+        # x2^2 reduces to x1^(2 * (10^20 - 1)), wider than the fields the
+        # generators are packed in
+        code, out, _ = run(capsys, "gb", "--n", "2", "--gens",
+                           "x2-x1^99999999999999999999,x2^2")
+        assert code == 0
+        assert out.splitlines() == ["x2-x1^99999999999999999999",
+                                    "x1^199999999999999999998"]
+
 
 @pytest.mark.parametrize("command", ["gb", "explore"])
 def test_stats_line_on_stderr(capsys, command):

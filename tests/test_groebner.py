@@ -354,3 +354,29 @@ class TestCriterionCheckers:
 
     def test_criterion_counterexample(self):
         assert not is_groebner_basis([P("x2^2-x1"), P("x2*x1")])
+
+
+class TestOverflowIdeals:
+    # lex reduction raises exponents past the fields the generators fit in:
+    # past the 1-byte guard bit (127), past a full byte (255) and past 2
+    # bytes; each basis is pinned as text
+    @pytest.mark.parametrize("arity, gens, basis", [
+        (2, "x2-x1^100, x2^2", "x2-x1^100; x1^200"),
+        (2, "x2-x1^127, x2^2-x1", "x2-x1^127; x1^254-x1"),
+        (3, "x3-x1^60*x2, x2^3-x1^5, x3^2-x2",
+         "x3-x1^305; x2-x1^245; x1^370-x1^5"),
+        (2, "x2-x1^200, x2^3", "x2-x1^200; x1^600"),
+        (3, "x3-x2^2*x1^100, x2-x1^50, x3^2", "x3-x1^200; x2-x1^50; x1^400"),
+        (2, "x2-x1^40000, x2^2-x1", "x2-x1^40000; x1^80000-x1"),
+        (2, "x2^128-x1^127, x2^3*x1-x1^129",
+         "x2^128-x1^127; x1*x2^3-x1^129; x1^128*x2-x1^5505; x1^16131-x1^128"),
+        # no S-pair reduction: the tail x2^2 overflows in reduce_basis
+        (3, "x3-x2^2, x2-x1^100", "x3-x1^200; x2-x1^100"),
+    ])
+    def test_reduced_basis(self, arity, gens, basis):
+        gens = [P(g, arity) for g in gens.split(", ")]
+        gb = reduced_groebner_basis(gens)
+        assert "; ".join(map(str, gb)) == basis
+        assert gb == reduce_basis(buchberger(gens, product_criterion=False))
+        assert is_reduced(gb.elements) and is_groebner_basis(gb.elements)
+        assert all(normal_form(g, gb).is_zero() for g in gens)

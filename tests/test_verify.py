@@ -65,6 +65,21 @@ def test_hilbert_sweep_to_the_new_ceiling():
         (n, True, f"dim={factorial(n)}") for n in range(7, 11)]
 
 
+def test_gb_ek_sweep_to_the_new_ceiling():
+    assert verify.TARGETS["gb-ek"].max_n == 9
+    results = run_sweep("gb-ek", 9, 9)
+    assert [(r.k, r.n, r.ok, r.witness) for r in results] == [
+        (k, 9, True, "") for k in range(1, 10)]
+
+
+def test_hilbert_past_its_default_ceiling():
+    # the n = 11 basis takes about 0.1 s; the default ceiling stays at the
+    # 10 that test_hilbert_sweep_to_the_new_ceiling pins
+    results = run_sweep("hilbert", 11, 11)
+    assert [(r.n, r.ok, r.witness) for r in results] == [
+        (11, True, f"dim={factorial(11)}")]
+
+
 @pytest.mark.parametrize("family", involution.FAMILIES)
 def test_involution_sweep_to_the_new_ceiling(family):
     target = f"involution-{family}"
