@@ -6,13 +6,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, fields
 from itertools import count
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .poly import (
     ArityMismatchError,
     Polynomial,
     ZeroPolynomialError,
-    _coefficient,
     _exact_div,
     _max_exponent,
     _packers,
@@ -48,6 +48,7 @@ class GroebnerStats:
     reductions: int = 0       # S-polynomials divided by the active basis
     zero_reductions: int = 0  # of those, the ones with remainder zero
     peak_basis: int = 0       # largest size of the active basis
+    peak_coeff_bits: int = 0  # most bits in a coefficient of an element made primitive
 
     def record(self) -> str:
         return " ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
@@ -87,16 +88,27 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
         if d.is_zero():
             raise ZeroPolynomialError("zero divisor in division")
     packed = _Packed(arity, divisors, _max_exponent(f))
+    # f times the lcm of its denominators is integral
+    den = lcm(*[c.denominator for _, c in f.terms])
+    seed = [(m, c.numerator * (den // c.denominator)) for m, c in f.terms]
 
     def step() -> tuple:
         pack = packed.pack
         quotients = [{} for _ in divisors]
-        work = {pack(m): c for m, c in f.terms}
-        return quotients, packed.reduce(work, packed.reducers, quotients)
+        work = {pack(m): c for m, c in seed}
+        return quotients, packed.reduce(work, den, packed.reducers, quotients)
 
-    quotients, remainder = packed.run(step)
-    return DivisionResult(quotients=tuple(map(packed.polynomial, quotients)),
-                          remainder=packed.polynomial(remainder))
+    quotients, (remainder, scale) = packed.run(step)
+    # reducer i is d_i / LC(f_i) times f_i, and a quotient term (q, s)
+    # stands for q / s times reducer i
+    unpack = packed.unpack
+    return DivisionResult(
+        quotients=tuple(
+            Polynomial._trusted(arity, tuple(
+                (unpack(t), _exact_div(q * d, s * g.leading_coefficient()))
+                for t, (q, s) in qs.items()))
+            for qs, (_, d, _, _), g in zip(quotients, packed.reducers, divisors)),
+        remainder=packed.polynomial(remainder.items(), scale))
 
 
 # -- the reduction kernel ----------------------------------------------------
@@ -106,6 +118,13 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
 # reduction can raise exponents past any width (x2 - x1^100 turns x2^2 into
 # x1^200), so a monomial entering the work that sets a guard bit raises
 # _Overflow, and the caller re-packs one byte wider and redoes the reduction.
+#
+# Every coefficient in the kernel is an int.  A reducer is the primitive
+# integer multiple of its polynomial, and the work is reduced fraction-free:
+# where the top coefficient is not a multiple of the reducer's LC, the work
+# is scaled up first, and the running scale says by how much.  The callers
+# divide by the scale once, on output (Monagan and Pearce, "Sparse
+# polynomial division using a heap", J. Symbolic Comput. 46, 2011).
 
 class _Overflow(Exception):
     """A packed exponent reached the guard bit of its field."""
@@ -113,27 +132,49 @@ class _Overflow(Exception):
 
 class _Packed:
     """Polynomials of one arity as the kernel's reducers: ``reducers[i]`` is
-    (LM, LC, tail, i) of ``polys[i]``, with packed LM and tail monomials."""
+    (LM, d, tail, i) of the primitive integer multiple of polynomial i, with
+    packed LM and tail monomials, int tail coefficients and LC d > 0."""
 
     def __init__(self, arity: int, polys: Iterable[Polynomial], top: int = 0):
         self.arity = arity
-        self.polys = list(polys)
+        polys = list(polys)
         # the fewest bytes that keep every exponent, and top, under the guard
-        self.width = max([top, *map(_max_exponent, self.polys)]).bit_length() // 8
+        self.width = max([top, *map(_max_exponent, polys)]).bit_length() // 8
+        self.reducers, self.unpack = [], None  # nothing to re-pack yet
         self.widen()
+        pack = self.pack
+        self.reducers = [self.reducer([(pack(m), c) for m, c in p.terms], i)
+                         for i, p in enumerate(polys)]
 
     def widen(self) -> None:
-        """Re-pack every polynomial with fields one byte wider."""
+        """Re-pack every reducer with fields one byte wider."""
+        unpack = self.unpack
         self.width += 1
-        self.pack, self.unpack = _packers(self.arity, self.width)
+        self.pack, self.unpack = pack, _ = _packers(self.arity, self.width)
         self.guard = int.from_bytes(
             (bytes(self.width - 1) + b"\x80") * self.arity, "little")
-        self.reducers = [self.reducer(i) for i in range(len(self.polys))]
+        self.reducers = [
+            (pack(unpack(lm)), d, tuple((pack(unpack(k)), c) for k, c in tail), i)
+            for lm, d, tail, i in self.reducers]
 
-    def reducer(self, i: int) -> tuple:
-        pack = self.pack
-        (lm, lc), *tail = self.polys[i].terms
-        return pack(lm), lc, tuple((pack(m), c) for m, c in tail), i
+    @staticmethod
+    def reducer(terms: list, i: int) -> tuple:
+        """Reducer i, of the packed nonzero terms in decreasing lex order."""
+        den = lcm(*[c.denominator for _, c in terms])
+        if den != 1:
+            terms = [(k, c.numerator * (den // c.denominator)) for k, c in terms]
+        g = gcd(*[c for _, c in terms])
+        if terms[0][1] < 0:
+            g = -g
+        if g != 1:
+            terms = [(k, c // g) for k, c in terms]
+        (lm, d), *tail = terms
+        return lm, d, tuple(tail), i
+
+    def monic(self, reducer: tuple) -> Polynomial:
+        """The monic polynomial of a reducer."""
+        lm, d, tail, _ = reducer
+        return self.polynomial(((lm, d), *tail), d)
 
     def run(self, step, *args):
         """step(*args), redone one byte wider for as long as it overflows."""
@@ -143,17 +184,23 @@ class _Packed:
             except _Overflow:
                 self.widen()
 
-    def polynomial(self, terms: dict) -> Polynomial:
-        """The polynomial of packed nonzero terms in decreasing lex order."""
+    def polynomial(self, terms: Iterable[tuple], scale: int) -> Polynomial:
+        """The polynomial of packed nonzero int terms in decreasing lex order,
+        divided by ``scale``."""
         unpack = self.unpack
+        if scale == 1:
+            return Polynomial._trusted(self.arity, tuple(
+                (unpack(k), c) for k, c in terms))
         return Polynomial._trusted(self.arity, tuple(
-            (unpack(k), _coefficient(c)) for k, c in terms.items()))
+            (unpack(k), _exact_div(c, scale)) for k, c in terms))
 
-    def reduce(self, work: dict, reducers: Sequence[tuple],
-               quotients: Optional[list] = None) -> dict:
-        """Reduce the packed ``work`` (consumed) by the first reducer whose LM
-        divides, and return the remainder's nonzero terms in decreasing lex
-        order; with ``quotients``, reducer i's quotient goes to quotients[i]."""
+    def reduce(self, work: dict, scale: int, reducers: Sequence[tuple],
+               quotients: Optional[list] = None) -> tuple:
+        """Reduce work / scale, for the packed int ``work`` (consumed), by
+        the first reducer whose LM divides.  Return (remainder, scale): the
+        remainder's nonzero int terms in decreasing lex order, and the scale
+        they are to be divided by.  With ``quotients``, each term of reducer
+        i's quotient goes to quotients[i] as (q, s), standing for q / s."""
         guard = self.guard
         get, heappush, heappop = work.get, heapq.heappush, heapq.heappop
         # a max-heap of the monomials that entered the work, each pushed once;
@@ -166,29 +213,39 @@ class _Packed:
             c = work.pop(k)
             if not c:
                 continue
-            for lm, lc, tail, i in reducers:
+            for lm, d, tail, i in reducers:
                 t = k - lm
                 if not t & guard:
                     break
             else:
                 remainder[k] = c
                 continue
-            tc = c if lc == 1 else _exact_div(c, lc)
+            if d != 1:
+                # scale everything by m = d / gcd(c, d), so that d divides c m
+                g = gcd(c, d)
+                if g != d:
+                    m = d // g
+                    scale *= m
+                    for key in work:
+                        work[key] *= m
+                    for key in remainder:
+                        remainder[key] *= m
+                c //= g
             if quotients is not None:
-                quotients[i][t] = tc
-            # the leading terms cancel; fold in the reducer's tail times -tc
-            tc = -tc
+                quotients[i][t] = c, scale
+            # the leading terms cancel; fold in the reducer's tail times -c
+            c = -c
             for dk, dc in tail:
                 dk += t
                 nc = get(dk)
                 if nc is None:
                     if dk & guard:
                         raise _Overflow
-                    work[dk] = tc * dc
+                    work[dk] = c * dc
                     heappush(heap, -dk)
                 else:
-                    work[dk] = nc + tc * dc
-        return remainder
+                    work[dk] = nc + c * dc
+        return remainder, scale
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -246,19 +303,23 @@ def buchberger(generators: Iterable[Polynomial],
     arity = gens[0].arity
 
     stats = GroebnerStats()
-    # every element that ever entered the basis, packed once on entry
+    # every element that ever entered the basis, monic; its reducer is
+    # packed once, on entry
+    polys: list = []
     packed = _Packed(arity, (), max(map(_max_exponent, gens)))
-    polys = packed.polys
     lms: list = []      # their leading monomials
     active: list = []   # indices into polys of the active basis, in order
     pairs: list = []    # heap of (lex_key(lcm), serial, lcm, i, j), i < j
     serial = count()
 
-    def update(h: Polynomial) -> None:
+    def update(h: Polynomial, reducer: tuple) -> None:
         nonlocal active, pairs
         ih, mh = len(polys), h.leading_monomial()
         polys.append(h)
-        packed.reducers.append(packed.reducer(ih))
+        packed.reducers.append(reducer)
+        _, d, tail, _ = reducer
+        stats.peak_coeff_bits = max(stats.peak_coeff_bits,
+                                    max([d] + [abs(c) for _, c in tail]).bit_length())
         lms.append(mh)
         new = [(mono_lcm(lms[ig], mh), ig) for ig in active]
         stats.pairs += len(new)
@@ -289,25 +350,29 @@ def buchberger(generators: Iterable[Polynomial],
     for g in gens:
         g = g.monic()
         if g not in polys:
-            update(g)
+            update(g, packed.reducer(
+                [(packed.pack(m), c) for m, c in g.terms], len(polys)))
 
     def s_remainder(m: tuple, i: int, j: int) -> Optional[dict]:
         """The packed remainder of S(polys[i], polys[j]) on the active
         basis, or None when the S-polynomial is zero."""
-        lcm, reducers = packed.pack(m), packed.reducers
-        (li, _, ti, _), (lj, _, tj, _) = reducers[i], reducers[j]
-        # both elements are monic, so S is the difference of their tails
-        # scaled to the lcm; it is seeded straight into the work
-        work = {k + (lcm - li): c for k, c in ti}
-        get, shift = work.get, lcm - lj
+        top, reducers = packed.pack(m), packed.reducers
+        (li, di, ti, _), (lj, dj, tj, _) = reducers[i], reducers[j]
+        # polys[i] is reducer i over di, so S times lcm(di, dj) is the
+        # difference of the tails times lcm(di, dj) / di and / dj, shifted
+        # to the lcm monomial; it is seeded straight into the work
+        g = gcd(di, dj)
+        ai, aj = dj // g, di // g
+        work = {k + (top - li): ai * c for k, c in ti}
+        get, shift = work.get, top - lj
         for k, c in tj:
             k += shift
-            work[k] = get(k, 0) - c
+            work[k] = get(k, 0) - aj * c
         if any(k & packed.guard for k in work):
             raise _Overflow
         if not any(work.values()):
             return None
-        return packed.reduce(work, [reducers[ig] for ig in active])
+        return packed.reduce(work, ai * di, [reducers[ig] for ig in active])[0]
 
     one = mono_one(arity)
     while pairs:
@@ -319,9 +384,10 @@ def buchberger(generators: Iterable[Polynomial],
         if not r:
             stats.zero_reductions += 1
             continue
-        r = packed.polynomial(r).monic()
-        update(r)
-        if r.leading_monomial() == one:
+        reducer = packed.reducer(list(r.items()), len(polys))
+        h = packed.monic(reducer)
+        update(h, reducer)
+        if h.leading_monomial() == one:
             # unit ideal: no further pair can contribute anything new
             break
     return GroebnerBasis(arity, tuple(polys[ig] for ig in active), stats=stats)
@@ -331,7 +397,7 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     """Interreduce a Groebner basis to the unique reduced Groebner basis:
     minimal, monic, every element fully reduced against the others, sorted
     by decreasing leading monomial."""
-    elements = [g.monic() for g in gb.elements if not g.is_zero()]
+    elements = [g for g in gb.elements if not g.is_zero()]
     if not elements:
         return GroebnerBasis(gb.arity, (), stats=gb.stats)
 
@@ -347,17 +413,16 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     # reducing, and a tail reduced against the others' LMs stays reduced
     # when they are reduced in turn
     packed = _Packed(gb.arity, minimal)
-    minimal = packed.polys
 
-    def tail_remainder(i: int) -> dict:
+    def tail_remainder(i: int) -> tuple:
         reducers = packed.reducers
-        return packed.reduce(dict(reducers[i][2]),
-                             reducers[:i] + reducers[i + 1:])
+        _, d, tail, _ = reducers[i]
+        return packed.reduce(dict(tail), d, reducers[:i] + reducers[i + 1:])
 
-    for i, g in enumerate(minimal):
-        tail = packed.polynomial(packed.run(tail_remainder, i))
-        minimal[i] = Polynomial._trusted(gb.arity, g.terms[:1] + tail.terms)
-        packed.reducers[i] = packed.reducer(i)
+    for i in range(len(minimal)):
+        tail, scale = packed.run(tail_remainder, i)
+        reducer = packed.reducer([(packed.reducers[i][0], scale), *tail.items()], i)
+        minimal[i], packed.reducers[i] = packed.monic(reducer), reducer
 
     minimal.sort(key=lambda g: lex_key(g.leading_monomial()), reverse=True)
     return GroebnerBasis(gb.arity, tuple(minimal), stats=gb.stats)

@@ -130,7 +130,7 @@ TARGETS = {
         involution.certify_involution("hkn", k, n)), 10, _ks(1)),
     "involution-ekn": Target(lambda k, n: _certify_check(
         involution.certify_involution("ekn", k, n)), 10, _ks(1)),
-    "hilbert": Target(_hilbert_check, 10, lambda n: (None,), _refuse_hilbert_n),
+    "hilbert": Target(_hilbert_check, 11, lambda n: (None,), _refuse_hilbert_n),
 }
 
 

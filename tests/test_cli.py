@@ -170,7 +170,8 @@ def test_stats_line_on_stderr(capsys, command):
     assert code == 0
     assert out_with_stats == out
     assert err == ("stats: pairs=21 product_skipped=9 chain_skipped=9 "
-                   "reductions=3 zero_reductions=0 peak_basis=7\n")
+                   "reductions=3 zero_reductions=0 peak_basis=7 "
+                   "peak_coeff_bits=1\n")
 
 
 class TestVerify:

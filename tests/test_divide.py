@@ -146,3 +146,48 @@ class TestOverflow:
         check(f, [d])
         assert typed(divide(f, [d]).remainder) == [
             ((0, 1, 0), int, 1), ((200, 0, 0), int, -1), ((127, 0, 0), int, 1)]
+
+
+def with_leading_coefficient(p, lc):
+    """p with its leading coefficient replaced by lc."""
+    (m, _), *tail = p.terms
+    return Polynomial(p.arity, [(m, lc), *tail])
+
+
+# leading coefficients that the reduction has to scale the work for
+LEADING = (Fraction(-1), Fraction(-2), Fraction(3), Fraction(-3, 2),
+           Fraction(5, 3), Fraction(-7, 4))
+
+
+class TestRationalDivisors:
+    @pytest.mark.parametrize("arity", [1, 2, 3, 12])
+    def test_non_unit_and_negative_leading_coefficients(self, rng, arity):
+        for _ in range(60):
+            f = random_polynomial(rng, arity, 6, 8)
+            divisors = [with_leading_coefficient(
+                random_polynomial(rng, arity, 3, 4, allow_zero=False),
+                rng.choice(LEADING)) for _ in range(rng.randint(1, 4))]
+            check(f, divisors)
+
+    @pytest.mark.parametrize("arity", [2, 3, 12])
+    def test_edge_exponents(self, rng, arity):
+        for _ in range(40):
+            scales = [rng.choice(EDGE_EXPONENTS + (1, 1, 2)) for _ in range(arity)]
+            f = random_polynomial(rng, arity, 6, 8)
+            divisors = [with_leading_coefficient(
+                random_polynomial(rng, arity, 3, 4, allow_zero=False),
+                rng.choice(LEADING)) for _ in range(rng.randint(1, 4))]
+            check(stretched(f, scales), [stretched(d, scales) for d in divisors])
+
+    @pytest.mark.parametrize("a, b", [(100, 6), (10**20, 30)])
+    def test_repack_after_scaling(self, a, b):
+        # the divisor is -1/14 times 21 x2 - 10 x1^a, so the reduction
+        # scales the work by 21 until x2^b reaches x1^(a b), one x2 at a
+        # time; the exponents outgrow their fields (past 127, and past
+        # 2^71) after the work and the remainder have been scaled
+        d = Polynomial(2, [((0, 1), Fraction(-3, 2)), ((a, 0), Fraction(5, 7))])
+        f = Polynomial(2, [((0, b), Fraction(1, 5)), ((1, 1), 2), ((3, 0), -1)])
+        check(f, [d])
+        remainder = divide(f, [d]).remainder
+        assert remainder.leading_term() == (
+            Fraction(1, 5) * Fraction(10, 21) ** b, (a * b, 0))

@@ -24,7 +24,13 @@ from symgb.poly import (
     mono_divides,
     parse_polynomial,
 )
-from symgb.symfunc import conjectured_gb_e1ek, conjectured_gb_ek, elementary, homogeneous
+from symgb.symfunc import (
+    conjectured_gb_e1ek,
+    conjectured_gb_ek,
+    elementary,
+    homogeneous,
+    powersum,
+)
 from conftest import random_polynomial
 
 
@@ -187,7 +193,7 @@ class TestBuchberger:
         assert bare == reduced and hash(bare) == hash(reduced)
         assert GroebnerStats().record() == (
             "pairs=0 product_skipped=0 chain_skipped=0 reductions=0 "
-            "zero_reductions=0 peak_basis=0")
+            "zero_reductions=0 peak_basis=0 peak_coeff_bits=0")
 
 
 def to_sympy(sympy, p):
@@ -372,6 +378,11 @@ class TestOverflowIdeals:
          "x2^128-x1^127; x1*x2^3-x1^129; x1^128*x2-x1^5505; x1^16131-x1^128"),
         # no S-pair reduction: the tail x2^2 overflows in reduce_basis
         (3, "x3-x2^2, x2-x1^100", "x3-x1^200; x2-x1^100"),
+        # non-unit leading coefficients: the work is scaled before the
+        # exponents outgrow their fields
+        (2, "3*x2-2*x1^100, 5*x2^2-x1", "x2-2/3*x1^100; x1^200-9/20*x1"),
+        (3, "2/3*x3-x1^60*x2, 3*x2^3-x1^5, -5*x3^2-x2",
+         "x3-2025/32*x1^305; x2-675/16*x1^245; x1^370+64/30375*x1^5"),
     ])
     def test_reduced_basis(self, arity, gens, basis):
         gens = [P(g, arity) for g in gens.split(", ")]
@@ -380,3 +391,59 @@ class TestOverflowIdeals:
         assert gb == reduce_basis(buchberger(gens, product_criterion=False))
         assert is_reduced(gb.elements) and is_groebner_basis(gb.elements)
         assert all(normal_form(g, gb).is_zero() for g in gens)
+
+
+def shifted(p, c):
+    """p(x_1 + c_1, ..., x_n + c_n)."""
+    xs = [Polynomial.variable(i, p.arity) + ci for i, ci in enumerate(c, 1)]
+    out = Polynomial.zero(p.arity)
+    for m, coeff in p.terms:
+        term = Polynomial.constant(coeff, p.arity)
+        for x, e in zip(xs, m):
+            term = term * x ** e
+        out = out + term
+    return out
+
+
+class TestRationalIdeals:
+    # the reduction runs on primitive integer multiples and scales the work
+    # where a leading coefficient does not divide; the reference path
+    # reduces other S-polynomials in another order, so equal reduced bases
+    # check the scaling on many different reductions
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_shifted_elementary_ideals(self, n):
+        # x -> x + c keeps every lex leading monomial, so the reduced basis
+        # of <e_1..e_k>(x + c) is {h_{i,n-i+1}(x + c)}
+        c = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
+             Fraction(-1, 3), Fraction(5, 4))[:n]
+        for k in range(1, n + 1):
+            gens = [shifted(elementary(i, n), c) for i in range(1, k + 1)]
+            gb = reduced_groebner_basis(gens)
+            assert list(gb) == [shifted(homogeneous(i, n - i + 1, n), c)
+                                for i in range(1, k + 1)]
+            assert gb == reduce_basis(buchberger(gens, product_criterion=False))
+
+    @pytest.mark.parametrize("abc", [(a, b, c) for c in range(3, 7)
+                                     for b in range(2, c) for a in range(1, b)],
+                             ids="p{0[0]},{0[1]},{0[2]}".format)
+    def test_power_sum_triples(self, abc):
+        gens = [powersum(e, 3) for e in abc]
+        gb = reduced_groebner_basis(gens)
+        assert gb == reduce_basis(buchberger(gens, product_criterion=False))
+        assert is_reduced(gb.elements)
+
+    def test_peak_coefficient_bits(self):
+        # made primitive, the generators are 2 x1 - 3 and 7 x2^2 - 5 x1
+        # (coprime leading monomials, so nothing else enters); 7 has 3 bits
+        gb = buchberger([P("x1-3/2", 2), P("x2^2-5/7*x1", 2)])
+        assert gb.stats.peak_coeff_bits == 3
+        assert buchberger([elementary(i, 4) for i in (1, 2)]).stats.peak_coeff_bits == 1
+
+    def test_stats_of_a_subset_ideal(self):
+        # <e_2,e_4,e_5,e_6> at n=6: most of its remainders are rational
+        gb = buchberger([elementary(i, 6) for i in (2, 4, 5, 6)])
+        assert gb.stats.record() == (
+            "pairs=13941 product_skipped=108 chain_skipped=12777 "
+            "reductions=972 zero_reductions=633 peak_basis=65 "
+            "peak_coeff_bits=10")

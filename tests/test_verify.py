@@ -59,10 +59,10 @@ def test_hilbert_sweep_refused_before_its_first_cell(monkeypatch):
 
 
 def test_hilbert_sweep_to_the_new_ceiling():
-    assert verify.TARGETS["hilbert"].max_n == 10
-    results = run_sweep("hilbert", 7, 10)
+    assert verify.TARGETS["hilbert"].max_n == 11
+    results = run_sweep("hilbert", 7, 11)
     assert [(r.n, r.ok, r.witness) for r in results] == [
-        (n, True, f"dim={factorial(n)}") for n in range(7, 11)]
+        (n, True, f"dim={factorial(n)}") for n in range(7, 12)]
 
 
 def test_gb_ek_sweep_to_the_new_ceiling():
@@ -73,11 +73,11 @@ def test_gb_ek_sweep_to_the_new_ceiling():
 
 
 def test_hilbert_past_its_default_ceiling():
-    # the n = 11 basis takes about 0.1 s; the default ceiling stays at the
-    # 10 that test_hilbert_sweep_to_the_new_ceiling pins
-    results = run_sweep("hilbert", 11, 11)
+    # the n = 12 basis takes about 0.3 s, one step past the default ceiling
+    # of 11 that test_hilbert_sweep_to_the_new_ceiling pins
+    results = run_sweep("hilbert", 12, 12)
     assert [(r.n, r.ok, r.witness) for r in results] == [
-        (11, True, f"dim={factorial(11)}")]
+        (12, True, f"dim={factorial(12)}")]
 
 
 @pytest.mark.parametrize("family", involution.FAMILIES)
