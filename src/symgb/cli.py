@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Commands: sym, gb, verify, explore, involution, hilbert.  Exit codes:
+Commands: sym, gb, verify, involution, hilbert.  Exit codes:
 0 = success / all verified, 1 = mathematical mismatch found, 2 = usage or
-parse error.
+parse error.  The CLI owns the size limit of its own builds; the hard limits
+of a sweep are the ``verify.Target.refuse`` of each target, and the carrier
+limit of `involution` is ``involution.refuse_carrier``.
 """
 
 from __future__ import annotations
@@ -16,13 +18,9 @@ from .poly import (PolyParseError, Polynomial, _split_terms, format_polynomial,
                    parse_polynomial)
 
 USAGE_ERROR = 2
-# Limit of the builds `sym`, `gb` and `explore` run, in exponents stored
-# (h_{10,10} stores 1847560), and of the pairs `involution` streams (the
-# largest carrier under it, 860160 pairs at k=13, n=15, takes 4-5 s and
-# 44 MB on a 2-vCPU Xeon).
+# Limit of the builds `sym` and `gb` run, in exponents stored (h_{10,10}
+# stores 1847560).
 MAX_SYM_EXPONENTS = 4 * 10**6
-MAX_CARRIER_PAIRS = 10**6
-STATS_HELP = "print the Buchberger run's counts as one line on stderr"
 
 
 class UsageError(ValueError):
@@ -50,11 +48,10 @@ def _require_n(n: int) -> int:
     return n
 
 
-def _parse_generators(spec: str, n: int, elementary_only: bool = False) -> List[Polynomial]:
+def _parse_generators(spec: str, n: int) -> List[Polynomial]:
     """Comma list of e-indices ("e1,e3") and/or raw polynomial text."""
     _require_n(n)
     gens = []
-    indices = []
     for token in spec.split(","):
         token = token.strip()
         if not token:
@@ -63,31 +60,15 @@ def _parse_generators(spec: str, n: int, elementary_only: bool = False) -> List[
             i = int(token[1:])
             if not 1 <= i <= n:
                 raise UsageError(f"generator {token} out of range e1..e{n}")
-            indices.append(i)
             _check_sym_size("e", i, n)
             gens.append(symfunc.elementary(i, n, n))
-        elif elementary_only:
-            raise UsageError(f"explore accepts only e-indices, got {token!r}")
         else:
             try:
                 _check_text_size(token, n)
                 gens.append(parse_polynomial(token, n))
             except PolyParseError as exc:
                 raise UsageError(f"cannot parse generator {token!r}: {exc}")
-    if elementary_only and len(set(indices)) != len(indices):
-        raise UsageError("explore requires distinct e-indices")
     return gens
-
-
-def _print_basis(gb: groebner.GroebnerBasis) -> None:
-    for g in gb.elements:
-        print(format_polynomial(g))
-
-
-def _print_stats(args, gb: groebner.GroebnerBasis) -> None:
-    """With --stats, one line on stderr, so stdout stays the same."""
-    if args.stats:
-        print(f"stats: {gb.stats.record()}", file=sys.stderr)
 
 
 def _comb_capped(n: int, k: int, cap: int) -> int:
@@ -139,19 +120,6 @@ def _check_text_size(text: str, n: int) -> None:
                          f"the limit of {MAX_SYM_EXPONENTS} exponents")
 
 
-def carrier_size(family: str, k: int, n: int) -> int:
-    """Pairs in the family's carrier, by the closed form of its
-    ``involution.FAMILIES`` entry, counted without enumerating them;
-    MAX_CARRIER_PAIRS + 1 stands for every count above the limit."""
-    return involution.FAMILIES[family].size(k, n, MAX_CARRIER_PAIRS)
-
-
-def _check_carrier(family: str, k: int, n: int) -> None:
-    if carrier_size(family, k, n) > MAX_CARRIER_PAIRS:
-        raise UsageError(f"the {family} carrier for k={k}, n={n} has more "
-                         f"than the limit of {MAX_CARRIER_PAIRS} pairs")
-
-
 def cmd_sym(args) -> int:
     builders = {"e": symfunc.elementary, "h": symfunc.homogeneous,
                 "p": symfunc.powersum}
@@ -167,21 +135,10 @@ def cmd_gb(args) -> int:
         gb = groebner.reduced_groebner_basis(gens)
     except groebner.ZeroIdealError:
         return 0  # zero ideal: empty basis, nothing to print
-    _print_basis(gb)
-    _print_stats(args, gb)
-    return 0
-
-
-def cmd_explore(args) -> int:
-    gens = _parse_generators(args.gens, args.n, elementary_only=True)
-    gb = groebner.reduced_groebner_basis(gens)
-    print(f"basis size: {len(gb)}")
     for g in gb.elements:
         print(format_polynomial(g))
-    print("leading monomials: "
-          + ", ".join(format_polynomial(Polynomial.from_monomial(m))
-                      for m in gb.leading_monomials()))
-    _print_stats(args, gb)
+    if args.stats:  # one line on stderr, so stdout stays the same
+        print(f"stats: {gb.stats.record()}", file=sys.stderr)
     return 0
 
 
@@ -191,14 +148,6 @@ def cmd_verify(args) -> int:
         hi = min(hi, verify.TARGETS[args.target].max_n)
     if hi < lo:
         raise UsageError("range is empty after applying caps")
-    if args.target.startswith("involution-"):
-        # a carrier has 2^k C(n, k) pairs, which grows with n, and every k of
-        # the sweep is in ks(hi): no selected cell is larger than one at hi
-        ks = verify.TARGETS[args.target].ks(hi)
-        if args.k is not None:
-            ks = [args.k] if args.k in ks else []
-        for k in ks:
-            _check_carrier(args.target[len("involution-"):], k, hi)
     results = verify.run_sweep(args.target, lo, hi, fixed_k=args.k)
     failed = False
     for r in results:
@@ -220,7 +169,7 @@ def cmd_verify(args) -> int:
 
 def cmd_involution(args) -> int:
     k, n = args.k, _require_n(args.n)
-    _check_carrier(args.family, k, n)
+    involution.refuse_carrier(args.family, k, n)
     report = involution.certify_involution(args.family, k, n)
     print(f"family={report.family} k={report.k} n={report.n} "
           f"carrier_size={report.carrier_size}")
@@ -263,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gens", required=True,
                    help="comma list of e-indices and/or polynomial text")
-    p.add_argument("--stats", action="store_true", help=STATS_HELP)
+    p.add_argument("--stats", action="store_true",
+                   help="print the Buchberger run's counts as one line on stderr")
     p.set_defaults(fn=cmd_gb)
 
     p = sub.add_parser("verify", help="sweep-verify a target")
@@ -274,13 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-limit", action="store_true",
                    help="ignore the per-target default n ceiling")
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("explore",
-                       help="reduced GB of an arbitrary set of elementary generators")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gens", required=True, help="comma list of e-indices")
-    p.add_argument("--stats", action="store_true", help=STATS_HELP)
-    p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("involution", help="certify a cancelling involution")
     p.add_argument("--family", choices=involution.FAMILIES, required=True)

@@ -248,14 +248,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            c = _coefficient(other)
-            if not c:
-                raise ZeroDivisionError("division of polynomial by zero scalar")
-            return self * _exact_div(1, c)
-        return NotImplemented
-
     def __pow__(self, exp: int) -> "Polynomial":
         if exp < 0:
             raise ValueError("negative power of a polynomial")

@@ -106,31 +106,36 @@ class Target:
     check: Callable[[Optional[int], int], Tuple[bool, str]]
     max_n: int  # default n ceiling, keeping the full sweep fast
     ks: Callable[[int], Sequence[Optional[int]]]  # k of the cells at n; grows with n
-    # raises ValueError for the top n of a sweep past a hard limit, so that
-    # run_sweep refuses the sweep before its first cell
-    refuse_n: Optional[Callable[[int], None]] = None
+    # (k, n) -> raises ValueError for a cell past a hard limit; run_sweep asks
+    # it of every selected cell at the top n, before the first cell runs
+    refuse: Callable[[Optional[int], int], None] = lambda k, n: None
 
 
 # hkn, ekn and newton also sweep k = n+1, n+2, where they hold trivially.
+# A carrier's 2^k C(n, k) pairs grow with n, so no cell is larger than one
+# with the same k at the top n.
 TARGETS = {
     "gb-ek": Target(lambda k, n: _basis_check(
-        computed_gb_ek(k, n), symfunc.conjectured_gb_ek(k, n)), 9, _ks(1)),
+        computed_gb_ek(k, n), symfunc.conjectured_gb_ek(k, n)), 11, _ks(1)),
     "gb-e1ek": Target(lambda k, n: _basis_check(
-        computed_gb_e1ek(k, n), symfunc.conjectured_gb_e1ek(k, n)), 10, _ks(2)),
+        computed_gb_e1ek(k, n), symfunc.conjectured_gb_e1ek(k, n)), 12, _ks(2)),
     "hkn": Target(lambda k, n: _defect_check(
-        symfunc.hkn_identity_defect(k, n)), 8, _ks(1, 2)),
+        symfunc.hkn_identity_defect(k, n)), 12, _ks(1, 2)),
     "ekn": Target(lambda k, n: _defect_check(
-        symfunc.ekn_identity_defect(k, n)), 8, _ks(1, 2)),
+        symfunc.ekn_identity_defect(k, n)), 12, _ks(1, 2)),
     "telescope": Target(lambda k, n: _defect_check(
-        symfunc.telescope_defect(k, n)), 8, _ks(1)),
+        symfunc.telescope_defect(k, n)), 12, _ks(1)),
     "newton": Target(lambda k, n: _defect_check(
-        symfunc.newton_defect(k, n)), 8, _ks(1, 2)),
-    "e1ek-reduction": Target(_e1ek_reduction_check, 8, _ks(1)),
+        symfunc.newton_defect(k, n)), 12, _ks(1, 2)),
+    "e1ek-reduction": Target(_e1ek_reduction_check, 12, _ks(1)),
     "involution-hkn": Target(lambda k, n: _certify_check(
-        involution.certify_involution("hkn", k, n)), 10, _ks(1)),
+        involution.certify_involution("hkn", k, n)), 10, _ks(1),
+        lambda k, n: involution.refuse_carrier("hkn", k, n)),
     "involution-ekn": Target(lambda k, n: _certify_check(
-        involution.certify_involution("ekn", k, n)), 10, _ks(1)),
-    "hilbert": Target(_hilbert_check, 11, lambda n: (None,), _refuse_hilbert_n),
+        involution.certify_involution("ekn", k, n)), 10, _ks(1),
+        lambda k, n: involution.refuse_carrier("ekn", k, n)),
+    "hilbert": Target(_hilbert_check, 11, lambda n: (None,),
+                      lambda k, n: _refuse_hilbert_n(n)),
 }
 
 
@@ -144,8 +149,8 @@ def run_sweep(target: str, n_lo: int, n_hi: int,
     if fixed_k is not None and fixed_k not in spec.ks(n_hi):
         raise ValueError(
             f"{target} has no cell with k={fixed_k} for n in {n_lo}..{n_hi}")
-    if spec.refuse_n is not None:
-        spec.refuse_n(n_hi)
+    for k in spec.ks(n_hi) if fixed_k is None else (fixed_k,):
+        spec.refuse(k, n_hi)
     return [CellResult(target, k, n, *spec.check(k, n))
             for n in range(n_lo, n_hi + 1) for k in spec.ks(n)
             if fixed_k is None or k == fixed_k]

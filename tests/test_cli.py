@@ -7,7 +7,8 @@ import pytest
 
 import symgb
 from symgb import cli, involution, symfunc, verify
-from symgb.cli import carrier_size, main, sym_build_size
+from symgb.cli import main, sym_build_size
+from symgb.involution import carrier_size
 from symgb.poly import parse_polynomial
 
 
@@ -93,7 +94,7 @@ class TestSymBudget:
         code, out, _ = run(capsys, "sym", "--kind", "h", "--k", "2000", "--n", "1")
         assert code == 0 and out.strip() == "x1^2000"
 
-    @pytest.mark.parametrize("command", ["gb", "explore"])
+    @pytest.mark.parametrize("command", ["gb"])
     def test_generators_over_the_limit_are_refused(self, capsys, monkeypatch, command):
         monkeypatch.setattr(symfunc, "elementary", refuse)
         code, out, err = run(capsys, command, "--n", "40", "--gens", "e20")
@@ -140,6 +141,16 @@ class TestGb:
         assert code == 0
         assert out.splitlines() == ["x2", "x1"]
 
+    def test_principal_ideal(self, capsys):
+        code, out, _ = run(capsys, "gb", "--n", "2", "--gens", "e2")
+        assert code == 0
+        assert out.splitlines() == ["x1*x2"]
+
+    def test_index_out_of_range(self, capsys):
+        code, out, err = run(capsys, "gb", "--n", "2", "--gens", "e3")
+        assert code == 2 and out == ""
+        assert "error: generator e3 out of range e1..e2" in err
+
     def test_parse_failure(self, capsys):
         code, _, err = run(capsys, "gb", "--n", "2", "--gens", "x1+!")
         assert code == 2
@@ -161,7 +172,7 @@ class TestGb:
                                     "x1^199999999999999999998"]
 
 
-@pytest.mark.parametrize("command", ["gb", "explore"])
+@pytest.mark.parametrize("command", ["gb"])
 def test_stats_line_on_stderr(capsys, command):
     argv = (command, "--n", "4", "--gens", "e1,e2,e3,e4")
     code, out, err = run(capsys, *argv)
@@ -222,38 +233,6 @@ class TestVerify:
         assert "error" in err
 
 
-class TestExplore:
-    def test_informational_output(self, capsys):
-        code, out, _ = run(capsys, "explore", "--n", "3", "--gens", "e2,e3")
-        assert code == 0
-        assert out.startswith("basis size:")
-        assert "leading monomials:" in out
-
-    def test_consistent_with_gb(self, capsys):
-        code, out_explore, _ = run(capsys, "explore", "--n", "4",
-                                   "--gens", "e1,e2,e3,e4")
-        assert code == 0
-        code, out_gb, _ = run(capsys, "gb", "--n", "4", "--gens", "e1,e2,e3,e4")
-        assert code == 0
-        explored = [l for l in out_explore.splitlines()
-                    if not l.startswith(("basis size", "leading monomials"))]
-        assert explored == out_gb.splitlines()
-
-    def test_principal_ideal(self, capsys):
-        code, out, _ = run(capsys, "explore", "--n", "2", "--gens", "e2")
-        assert code == 0
-        assert "x1*x2" in out
-
-    def test_index_out_of_range(self, capsys):
-        code, _, err = run(capsys, "explore", "--n", "2", "--gens", "e3")
-        assert code == 2
-        assert "error" in err
-
-    def test_duplicate_index(self, capsys):
-        code, _, err = run(capsys, "explore", "--n", "3", "--gens", "e2,e2")
-        assert code == 2
-
-
 class TestInvolutionAndHilbert:
     def test_involution_report(self, capsys):
         code, out, _ = run(capsys, "involution", "--family", "ekn",
@@ -277,7 +256,7 @@ class TestInvolutionAndHilbert:
     def test_huge_carrier_refused_without_enumerating(self, capsys, monkeypatch):
         monkeypatch.setattr(involution, "_iter_carrier", refuse)
         monkeypatch.setattr(involution, "certify_involution", refuse)
-        over = cli.MAX_CARRIER_PAIRS + 1
+        over = involution.MAX_CARRIER_PAIRS + 1
         for family in involution.FAMILIES:
             assert carrier_size(family, 60, 60) == over
             assert carrier_size(family, 10**12, 10**12) == over
@@ -286,15 +265,15 @@ class TestInvolutionAndHilbert:
                              "--k", "60", "--n", "60")
         assert code == 2 and out == ""
         assert (f"error: the hkn carrier for k=60, n=60 has more than the limit "
-                f"of {cli.MAX_CARRIER_PAIRS} pairs") in err
+                f"of {involution.MAX_CARRIER_PAIRS} pairs") in err
 
     def test_carrier_limit_is_inclusive(self, capsys, monkeypatch):
         size = carrier_size("ekn", 3, 5)
-        monkeypatch.setattr(cli, "MAX_CARRIER_PAIRS", size)
+        monkeypatch.setattr(involution, "MAX_CARRIER_PAIRS", size)
         code, out, _ = run(capsys, "involution", "--family", "ekn",
                            "--k", "3", "--n", "5", "--trace")
         assert code == 0 and f"carrier_size={size}" in out
-        monkeypatch.setattr(cli, "MAX_CARRIER_PAIRS", size - 1)
+        monkeypatch.setattr(involution, "MAX_CARRIER_PAIRS", size - 1)
         code, out, err = run(capsys, "involution", "--family", "ekn",
                              "--k", "3", "--n", "5")
         assert code == 2 and out == ""
@@ -306,7 +285,7 @@ class TestInvolutionAndHilbert:
         # --no-limit lifts the n ceiling of the sweep, not the carrier budget
         # of `involution`: every selected cell is checked before the first
         size = carrier_size(family, 3, 5)
-        monkeypatch.setattr(cli, "MAX_CARRIER_PAIRS", size - 1)
+        monkeypatch.setattr(involution, "MAX_CARRIER_PAIRS", size - 1)
         monkeypatch.setattr(involution, "certify_involution", refuse)
         target = f"involution-{family}"
         for argv in (["--n", "5", "--k", "3"], ["--n", "1..5"]):
@@ -316,7 +295,7 @@ class TestInvolutionAndHilbert:
                     f"the limit of {size - 1} pairs") in err
         # the cells below the limit still run
         monkeypatch.undo()
-        monkeypatch.setattr(cli, "MAX_CARRIER_PAIRS", size)
+        monkeypatch.setattr(involution, "MAX_CARRIER_PAIRS", size)
         code, out, _ = run(capsys, "verify", target, "--n", "5", "--k", "3", "--no-limit")
         assert code == 0 and out.endswith("1/1 cells passed\n")
 
@@ -379,7 +358,6 @@ class TestInvolutionAndHilbert:
     ("sym", "--kind", "e", "--k", "1", "--n", "0"),
     ("gb", "--n", "0", "--gens", "e1"),
     ("gb", "--n", "0", "--gens", "x1"),
-    ("explore", "--n", "0", "--gens", "e1"),
     ("involution", "--family", "ekn", "--k", "1", "--n", "-2"),
     ("involution", "--family", "hkn", "--k", "1", "--n", "0"),
 ])

@@ -66,10 +66,21 @@ def test_hilbert_sweep_to_the_new_ceiling():
 
 
 def test_gb_ek_sweep_to_the_new_ceiling():
-    assert verify.TARGETS["gb-ek"].max_n == 9
-    results = run_sweep("gb-ek", 9, 9)
+    assert verify.TARGETS["gb-ek"].max_n == 11
+    results = run_sweep("gb-ek", 11, 11)
     assert [(r.k, r.n, r.ok, r.witness) for r in results] == [
-        (k, 9, True, "") for k in range(1, 10)]
+        (k, 11, True, "") for k in range(1, 12)]
+
+
+@pytest.mark.parametrize("target, ks", [
+    ("gb-e1ek", range(2, 13)), ("hkn", range(1, 15)), ("ekn", range(1, 15)),
+    ("telescope", range(1, 13)), ("newton", range(1, 15)),
+    ("e1ek-reduction", range(1, 13))])
+def test_sweep_to_the_new_ceiling_of_12(target, ks):
+    assert verify.TARGETS[target].max_n == 12
+    results = run_sweep(target, 12, 12)
+    assert [(r.k, r.n, r.ok, r.witness) for r in results] == [
+        (k, 12, True, "") for k in ks]
 
 
 def test_hilbert_past_its_default_ceiling():
@@ -87,6 +98,30 @@ def test_involution_sweep_to_the_new_ceiling(family):
     results = run_sweep(target, 7, 10)
     assert [(r.k, r.n, r.ok, r.witness) for r in results] == [
         (k, n, True, "") for n in range(7, 11) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("target, n_lo, fixed_k", [
+    ("involution-ekn", 1, None), ("involution-hkn", 5, 3)])
+def test_carrier_sweep_refused_before_its_first_cell(monkeypatch, target, n_lo,
+                                                     fixed_k):
+    # the largest carrier at n=5 has 2^3 C(5, 3) = 80 pairs, first at k=3
+    family = target[len("involution-"):]
+    size = involution.carrier_size(family, 3, 5)
+    assert size == 80
+
+    def no_certificate(family, k, n):
+        raise AssertionError("the sweep must be refused before any cell")
+
+    monkeypatch.setattr(involution, "certify_involution", no_certificate)
+    monkeypatch.setattr(involution, "MAX_CARRIER_PAIRS", size - 1)
+    with pytest.raises(ValueError, match=(
+            rf"^the {family} carrier for k=3, n=5 has more than the limit of "
+            rf"{size - 1} pairs$")):
+        run_sweep(target, n_lo, 5, fixed_k=fixed_k)
+    monkeypatch.undo()
+    monkeypatch.setattr(involution, "MAX_CARRIER_PAIRS", size)  # inclusive
+    results = run_sweep(target, n_lo, 5, fixed_k=fixed_k)
+    assert results and all(r.ok for r in results)
 
 
 def test_unknown_target():
