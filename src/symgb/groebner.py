@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, fields
-from itertools import count
+from itertools import combinations, count
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -17,12 +17,9 @@ from .poly import (
     _max_exponent,
     _packers,
     _product_sum,
-    lex_key,
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
-    mono_one,
 )
 
 
@@ -81,12 +78,8 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     LT(f) >= LT(a_i * f_i) whenever a_i * f_i != 0.
     """
     arity = f.arity
-    for d in divisors:
-        if d.arity != arity:
-            raise ArityMismatchError(
-                f"arity mismatch: {arity} vs {d.arity}")
-        if d.is_zero():
-            raise ZeroPolynomialError("zero divisor in division")
+    if any(d.is_zero() for d in divisors):
+        raise ZeroPolynomialError("zero divisor in division")
     packed = _Packed(arity, divisors, _max_exponent(f))
     # f times the lcm of its denominators is integral
     den = lcm(*[c.denominator for _, c in f.terms])
@@ -114,7 +107,8 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
 # -- the reduction kernel ----------------------------------------------------
 #
 # Monomials are packed as in products (``poly._packers``), with the top bit of
-# each field kept clear as a guard bit: LM | m iff (m - LM) & guard == 0.  Lex
+# each field kept clear as a guard bit: LM | m iff (m - LM) & guard == 0, and
+# LMs a, b are coprime iff lcm(a, b) == a + b (see ``_Packed.lcm``).  Lex
 # reduction can raise exponents past any width (x2 - x1^100 turns x2^2 into
 # x1^200), so a monomial entering the work that sets a guard bit raises
 # _Overflow, and the caller re-packs one byte wider and redoes the reduction.
@@ -133,29 +127,44 @@ class _Overflow(Exception):
 class _Packed:
     """Polynomials of one arity as the kernel's reducers: ``reducers[i]`` is
     (LM, d, tail, i) of the primitive integer multiple of polynomial i, with
-    packed LM and tail monomials, int tail coefficients and LC d > 0."""
+    packed LM and tail monomials, int tail coefficients and LC d > 0.
+    ``pairs`` is the heap of pairs :func:`buchberger` has queued, as
+    (degree of lcm, packed lcm, serial, i, j), i < j."""
 
     def __init__(self, arity: int, polys: Iterable[Polynomial], top: int = 0):
         self.arity = arity
         polys = list(polys)
+        for p in polys:  # packing does not see the arity
+            if p.arity != arity:
+                raise ArityMismatchError(f"arity mismatch: {arity} vs {p.arity}")
         # the fewest bytes that keep every exponent, and top, under the guard
         self.width = max([top, *map(_max_exponent, polys)]).bit_length() // 8
-        self.reducers, self.unpack = [], None  # nothing to re-pack yet
+        self.reducers, self.pairs, self.unpack = [], [], None  # nothing to re-pack yet
         self.widen()
         pack = self.pack
         self.reducers = [self.reducer([(pack(m), c) for m, c in p.terms], i)
                          for i, p in enumerate(polys)]
 
     def widen(self) -> None:
-        """Re-pack every reducer with fields one byte wider."""
+        """Re-pack every reducer and queued lcm, in place, with fields one byte
+        wider; packing keeps lex order, so the heap of pairs stays a heap."""
         unpack = self.unpack
         self.width += 1
         self.pack, self.unpack = pack, _ = _packers(self.arity, self.width)
         self.guard = int.from_bytes(
             (bytes(self.width - 1) + b"\x80") * self.arity, "little")
-        self.reducers = [
+        self.reducers[:] = [
             (pack(unpack(lm)), d, tuple((pack(unpack(k)), c) for k, c in tail), i)
             for lm, d, tail, i in self.reducers]
+        self.pairs[:] = [(deg, pack(unpack(m)), s, i, j)
+                         for deg, m, s, i, j in self.pairs]
+
+    def lcm(self, a: int, b: int) -> int:
+        """lcm of the packed monomials a and b: the larger of each two fields."""
+        guard = self.guard
+        ge = ((a | guard) - b) & guard  # the guard bit of each field where a >= b
+        low = ge - (ge >> (8 * self.width - 1))  # and all the bits below it
+        return b ^ ((a ^ b) & low)
 
     @staticmethod
     def reducer(terms: list, i: int) -> tuple:
@@ -266,18 +275,18 @@ def normal_form(f: Polynomial,
     """Remainder of f on division by the basis; zero iff f is in the ideal
     when the basis is a Groebner basis."""
     elements = list(basis)
-    if not elements:
-        return f
-    return divide(f, elements).remainder
+    return divide(f, elements).remainder if elements else f
 
 
 def buchberger(generators: Iterable[Polynomial],
                product_criterion: bool = True) -> GroebnerBasis:
-    """Buchberger's algorithm with the Gebauer-Moller pair update and the
-    normal selection strategy.
+    """Buchberger's algorithm with the Gebauer-Moller pair update and
+    degree-first pair selection, on packed leading monomials.
 
-    Adding a polynomial h to the basis runs the Gebauer-Moller UPDATE
-    (Becker & Weispfenning, *Groebner Bases*, 1993, p. 230):
+    Each generator is reduced by the basis before it enters: one that
+    reduces to zero is dropped, and a constant ends the run as the unit
+    ideal.  Adding a polynomial h to the basis runs the Gebauer-Moller
+    UPDATE (Becker & Weispfenning, *Groebner Bases*, 1993, p. 230):
 
     - a new pair (g, h) is dropped when LM(g) and LM(h) are coprime (the
       product criterion), or when the lcm of another new pair divides its
@@ -288,77 +297,81 @@ def buchberger(generators: Iterable[Polynomial],
       stay.
 
     S-polynomials are reduced by the active basis only, which is returned.
-    Pairs are selected by least lex lcm first; ties go to the pair formed
-    first, so every run of the same input does the same work.
+    The pair of least total degree of the lcm, then least lex lcm, goes
+    first (the sugar strategy for homogeneous input: Giovini, Mora, Niesi,
+    Robbiano, Traverso, ISSAC 1991); ties go to the pair formed first.
 
-    With ``product_criterion=False`` every pair is formed and processed and
-    no element leaves the basis: the plain algorithm, kept as the reference
-    the fast path is tested against.  The returned basis carries a
-    :class:`GroebnerStats` of the run.  Raises :class:`ZeroIdealError` when
-    no nonzero generator remains.
+    With ``product_criterion=False`` the generators enter unreduced, every
+    pair is formed and processed and no element leaves the basis: the plain
+    algorithm, the reference the fast path is tested against.  The basis
+    carries a :class:`GroebnerStats` of the run, whose ``reductions`` counts
+    S-polynomials only.  Raises :class:`ZeroIdealError` when no nonzero
+    generator remains.
     """
+    packed, active, stats = _buchberger(generators, product_criterion)
+    return GroebnerBasis(packed.arity, tuple(
+        packed.monic(packed.reducers[i]) for i in active), stats=stats)
+
+
+def _buchberger(generators: Iterable[Polynomial], product_criterion: bool) -> tuple:
+    """(packed, active, stats) of a :func:`buchberger` run: every element
+    that entered is a reducer of ``packed``; ``active`` indexes the basis."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise ZeroIdealError("all generators are zero")
-    arity = gens[0].arity
-
+    if (odd := next((g for g in gens if g.arity != gens[0].arity), None)) is not None:
+        raise ArityMismatchError(f"arity mismatch: {gens[0].arity} vs {odd.arity}")
     stats = GroebnerStats()
-    # every element that ever entered the basis, monic; its reducer is
-    # packed once, on entry
-    polys: list = []
-    packed = _Packed(arity, (), max(map(_max_exponent, gens)))
-    lms: list = []      # their leading monomials
-    active: list = []   # indices into polys of the active basis, in order
-    pairs: list = []    # heap of (lex_key(lcm), serial, lcm, i, j), i < j
-    serial = count()
+    packed = _Packed(gens[0].arity, (), max(map(_max_exponent, gens)))
+    # every element that entered, packed once, and the pairs queued
+    reducers, pairs, serial = packed.reducers, packed.pairs, count()
+    active: list = []  # indices into reducers of the active basis, in order
 
-    def update(h: Polynomial, reducer: tuple) -> None:
-        nonlocal active, pairs
-        ih, mh = len(polys), h.leading_monomial()
-        polys.append(h)
-        packed.reducers.append(reducer)
-        _, d, tail, _ = reducer
+    def update(reducer: tuple) -> None:
+        ih, (lh, d, tail, _) = len(reducers), reducer
+        reducers.append(reducer)
         stats.peak_coeff_bits = max(stats.peak_coeff_bits,
                                     max([d] + [abs(c) for _, c in tail]).bit_length())
-        lms.append(mh)
-        new = [(mono_lcm(lms[ig], mh), ig) for ig in active]
+        lcm, guard = packed.lcm, packed.guard
+        new = [(lcm(reducers[ig][0], lh), ig) for ig in active]
         stats.pairs += len(new)
         if product_criterion:
             kept = []  # (lcm, index, coprime), the set D of the update
             for pos, (m, ig) in enumerate(new):
-                coprime = m == mono_mul(lms[ig], mh)
+                coprime = m == reducers[ig][0] + lh
                 if coprime or not (
-                        any(mono_divides(m2, m) for m2, _ in new[pos + 1:])
-                        or any(mono_divides(m2, m) for m2, _, _ in kept)):
+                        any(not (m - m2) & guard for m2, _ in new[pos + 1:])
+                        or any(not (m - m2) & guard for m2, _, _ in kept)):
                     kept.append((m, ig, coprime))
             stats.product_skipped += sum(c for _, _, c in kept)
             stats.chain_skipped += len(new) - len(kept)
             new = [(m, ig) for m, ig, coprime in kept if not coprime]
             queued = len(pairs)
-            pairs = [p for p in pairs
-                     if not mono_divides(mh, p[2])
-                     or mono_lcm(lms[p[3]], mh) == p[2]
-                     or mono_lcm(lms[p[4]], mh) == p[2]]
+            pairs[:] = [p for p in pairs if (p[1] - lh) & guard
+                        or lcm(reducers[p[3]][0], lh) == p[1]
+                        or lcm(reducers[p[4]][0], lh) == p[1]]
             stats.chain_skipped += queued - len(pairs)
             heapq.heapify(pairs)
-            active = [ig for ig in active if not mono_divides(mh, lms[ig])]
+            active[:] = [ig for ig in active if (reducers[ig][0] - lh) & guard]
         for m, ig in new:
-            heapq.heappush(pairs, (lex_key(m), next(serial), m, ig, ih))
+            heapq.heappush(pairs, (sum(packed.unpack(m)), m, next(serial), ig, ih))
         active.append(ih)
         stats.peak_basis = max(stats.peak_basis, len(active))
 
-    for g in gens:
-        g = g.monic()
-        if g not in polys:
-            update(g, packed.reducer(
-                [(packed.pack(m), c) for m, c in g.terms], len(polys)))
+    def entry(g: Polynomial) -> dict:
+        """A multiple of g, packed; on the fast path, reduced by the basis."""
+        lm, d, tail, _ = packed.reducer([(packed.pack(m), c) for m, c in g.terms], 0)
+        work = {lm: d, **dict(tail)}
+        if not product_criterion:
+            return work
+        return packed.reduce(work, 1, [reducers[ig] for ig in active])[0]
 
-    def s_remainder(m: tuple, i: int, j: int) -> Optional[dict]:
-        """The packed remainder of S(polys[i], polys[j]) on the active
-        basis, or None when the S-polynomial is zero."""
-        top, reducers = packed.pack(m), packed.reducers
+    def s_remainder(i: int, j: int) -> Optional[dict]:
+        """The packed remainder of the S-polynomial of elements i and j on
+        the active basis, or None when the S-polynomial is zero."""
         (li, di, ti, _), (lj, dj, tj, _) = reducers[i], reducers[j]
-        # polys[i] is reducer i over di, so S times lcm(di, dj) is the
+        top = packed.lcm(li, lj)
+        # element i is reducer i over di, so S times lcm(di, dj) is the
         # difference of the tails times lcm(di, dj) / di and / dj, shifted
         # to the lcm monomial; it is seeded straight into the work
         g = gcd(di, dj)
@@ -374,23 +387,48 @@ def buchberger(generators: Iterable[Polynomial],
             return None
         return packed.reduce(work, ai * di, [reducers[ig] for ig in active])[0]
 
-    one = mono_one(arity)
+    for g in gens:
+        r = packed.run(entry, g)
+        if r:
+            update(packed.reducer(list(r.items()), len(reducers)))
+            if product_criterion and not reducers[-1][0]:
+                return packed, active, stats  # a constant: the unit ideal
     while pairs:
-        _, _, m, i, j = heapq.heappop(pairs)
-        r = packed.run(s_remainder, m, i, j)
+        *_, i, j = heapq.heappop(pairs)
+        r = packed.run(s_remainder, i, j)
         if r is None:
             continue
         stats.reductions += 1
-        if not r:
-            stats.zero_reductions += 1
-            continue
-        reducer = packed.reducer(list(r.items()), len(polys))
-        h = packed.monic(reducer)
-        update(h, reducer)
-        if h.leading_monomial() == one:
-            # unit ideal: no further pair can contribute anything new
-            break
-    return GroebnerBasis(arity, tuple(polys[ig] for ig in active), stats=stats)
+        stats.zero_reductions += not r
+        if r:
+            update(packed.reducer(list(r.items()), len(reducers)))
+            if not reducers[-1][0]:  # the unit ideal: no pair can add anything
+                break
+    return packed, active, stats
+
+
+def _interreduce(packed: _Packed, indices: Iterable[int]) -> tuple:
+    """The reduced Groebner basis, sorted by decreasing leading monomial, of
+    the Groebner basis formed by the reducers of ``packed`` at ``indices``;
+    each reducer kept is replaced by its reduced one in place."""
+    reducers, guard = packed.reducers, packed.guard
+    # minimalize: drop an element when a kept one's LM divides its LM
+    minimal: list = []
+    for i in sorted(indices, key=lambda i: reducers[i][0]):
+        if all((reducers[i][0] - reducers[j][0]) & guard for j in minimal):
+            minimal.append(i)
+
+    # no LM divides another, so only the tails need reducing; an LM that
+    # divides a tail monomial m of g is at most m < LM(g), so the tail of g
+    # is reduced by the elements with smaller LMs alone, reduced before it
+    def tail_remainder(pos: int) -> tuple:
+        _, d, tail, _ = reducers[minimal[pos]]
+        return packed.reduce(dict(tail), d, [reducers[j] for j in minimal[:pos]])
+
+    for pos, i in enumerate(minimal):
+        tail, scale = packed.run(tail_remainder, pos)
+        reducers[i] = packed.reducer([(reducers[i][0], scale), *tail.items()], i)
+    return tuple(packed.monic(reducers[i]) for i in reversed(minimal))
 
 
 def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
@@ -398,70 +436,31 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     minimal, monic, every element fully reduced against the others, sorted
     by decreasing leading monomial."""
     elements = [g for g in gb.elements if not g.is_zero()]
-    if not elements:
-        return GroebnerBasis(gb.arity, (), stats=gb.stats)
-
-    # minimalize: drop g when some other kept element's LM divides LM(g)
-    elements.sort(key=lambda g: lex_key(g.leading_monomial()))
-    minimal: list = []
-    for g in elements:
-        lm = g.leading_monomial()
-        if not any(mono_divides(h.leading_monomial(), lm) for h in minimal):
-            minimal.append(g)
-
-    # interreduce in one pass: no LM divides another, so only the tails need
-    # reducing, and a tail reduced against the others' LMs stays reduced
-    # when they are reduced in turn
-    packed = _Packed(gb.arity, minimal)
-
-    def tail_remainder(i: int) -> tuple:
-        reducers = packed.reducers
-        _, d, tail, _ = reducers[i]
-        return packed.reduce(dict(tail), d, reducers[:i] + reducers[i + 1:])
-
-    for i in range(len(minimal)):
-        tail, scale = packed.run(tail_remainder, i)
-        reducer = packed.reducer([(packed.reducers[i][0], scale), *tail.items()], i)
-        minimal[i], packed.reducers[i] = packed.monic(reducer), reducer
-
-    minimal.sort(key=lambda g: lex_key(g.leading_monomial()), reverse=True)
-    return GroebnerBasis(gb.arity, tuple(minimal), stats=gb.stats)
+    return GroebnerBasis(gb.arity, _interreduce(
+        _Packed(gb.arity, elements), range(len(elements))), stats=gb.stats)
 
 
 def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:
     """Check Buchberger's criterion: every pairwise S-polynomial has
     remainder zero on division by the set."""
     polys = [g for g in polys if not g.is_zero()]
-    if not polys:
-        return False
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            s = s_polynomial(polys[i], polys[j])
-            if s.is_zero():
-                continue
-            if not divide(s, polys).remainder.is_zero():
-                return False
-    return True
+    return bool(polys) and all(divide(s_polynomial(f, g), polys).remainder.is_zero()
+                               for f, g in combinations(polys, 2))
 
 
 def is_reduced(polys: Sequence[Polynomial]) -> bool:
     """True when every element is monic and no monomial of any element is
     divisible by another element's leading monomial."""
     polys = list(polys)
-    if not polys:
-        return True
-    for g in polys:
-        if g.is_zero() or g.leading_coefficient() != 1:
-            return False
-    for i, g in enumerate(polys):
-        other_lms = [h.leading_monomial()
-                     for j, h in enumerate(polys) if j != i]
-        for m, _ in g.terms:
-            if any(mono_divides(lm, m) for lm in other_lms):
-                return False
-    return True
+    if any(g.is_zero() or g.leading_coefficient() != 1 for g in polys):
+        return False
+    lms = [g.leading_monomial() for g in polys]
+    return not any(mono_divides(lm, m) for i, g in enumerate(polys)
+                   for m, _ in g.terms for j, lm in enumerate(lms) if j != i)
 
 
 def reduced_groebner_basis(generators: Iterable[Polynomial]) -> GroebnerBasis:
-    """Convenience: Buchberger followed by interreduction."""
-    return reduce_basis(buchberger(generators))
+    """The reduced Groebner basis of the ideal: :func:`buchberger`, then the
+    interreduction of :func:`reduce_basis` on its packed reducers."""
+    packed, active, stats = _buchberger(generators, True)
+    return GroebnerBasis(packed.arity, _interreduce(packed, active), stats=stats)

@@ -26,8 +26,16 @@ def _sum_of_weights(arity: int, sets: Iterable[tuple]) -> Polynomial:
     decreasing order and all in decreasing lex order, as the combinations of
     range(n, 0, -1) come.  Their weights are then in decreasing lex order
     too, because the first element where two sets differ is the largest
-    variable whose exponents differ; so the terms need no sort."""
-    return Polynomial._trusted(arity, tuple((weight(s, arity), 1) for s in sets))
+    variable whose exponents differ; so the terms need no sort.  The
+    elements come from range(n, 0, -1) and ``_ambient`` checked n against
+    the arity, so they are not checked again here."""
+    terms = []
+    for s in sets:
+        exps = [0] * arity
+        for j in s:
+            exps[j - 1] += 1
+        terms.append((tuple(exps), 1))
+    return Polynomial._trusted(arity, tuple(terms))
 
 
 def elementary(k: int, n: int, arity: Optional[int] = None) -> Polynomial:

@@ -142,15 +142,18 @@ TARGETS = {
 def run_sweep(target: str, n_lo: int, n_hi: int,
               fixed_k: Optional[int] = None) -> List[CellResult]:
     """Check every (k, n) cell of the target with n_lo <= n <= n_hi, or only
-    the cells with k = fixed_k; a fixed_k that selects no cell is an error."""
+    the cells with k = fixed_k; a range or a fixed_k that selects no cell is
+    an error."""
     spec = TARGETS.get(target)
     if spec is None:
         raise ValueError(f"unknown target {target!r}")
     if fixed_k is not None and fixed_k not in spec.ks(n_hi):
         raise ValueError(
             f"{target} has no cell with k={fixed_k} for n in {n_lo}..{n_hi}")
+    cells = [(k, n) for n in range(n_lo, n_hi + 1) for k in spec.ks(n)
+             if fixed_k is None or k == fixed_k]
+    if not cells:
+        raise ValueError(f"{target} has no cell for n in {n_lo}..{n_hi}")
     for k in spec.ks(n_hi) if fixed_k is None else (fixed_k,):
         spec.refuse(k, n_hi)
-    return [CellResult(target, k, n, *spec.check(k, n))
-            for n in range(n_lo, n_hi + 1) for k in spec.ks(n)
-            if fixed_k is None or k == fixed_k]
+    return [CellResult(target, k, n, *spec.check(k, n)) for k, n in cells]

@@ -180,8 +180,8 @@ def test_stats_line_on_stderr(capsys, command):
     code, out_with_stats, err = run(capsys, *argv, "--stats")
     assert code == 0
     assert out_with_stats == out
-    assert err == ("stats: pairs=21 product_skipped=9 chain_skipped=9 "
-                   "reductions=3 zero_reductions=0 peak_basis=7 "
+    assert err == ("stats: pairs=6 product_skipped=6 chain_skipped=0 "
+                   "reductions=0 zero_reductions=0 peak_basis=4 "
                    "peak_coeff_bits=1\n")
 
 
@@ -225,6 +225,12 @@ class TestVerify:
         assert code == 2
         code, _, _ = run(capsys, "verify", "hkn", "--n", "1..3", "--k", "6")
         assert code == 2
+
+    def test_range_without_a_cell(self, capsys):
+        # gb-e1ek starts at k = 2, so n = 1 has no cell
+        code, out, err = run(capsys, "verify", "gb-e1ek", "--n", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: gb-e1ek has no cell for n in 1..1\n"
 
     def test_k_for_a_target_without_k(self, capsys):
         code, out, err = run(capsys, "verify", "hilbert", "--n", "2", "--k", "1")

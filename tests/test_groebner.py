@@ -3,11 +3,13 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from symgb.groebner import (
     GroebnerBasis,
     GroebnerStats,
     ZeroIdealError,
+    _Packed,
     buchberger,
     divide,
     is_groebner_basis,
@@ -18,10 +20,13 @@ from symgb.groebner import (
     s_polynomial,
 )
 from symgb.poly import (
+    ArityMismatchError,
     Polynomial,
     ZeroPolynomialError,
     lex_key,
     mono_divides,
+    mono_lcm,
+    mono_mul,
     parse_polynomial,
 )
 from symgb.symfunc import (
@@ -137,6 +142,20 @@ class TestBuchberger:
         with pytest.raises(ZeroIdealError):
             buchberger([Polynomial.zero(3)])
 
+    @pytest.mark.parametrize("product_criterion", [True, False])
+    def test_generators_of_different_arity(self, product_criterion):
+        # leading monomials are compared packed, and packing does not see
+        # the arity; x1 + x2 and x1 + x3 would otherwise be mixed up
+        with pytest.raises(ArityMismatchError, match="^arity mismatch: 2 vs 3$"):
+            buchberger([P("x1+x2", 2), Polynomial.zero(2), P("x1+x3", 3)],
+                       product_criterion)
+
+    def test_divisors_and_basis_elements_of_different_arity(self):
+        with pytest.raises(ArityMismatchError, match="^arity mismatch: 2 vs 3$"):
+            divide(P("x1*x2", 2), [P("x2", 2), P("x1+x3", 3)])
+        with pytest.raises(ArityMismatchError, match="^arity mismatch: 2 vs 3$"):
+            reduce_basis(GroebnerBasis(2, (P("x1+x2", 2), P("x1+x3", 3))))
+
     def test_generators_reduce_to_zero(self, rng):
         for _ in range(50):
             gens = [random_polynomial(rng, 3, 3, 3, allow_zero=False)
@@ -162,16 +181,45 @@ class TestBuchberger:
         gb = reduce_basis(buchberger([P("x1+1"), P("x1")]))
         assert list(gb.elements) == [Polynomial.one(3)]
 
+    def test_generators_enter_reduced(self):
+        # x1 enters reduced by x1+1 as the constant -1, which ends the run;
+        # a duplicate or a multiple of an element reduces to zero and is
+        # dropped; the reference path admits every generator as it is
+        gb = buchberger([P("x1+1"), P("x1"), P("x2")])
+        assert list(gb) == [Polynomial.one(3)] and gb.stats.pairs == 1
+        f = P("2*x1*x2+x1")
+        assert list(buchberger([f, f, f * P("x3-1")])) == [f.monic()]
+        ref = buchberger([f, f], product_criterion=False)
+        assert list(ref) == [f.monic()] * 2 and ref.stats.reductions == 0
+
+    def test_fast_path_against_reference_path(self, rng):
+        # each ideal is given again with a duplicate, a multiple and a
+        # redundant combination of its generators, and once as the unit
+        # ideal: g0 and q g0 + c enter first, and q g0 + c reduces to c
+        for arity in (2,) * 15 + (3,) * 15:
+            gens = [random_polynomial(rng, arity, 3, 3, allow_zero=False)
+                    for _ in range(rng.randint(1, 3))]
+            q = random_polynomial(rng, arity, 2, 2, allow_zero=False)
+            unit = gens[0] * q + rng.choice([1, Fraction(-2, 3)])
+            expected = reduced_groebner_basis(gens)
+            for variant in (gens + [gens[0]], [gens[-1] * Fraction(3, 2)] + gens,
+                            gens + [gens[0] * q + gens[-1]],
+                            [gens[0], unit] + gens[1:]):
+                gb = reduced_groebner_basis(variant)
+                assert gb == reduce_basis(buchberger(variant, product_criterion=False))
+                assert gb == (GroebnerBasis(arity, (Polynomial.one(arity),))
+                              if unit in variant else expected)
+
     def test_no_zero_reductions_on_the_paper_ideal(self):
+        # e_i reduced by h_{1,n}, ..., h_{i-1,n-i+2} is (-1)^(i-1) h_{i,n-i+1},
+        # whose leading monomial x_{n-i+1}^i is coprime to all the others:
+        # every pair is skipped by the product criterion and none is reduced
         for n in range(1, 8):
             gb = buchberger([elementary(i, n) for i in range(1, n + 1)])
             s = gb.stats
-            assert s.zero_reductions == 0, n
-            # every pair formed is skipped or reduced, and each reduction
-            # adds one element h_{i,n-i+1}, i >= 2
-            assert s.pairs == s.product_skipped + s.chain_skipped + s.reductions
-            assert s.reductions == n - 1
-            assert reduce_basis(gb).elements == tuple(conjectured_gb_ek(n, n))
+            assert s.reductions == s.zero_reductions == s.chain_skipped == 0, n
+            assert s.pairs == s.product_skipped == n * (n - 1) // 2
+            assert gb.elements == tuple(conjectured_gb_ek(n, n))
 
     def test_reference_path_processes_every_pair(self):
         gens = [elementary(i, 4) for i in range(1, 5)]
@@ -239,7 +287,7 @@ class TestAgainstSympy:
     def test_ideal_that_first_in_first_out_selection_stalls_on(self):
         # with the Gebauer-Moller deletions, first-in-first-out selection
         # makes 19 reductions here and spends seconds on huge coefficients;
-        # least-lcm selection makes 13 and finishes in milliseconds
+        # degree-first selection makes 13 and finishes in milliseconds
         sympy = pytest.importorskip("sympy")
         gens = [P("3/2*x2*x3^2-x1*x3+3*x2"), P("-3*x1*x2-1/6"),
                 P("-x3^3-3*x1+2/3")]
@@ -392,6 +440,57 @@ class TestOverflowIdeals:
         assert is_reduced(gb.elements) and is_groebner_basis(gb.elements)
         assert all(normal_form(g, gb).is_zero() for g in gens)
 
+    def test_fields_widen_with_pairs_queued(self, monkeypatch):
+        # the 1-byte fields overflow while pairs are queued, so their
+        # packed lcms are re-packed along with the reducers; left as they
+        # were, they would be compared with wider ones, and the basis of
+        # this ideal would come out wrong
+        queued = []
+        widen = _Packed.widen
+
+        def recording(packed):
+            queued.append(len(packed.pairs))
+            widen(packed)
+
+        monkeypatch.setattr(_Packed, "widen", recording)
+        gens = [P(g) for g in ("x3^3-x1^25*x2", "x2^3-x1^72",
+                               "x3*x2^2-x1^29*x3", "x3*x2*x1-x2")]
+        gb = reduced_groebner_basis(gens)
+        assert max(queued) > 1
+        assert "; ".join(map(str, gb)) == (
+            "x3^3-x1^72; x1^29*x3-x1^72; x2-x1^72; x1^73-x1^72")
+        assert gb == reduce_basis(buchberger(gens, product_criterion=False))
+
+
+def packed_monomials(width):
+    """Pairs of monomials of one arity whose exponents are below the guard
+    bit of ``width``-byte fields, the edges drawn often."""
+    top = 2 ** (8 * width - 1) - 1
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, top),
+                         st.sampled_from([top - 1, top]))
+    return st.integers(1, 4).flatmap(lambda arity: st.tuples(
+        *[st.tuples(*[exponent] * arity)] * 2))
+
+
+class TestPackedMonomials:
+    # the kernel's packed lcm, coprimality and divisibility tests against
+    # the tuple operations, at every exponent a field of 1-3 bytes holds
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_against_tuple_monomials(self, width):
+        @given(packed_monomials(width))
+        def check(ab):
+            a, b = ab
+            packed = _Packed(len(a), (), 2 ** (8 * width - 1) - 1)
+            assert packed.width == width
+            ka, kb = packed.pack(a), packed.pack(b)
+            m = packed.lcm(ka, kb)
+            assert packed.unpack(m) == mono_lcm(a, b) and m == packed.lcm(kb, ka)
+            assert (m == ka + kb) == (mono_lcm(a, b) == mono_mul(a, b))
+            assert (not (kb - ka) & packed.guard) == mono_divides(a, b)
+            assert (ka < kb) == (lex_key(a) < lex_key(b))
+
+        check()
+
 
 def shifted(p, c):
     """p(x_1 + c_1, ..., x_n + c_n)."""
@@ -434,16 +533,17 @@ class TestRationalIdeals:
         assert is_reduced(gb.elements)
 
     def test_peak_coefficient_bits(self):
-        # made primitive, the generators are 2 x1 - 3 and 7 x2^2 - 5 x1
-        # (coprime leading monomials, so nothing else enters); 7 has 3 bits
+        # made primitive, the generators are 2 x1 - 3 and 7 x2^2 - 5 x1; the
+        # second enters reduced by the first, as 14 x2^2 - 15 (coprime
+        # leading monomials, so nothing else enters); 14 and 15 have 4 bits
         gb = buchberger([P("x1-3/2", 2), P("x2^2-5/7*x1", 2)])
-        assert gb.stats.peak_coeff_bits == 3
+        assert gb.stats.peak_coeff_bits == 4
         assert buchberger([elementary(i, 4) for i in (1, 2)]).stats.peak_coeff_bits == 1
 
     def test_stats_of_a_subset_ideal(self):
         # <e_2,e_4,e_5,e_6> at n=6: most of its remainders are rational
         gb = buchberger([elementary(i, 6) for i in (2, 4, 5, 6)])
         assert gb.stats.record() == (
-            "pairs=13941 product_skipped=108 chain_skipped=12777 "
-            "reductions=972 zero_reductions=633 peak_basis=65 "
-            "peak_coeff_bits=10")
+            "pairs=136 product_skipped=10 chain_skipped=87 "
+            "reductions=39 zero_reductions=26 peak_basis=17 "
+            "peak_coeff_bits=3")

@@ -124,6 +124,14 @@ def test_carrier_sweep_refused_before_its_first_cell(monkeypatch, target, n_lo,
     assert results and all(r.ok for r in results)
 
 
+@pytest.mark.parametrize("target, n_lo, n_hi", [
+    ("gb-e1ek", 1, 1), ("gb-ek", 4, 3), ("hilbert", 2, 1)])
+def test_range_without_a_cell(target, n_lo, n_hi):
+    with pytest.raises(ValueError, match=(
+            rf"^{target} has no cell for n in {n_lo}..{n_hi}$")):
+        run_sweep(target, n_lo, n_hi)
+
+
 def test_unknown_target():
     with pytest.raises(ValueError, match="unknown target"):
         run_sweep("gb", 1, 2)
