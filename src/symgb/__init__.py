@@ -45,18 +45,13 @@ from .symfunc import (
 )
 from .involution import (
     CertReport,
-    SignedPair,
-    apply_f,
     certify_involution,
-    enumerate_carrier,
-    in_carrier,
 )
 from .hilbert import (
     NonArtinianError,
     SeriesPoly,
     closed_form_series,
     hilbert_numerator,
-    quotient_dimension,
     staircase_series,
 )
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import factorial
 from operator import le
 from typing import Dict, List, Sequence
 
@@ -200,12 +199,3 @@ def closed_form_series(n: int) -> SeriesPoly:
                 out[d + shift] += c
         coeffs = out
     return SeriesPoly(_trim(coeffs))
-
-
-def quotient_dimension(n: int) -> int:
-    """Total dimension of the quotient: always n!."""
-    dim = closed_form_series(n).dimension()
-    if dim != factorial(n):
-        raise ArithmeticError(
-            f"closed form has dimension {dim}, not {n}! = {factorial(n)}")
-    return dim

@@ -21,8 +21,9 @@ Both carriers have sum_i C(n, i) C(n-i, k-i) = 2^k C(n, k) pairs, and
 count, before any pair is enumerated.
 
 Each family is one ``Family`` entry of ``FAMILIES``, and every function here
-works through that table on plain ``(a, b)`` tuples of sorted elements;
-``SignedPair`` is the public view of one pair.
+works through that table on plain ``(a, b)`` tuples of sorted elements; the
+certificate and the trace both stream the carrier through ``_iter_carrier``,
+so neither starts on a carrier that ``refuse_carrier`` refuses.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb
 from operator import le, lt
-from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Tuple
 
 from .poly import Polynomial
 from .symfunc import weight
@@ -145,52 +146,14 @@ def _format_pair(a: tuple, b: tuple) -> str:
     return f"({fmt(a)}|{fmt(b)})"
 
 
-@dataclass(frozen=True)
-class SignedPair:
-    family: str
-    k: int
-    n: int
-    a: tuple
-    b: tuple
-
-    @property
-    def sign(self) -> int:
-        return -1 if len(self.a) % 2 else 1
-
-    def weight_monomial(self) -> tuple:
-        return weight(self.a + self.b, max(self.n, 1))
-
-    def __str__(self) -> str:
-        return _format_pair(self.a, self.b)
-
-
-def in_carrier(p: SignedPair) -> bool:
-    """Explicit membership test for the pair's carrier; A and B are tuples."""
-    member = _family(p.family).member
-    return (isinstance(p.a, tuple) and isinstance(p.b, tuple)
-            and member(p.k, p.n, p.a, p.b))
-
-
 def _iter_carrier(family: str, k: int, n: int) -> Iterator[Pair]:
-    """Stream the carrier's (a, b) pairs in ``enumerate_carrier`` order."""
+    """Stream the carrier's (a, b) pairs in (|A|, A, B) order, after
+    ``refuse_carrier`` has passed the carrier's closed-form size."""
     spec = _family(family)
     if k < 1:
         raise ValueError("carrier requires k >= 1")
+    refuse_carrier(family, k, n)
     return spec.carrier(k, n)
-
-
-def enumerate_carrier(family: str, k: int, n: int) -> List[SignedPair]:
-    """All carrier pairs, ordered lexicographically by (|A|, A, B)."""
-    return [SignedPair(family, k, n, a, b) for a, b in _iter_carrier(family, k, n)]
-
-
-def apply_f(p: SignedPair) -> SignedPair:
-    """One application of the family's sign-reversing involution."""
-    if not in_carrier(p):
-        raise ValueError(f"{p} is not in the {p.family} carrier")
-    if not p.a and not p.b:
-        raise ValueError("involution undefined on the empty pair (k=0)")
-    return SignedPair(p.family, p.k, p.n, *FAMILIES[p.family].step(p.a, p.b))
 
 
 @dataclass(frozen=True)

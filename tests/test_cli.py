@@ -256,14 +256,13 @@ class TestInvolutionAndHilbert:
         for family in involution.FAMILIES:
             for n in range(1, 7):
                 for k in range(1, n + 3):
-                    carrier = involution.enumerate_carrier(family, k, n)
-                    assert carrier_size(family, k, n) == len(carrier)
+                    pairs = involution.FAMILIES[family].carrier(k, n)
+                    assert carrier_size(family, k, n) == sum(1 for _ in pairs)
 
-    def test_huge_carrier_refused_without_enumerating(self, capsys, monkeypatch):
-        monkeypatch.setattr(involution, "_iter_carrier", refuse)
-        monkeypatch.setattr(involution, "certify_involution", refuse)
+    def test_huge_carrier_refused_without_enumerating(self, capsys, patch_family):
         over = involution.MAX_CARRIER_PAIRS + 1
         for family in involution.FAMILIES:
+            patch_family(family, carrier=refuse)
             assert carrier_size(family, 60, 60) == over
             assert carrier_size(family, 10**12, 10**12) == over
             assert carrier_size(family, 10**12 + 1, 10**12) == 0

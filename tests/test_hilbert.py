@@ -11,7 +11,6 @@ from symgb.hilbert import (
     SeriesPoly,
     closed_form_series,
     hilbert_numerator,
-    quotient_dimension,
     staircase_series,
 )
 from symgb.poly import mono_divides
@@ -206,18 +205,6 @@ class TestClosedForm:
     def test_inversion_count_oracle(self):
         for n in range(1, 7):
             assert closed_form_series(n).coeffs == inversion_counts(n)
-
-    def test_quotient_dimension(self):
-        assert quotient_dimension(1) == 1
-        assert quotient_dimension(3) == 6
-        assert quotient_dimension(6) == 720
-
-    def test_quotient_dimension_checks_the_closed_form(self, monkeypatch):
-        import symgb.hilbert as hilbert
-        monkeypatch.setattr(hilbert, "closed_form_series",
-                            lambda n: SeriesPoly((1, 1)))
-        with pytest.raises(ArithmeticError):
-            quotient_dimension(3)
 
 
 class TestAgainstGroebner:

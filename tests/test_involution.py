@@ -1,18 +1,26 @@
+from functools import partial
 from math import comb
 
 import pytest
 
 from symgb import involution
-from symgb.involution import (
-    SignedPair,
-    apply_f,
-    certify_involution,
-    enumerate_carrier,
-    in_carrier,
-    orbit_trace,
-)
+from symgb.involution import certify_involution, orbit_trace
 from symgb.poly import Polynomial, format_polynomial
-from symgb.symfunc import elementary, homogeneous
+from symgb.symfunc import elementary, homogeneous, weight
+
+
+def carrier(family, k, n):
+    """The family's carrier pairs (a, b), as its ``FAMILIES`` entry yields them."""
+    return list(involution.FAMILIES[family].carrier(k, n))
+
+
+def sign(pair):
+    return (-1) ** len(pair[0])
+
+
+def pair_weight(n, pair):
+    a, b = pair
+    return weight(a + b, max(n, 1))
 
 
 def broken_steps(family, k, n, good):
@@ -26,9 +34,7 @@ def broken_steps(family, k, n, good):
         return qa, qb + (n + 1,)
 
     def not_involutive(a, b):
-        sign = SignedPair(family, k, n, a, b).sign
-        return next((q.a, q.b) for q in enumerate_carrier(family, k, n)
-                    if q.sign != sign)
+        return next(q for q in carrier(family, k, n) if sign(q) != sign((a, b)))
 
     def unsorted_image(a, b):
         # on the orbits whose two pairs both have an unsorted arrangement,
@@ -66,32 +72,28 @@ FLAGS = ("carrier_closed", "is_involution", "sign_reversing",
 
 
 def reference_certificate(family, k, n, step):
-    """The carrier size and the five flags, from the public view alone: the
-    enumerated pairs, ``step`` on them, ``in_carrier``, ``.sign`` and
-    ``.weight_monomial``."""
-    carrier = enumerate_carrier(family, k, n)
+    """The carrier size and the five flags, from the family's ``carrier``
+    and ``member``, ``step`` on each pair, and each pair's sign (-1)^|A|
+    and weight."""
+    member = involution.FAMILIES[family].member
+    pairs = carrier(family, k, n)
     flags = dict.fromkeys(FLAGS, True)
-    for p in carrier:
-        q = step(p)
-        if not in_carrier(q):
+    for p in pairs:
+        q = step(*p)
+        if not member(k, n, *q):
             flags["carrier_closed"] = False
             continue
         flags["fixed_point_free"] &= q != p
-        flags["sign_reversing"] &= q.sign == -p.sign
-        flags["is_involution"] &= step(q) == p
-    weights = Polynomial(max(n, 1), [(p.weight_monomial(), p.sign) for p in carrier])
+        flags["sign_reversing"] &= sign(q) == -sign(p)
+        flags["is_involution"] &= step(*q) == p
+    weights = Polynomial(max(n, 1), [(pair_weight(n, p), sign(p)) for p in pairs])
     flags["weight_sum_zero"] = weights.is_zero()
-    return {"carrier_size": len(carrier), **flags}
+    return {"carrier_size": len(pairs), **flags}
 
 
 def report_fields(r):
     return {"carrier_size": r.carrier_size,
             **{f: getattr(r, f) for f in FLAGS}}
-
-
-def pair_step(step):
-    """A step on (a, b) as a step on ``SignedPair``s."""
-    return lambda p: SignedPair(p.family, p.k, p.n, *step(p.a, p.b))
 
 
 def reference_member(family, k, n, a, b):
@@ -127,15 +129,11 @@ def perturbed(family, k, n, a, b):
     return out
 
 
-def pairs_as_tuples(carrier):
-    return [(p.a, p.b) for p in carrier]
-
-
-def sorted_step(p):
+def sorted_step(family, a, b):
     """The involution rule as the module docstring states it, re-sorting
     both sides after the move."""
-    a, b = list(p.a), list(p.b)
-    if p.family == "hkn":
+    a, b = list(a), list(b)
+    if family == "hkn":
         from_b = bool(b) and (not a or min(b) < min(a))
         x = min(b) if from_b else min(a)
     else:
@@ -147,28 +145,25 @@ def sorted_step(p):
     else:
         a.remove(x)
         b.append(x)
-    return SignedPair(p.family, p.k, p.n, tuple(sorted(a)), tuple(sorted(b)))
+    return tuple(sorted(a)), tuple(sorted(b))
 
 
 class TestEnumeration:
     def test_hkn_k2_n2(self):
-        carrier = enumerate_carrier("hkn", 2, 2)
-        assert pairs_as_tuples(carrier) == [
+        assert carrier("hkn", 2, 2) == [
             ((), (1, 1)), ((1,), (1,)), ((2,), (1,)), ((1, 2), ())]
 
     def test_hkn_k1_n1(self):
-        carrier = enumerate_carrier("hkn", 1, 1)
-        assert pairs_as_tuples(carrier) == [((), (1,)), ((1,), ())]
+        assert carrier("hkn", 1, 1) == [((), (1,)), ((1,), ())]
 
     def test_ekn_k1_n2(self):
-        carrier = enumerate_carrier("ekn", 1, 2)
-        assert pairs_as_tuples(carrier) == [
+        assert carrier("ekn", 1, 2) == [
             ((), (1,)), ((), (2,)), ((1,), ()), ((2,), ())]
 
     def test_hkn_cardinality_formula(self):
         for n in range(1, 7):
             for k in range(1, n + 1):
-                size = len(enumerate_carrier("hkn", k, n))
+                size = len(carrier("hkn", k, n))
                 expected = sum(
                     comb(n, i) * comb((n - k + 1) + (k - i) - 1, k - i)
                     for i in range(k + 1))
@@ -176,11 +171,12 @@ class TestEnumeration:
 
     def test_no_duplicates_and_membership(self):
         for family in ("hkn", "ekn"):
+            member = involution.FAMILIES[family].member
             for n in range(1, 6):
                 for k in range(1, n + 1):
-                    carrier = enumerate_carrier(family, k, n)
-                    assert len(set(carrier)) == len(carrier)
-                    assert all(in_carrier(p) for p in carrier)
+                    pairs = carrier(family, k, n)
+                    assert len(set(pairs)) == len(pairs)
+                    assert all(member(k, n, a, b) for a, b in pairs)
 
     @pytest.mark.parametrize("family", ["hkn", "ekn"])
     def test_member_matches_the_reference_near_the_carrier(self, family):
@@ -188,57 +184,55 @@ class TestEnumeration:
         rejected = 0
         for n in range(1, 7):
             for k in range(1, n + 3):
-                for p in enumerate_carrier(family, k, n):
-                    assert member(k, n, p.a, p.b)
-                    for a, b in perturbed(family, k, n, p.a, p.b):
+                for p in carrier(family, k, n):
+                    assert member(k, n, *p)
+                    for a, b in perturbed(family, k, n, *p):
                         want = reference_member(family, k, n, a, b)
                         assert member(k, n, a, b) == want, (k, n, a, b)
-                        assert in_carrier(SignedPair(family, k, n, a, b)) == want
                         rejected += not want
         assert rejected > 0
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            enumerate_carrier("xyz", 1, 1)
+        with pytest.raises(ValueError, match="unknown family 'xyz'"):
+            certify_involution("xyz", 1, 1)
+        with pytest.raises(ValueError, match="unknown family 'xyz'"):
+            next(orbit_trace("xyz", 1, 1))
 
 
 class TestApplyF:
+    """The family's ``step``, the involution f on carrier pairs."""
+
     def test_hkn_examples(self):
-        p = SignedPair("hkn", 2, 2, (2,), (1,))
-        assert apply_f(p) == SignedPair("hkn", 2, 2, (1, 2), ())
-        p = SignedPair("hkn", 2, 2, (1,), (1,))
-        assert apply_f(p) == SignedPair("hkn", 2, 2, (), (1, 1))
-        p = SignedPair("hkn", 2, 2, (), (1, 1))
-        assert apply_f(p) == SignedPair("hkn", 2, 2, (1,), (1,))
+        step = involution.FAMILIES["hkn"].step
+        assert step((2,), (1,)) == ((1, 2), ())
+        assert step((1,), (1,)) == ((), (1, 1))
+        assert step((), (1, 1)) == ((1,), (1,))
 
     def test_outside_carrier_rejected(self):
-        with pytest.raises(ValueError):
-            apply_f(SignedPair("hkn", 2, 2, (3,), (1,)))
-        with pytest.raises(ValueError):
-            apply_f(SignedPair("ekn", 1, 2, (), (1, 1)))
-        with pytest.raises(ValueError):
-            apply_f(SignedPair("hkn", 2, 2, [1], (1,)))
+        assert not involution.FAMILIES["hkn"].member(2, 2, (3,), (1,))
+        assert not involution.FAMILIES["ekn"].member(1, 2, (), (1, 1))
 
     def test_flip_matches_the_sorted_rule(self):
         for family in ("hkn", "ekn"):
-            step = pair_step(involution.FAMILIES[family].step)
+            step = involution.FAMILIES[family].step
             for n in range(1, 7):
                 for k in range(1, n + 1):
-                    for p in enumerate_carrier(family, k, n):
-                        assert step(p) == sorted_step(p), p
+                    for p in carrier(family, k, n):
+                        assert step(*p) == sorted_step(family, *p), p
 
     def test_involution_laws_sweep(self):
         for family in ("hkn", "ekn"):
+            spec = involution.FAMILIES[family]
             for n in range(1, 7):
                 for k in range(1, n + 1):
-                    for p in enumerate_carrier(family, k, n):
-                        q = apply_f(p)
-                        assert in_carrier(q), (family, k, n, p)
+                    for p in carrier(family, k, n):
+                        q = spec.step(*p)
+                        assert spec.member(k, n, *q), (family, k, n, p)
                         assert q != p
-                        assert q.sign == -p.sign
-                        assert abs(len(q.a) - len(p.a)) == 1
-                        assert q.weight_monomial() == p.weight_monomial()
-                        assert apply_f(q) == p
+                        assert sign(q) == -sign(p)
+                        assert abs(len(q[0]) - len(p[0])) == 1
+                        assert pair_weight(n, q) == pair_weight(n, p)
+                        assert spec.step(*q) == p
 
 
 class TestCertification:
@@ -256,11 +250,10 @@ class TestCertification:
             for k in range(1, n + 1):
                 for family in ("hkn", "ekn"):
                     groups = {}
-                    for p in enumerate_carrier(family, k, n):
-                        i = len(p.a)
-                        groups.setdefault(i, []).append(p)
+                    for p in carrier(family, k, n):
+                        groups.setdefault(len(p[0]), []).append(p)
                     for i, ps in groups.items():
-                        got = Polynomial(n, [(p.weight_monomial(), 1) for p in ps])
+                        got = Polynomial(n, [(pair_weight(n, p), 1) for p in ps])
                         if family == "hkn":
                             want = elementary(i, n, n) * homogeneous(k - i, n - k + 1, n)
                         else:
@@ -283,7 +276,7 @@ class TestCertification:
         r = certify_involution(family, 2, 3)
         assert {f for f in FLAGS if not getattr(r, f)} == off
         assert not r.ok
-        assert report_fields(r) == reference_certificate(family, 2, 3, pair_step(step))
+        assert report_fields(r) == reference_certificate(family, 2, 3, step)
 
     @pytest.mark.parametrize("broken", ["unsorted_image", "out_of_range"])
     @pytest.mark.parametrize("family", ["hkn", "ekn"])
@@ -295,8 +288,7 @@ class TestCertification:
                 patch_family(family, step=step)
                 r = certify_involution(family, k, n)
                 assert {f for f in FLAGS if not getattr(r, f)} == {"carrier_closed"}
-                assert report_fields(r) == reference_certificate(
-                    family, k, n, pair_step(step))
+                assert report_fields(r) == reference_certificate(family, k, n, step)
 
     @pytest.mark.parametrize("family", ["hkn", "ekn"])
     def test_matches_the_reference_certificate(self, family):
@@ -304,15 +296,42 @@ class TestCertification:
             for k in range(1, n + 3):
                 r = certify_involution(family, k, n)
                 assert report_fields(r) == reference_certificate(
-                    family, k, n, sorted_step), (k, n)
+                    family, k, n, partial(sorted_step, family)), (k, n)
 
-    def test_carrier_is_streamed(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("certify must not build the carrier list")
+    def test_carrier_is_streamed(self, patch_family):
+        # each pair is stepped before the next one is drawn, so neither the
+        # certificate nor the trace holds the carrier as a list
+        for family in ("hkn", "ekn"):
+            spec = involution.FAMILIES[family]
+            steps = []
 
-        monkeypatch.setattr(involution, "enumerate_carrier", refuse)
-        assert certify_involution("hkn", 3, 4).ok
-        assert certify_involution("ekn", 3, 4).ok
+            def counted_step(a, b, step=spec.step):
+                steps.append((a, b))
+                return step(a, b)
+
+            def checked_carrier(k, n, pairs=spec.carrier):
+                stepped = None
+                for p in pairs(k, n):
+                    assert stepped is None or len(steps) > stepped, \
+                        "a pair was drawn before the previous one was stepped"
+                    stepped = len(steps)
+                    yield p
+
+            patch_family(family, step=counted_step, carrier=checked_carrier)
+            assert certify_involution(family, 3, 4).ok
+            assert len(list(orbit_trace(family, 3, 4))) == 2**2 * comb(4, 3)
+
+    def test_carrier_over_the_limit_is_refused_before_enumerating(self, patch_family):
+        def refuse(k, n):
+            raise AssertionError("the carrier must not be enumerated")
+
+        patch_family("hkn", carrier=refuse)
+        limit = f"more than the limit of {involution.MAX_CARRIER_PAIRS} pairs"
+        for k, n in ((60, 60), (20, 25)):
+            with pytest.raises(ValueError, match=f"k={k}, n={n} has {limit}"):
+                certify_involution("hkn", k, n)
+            with pytest.raises(ValueError, match=f"k={k}, n={n} has {limit}"):
+                next(orbit_trace("hkn", k, n))
 
     @pytest.mark.parametrize("family", ["hkn", "ekn"])
     def test_one_validation_per_pair(self, patch_family, family):
@@ -335,18 +354,24 @@ class TestCertification:
         ]
 
 
+def show(pair):
+    """A pair as the trace prints it: "({1,2}|{})"."""
+    return "(" + "|".join("{" + ",".join(map(str, side)) + "}" for side in pair) + ")"
+
+
 def set_based_trace(family, k, n):
     """The trace by the rule of a visited set: one line per orbit, made at
     whichever of its two pairs the carrier yields first."""
+    step = involution.FAMILIES[family].step
     seen = set()
     lines = []
-    for p in enumerate_carrier(family, k, n):
+    for p in carrier(family, k, n):
         if p in seen:
             continue
-        q = apply_f(p)
+        q = step(*p)
         seen.update((p, q))
-        wpoly = Polynomial(max(n, 1), [(p.weight_monomial(), p.sign)])
-        lines.append(f"{p} <-> {q} weight {format_polynomial(wpoly)}")
+        wpoly = Polynomial(max(n, 1), [(pair_weight(n, p), sign(p))])
+        lines.append(f"{show(p)} <-> {show(q)} weight {format_polynomial(wpoly)}")
     return lines
 
 
@@ -357,7 +382,7 @@ class TestOrbitTrace:
             for k in range(1, n + 1):
                 lines = list(orbit_trace(family, k, n))
                 assert lines == set_based_trace(family, k, n)
-                assert 2 * len(lines) == len(enumerate_carrier(family, k, n))
+                assert 2 * len(lines) == len(carrier(family, k, n))
 
     def test_trace_is_streamed(self):
         trace = orbit_trace("hkn", 8, 13)
