@@ -7,7 +7,7 @@ import heapq
 from dataclasses import dataclass, field, fields
 from itertools import combinations, count
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .poly import (
     ArityMismatchError,
@@ -16,10 +16,7 @@ from .poly import (
     _exact_div,
     _max_exponent,
     _packers,
-    _product_sum,
-    mono_div,
     mono_divides,
-    mono_lcm,
 )
 
 
@@ -203,6 +200,27 @@ class _Packed:
         return Polynomial._trusted(self.arity, tuple(
             (unpack(k), _exact_div(c, scale)) for k, c in terms))
 
+    def s_remainder(self, i: int, j: int, basis: Sequence[int]) -> Optional[tuple]:
+        """:meth:`reduce`'s (remainder, scale) of the S-polynomial of reducers
+        i and j by the reducers at ``basis``, or None when it is zero; read by
+        index, so that a :meth:`run` redone after a widen reads them anew."""
+        (li, di, ti, _), (lj, dj, tj, _) = self.reducers[i], self.reducers[j]
+        top = self.lcm(li, lj)
+        # polynomial i is reducer i over di, so S times L = lcm(di, dj) is the
+        # tails times L / di and L / dj, shifted to the lcm, seeded as the work
+        g = gcd(di, dj)
+        ai, aj = dj // g, di // g
+        work = {k + (top - li): ai * c for k, c in ti}
+        get, shift = work.get, top - lj
+        for k, c in tj:
+            k += shift
+            work[k] = get(k, 0) - aj * c
+        if any(k & self.guard for k in work):
+            raise _Overflow
+        if not any(work.values()):
+            return None
+        return self.reduce(work, ai * di, [self.reducers[b] for b in basis])
+
     def reduce(self, work: dict, scale: int, reducers: Sequence[tuple],
                quotients: Optional[list] = None) -> tuple:
         """Reduce work / scale, for the packed int ``work`` (consumed), by
@@ -261,21 +279,15 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """(lcm/LT(f))*f - (lcm/LT(g))*g for the lcm of the leading monomials."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomialError("s_polynomial of a zero polynomial")
-    fc, fm = f.leading_term()
-    gc, gm = g.leading_term()
-    lcm = mono_lcm(fm, gm)
-    arity = f.arity
-    return _product_sum(arity, (
-        (_exact_div(1, fc), Polynomial._trusted(arity, ((mono_div(lcm, fm), 1),)), f),
-        (-_exact_div(1, gc), Polynomial._trusted(arity, ((mono_div(lcm, gm), 1),)), g)))
+    packed = _Packed(f.arity, (f, g))
+    r, scale = packed.run(packed.s_remainder, 0, 1, ()) or ({}, 1)
+    return packed.polynomial(r.items(), scale)
 
 
-def normal_form(f: Polynomial,
-                basis: Union[GroebnerBasis, Sequence[Polynomial]]) -> Polynomial:
+def normal_form(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
     """Remainder of f on division by the basis; zero iff f is in the ideal
     when the basis is a Groebner basis."""
-    elements = list(basis)
-    return divide(f, elements).remainder if elements else f
+    return divide(f, list(basis)).remainder
 
 
 def buchberger(generators: Iterable[Polynomial],
@@ -366,27 +378,6 @@ def _buchberger(generators: Iterable[Polynomial], product_criterion: bool) -> tu
             return work
         return packed.reduce(work, 1, [reducers[ig] for ig in active])[0]
 
-    def s_remainder(i: int, j: int) -> Optional[dict]:
-        """The packed remainder of the S-polynomial of elements i and j on
-        the active basis, or None when the S-polynomial is zero."""
-        (li, di, ti, _), (lj, dj, tj, _) = reducers[i], reducers[j]
-        top = packed.lcm(li, lj)
-        # element i is reducer i over di, so S times lcm(di, dj) is the
-        # difference of the tails times lcm(di, dj) / di and / dj, shifted
-        # to the lcm monomial; it is seeded straight into the work
-        g = gcd(di, dj)
-        ai, aj = dj // g, di // g
-        work = {k + (top - li): ai * c for k, c in ti}
-        get, shift = work.get, top - lj
-        for k, c in tj:
-            k += shift
-            work[k] = get(k, 0) - aj * c
-        if any(k & packed.guard for k in work):
-            raise _Overflow
-        if not any(work.values()):
-            return None
-        return packed.reduce(work, ai * di, [reducers[ig] for ig in active])[0]
-
     for g in gens:
         r = packed.run(entry, g)
         if r:
@@ -395,9 +386,9 @@ def _buchberger(generators: Iterable[Polynomial], product_criterion: bool) -> tu
                 return packed, active, stats  # a constant: the unit ideal
     while pairs:
         *_, i, j = heapq.heappop(pairs)
-        r = packed.run(s_remainder, i, j)
-        if r is None:
+        if (s := packed.run(packed.s_remainder, i, j, active)) is None:
             continue
+        r = s[0]
         stats.reductions += 1
         stats.zero_reductions += not r
         if r:
@@ -441,11 +432,20 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
 
 
 def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:
-    """Check Buchberger's criterion: every pairwise S-polynomial has
-    remainder zero on division by the set."""
+    """Check Buchberger's criterion: every pairwise S-polynomial has remainder
+    zero on division by the set; a pair of coprime leading monomials has,
+    and is skipped (Buchberger's first criterion)."""
     polys = [g for g in polys if not g.is_zero()]
-    return bool(polys) and all(divide(s_polynomial(f, g), polys).remainder.is_zero()
-                               for f, g in combinations(polys, 2))
+    if not polys:
+        return False
+    packed, every = _Packed(polys[0].arity, polys), range(len(polys))
+
+    def reduces_to_zero(i: int, j: int) -> bool:
+        li, lj = packed.reducers[i][0], packed.reducers[j][0]
+        coprime = packed.lcm(li, lj) == li + lj
+        return coprime or not (s := packed.s_remainder(i, j, every)) or not s[0]
+
+    return all(packed.run(reduces_to_zero, i, j) for i, j in combinations(every, 2))
 
 
 def is_reduced(polys: Sequence[Polynomial]) -> bool:

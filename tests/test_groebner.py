@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,7 +36,7 @@ from symgb.symfunc import (
     homogeneous,
     powersum,
 )
-from conftest import random_polynomial
+from conftest import random_coefficient, random_monomial, random_polynomial
 
 
 def P(text, arity=3):
@@ -117,6 +117,10 @@ class TestSPolynomial:
     def test_zero_input(self):
         with pytest.raises(ZeroPolynomialError):
             s_polynomial(P("x1"), Polynomial.zero(3))
+
+    def test_mixed_arities(self):
+        with pytest.raises(ArityMismatchError):
+            s_polynomial(P("x2+x1", 2), P("x2+x1", 3))
 
 
 class TestBuchberger:
@@ -396,6 +400,10 @@ class TestNormalForm:
             r = normal_form(f, gb)
             assert normal_form(r, gb) == r
 
+    def test_empty_basis(self, rng):
+        for f in (Polynomial.zero(3), *(random_polynomial(rng, 3, 4, 5) for _ in range(20))):
+            assert normal_form(f, []) == f
+
 
 class TestCriterionCheckers:
     def test_closed_form_basis_passes(self):
@@ -408,6 +416,70 @@ class TestCriterionCheckers:
 
     def test_criterion_counterexample(self):
         assert not is_groebner_basis([P("x2^2-x1"), P("x2*x1")])
+
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_against_all_pairs(self, rng, integral):
+        answers = []
+        for _ in range(400):
+            arity = rng.randint(1, 3)
+            polys = random_set(rng, arity, integral)
+            answers.append(is_groebner_basis(polys))
+            assert answers[-1] == all_pairs_reference(polys), polys
+        assert answers.count(True) > 50 and answers.count(False) > 50
+
+    def test_paper_bases(self):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                assert is_groebner_basis(conjectured_gb_ek(k, n)), (k, n)
+
+    def test_scalar_multiple(self):
+        f = P("3*x3^2*x1-x2+1/2")
+        assert is_groebner_basis([f, 2 * f])
+
+    def test_mixed_arities(self):
+        with pytest.raises(ArityMismatchError):
+            is_groebner_basis([P("x2^2-x1", 2), P("x2*x1", 3)])
+
+
+def s_definition(f, g):
+    """S(f, g) from its definition, on exponent tuples and Fractions, summed
+    by the validating constructor."""
+    (fc, fm), (gc, gm) = f.leading_term(), g.leading_term()
+    lcm = tuple(map(max, fm, gm))
+
+    def shifted(p, lm, c):
+        return [(tuple(a + b - e for a, b, e in zip(m, lcm, lm)), Fraction(pc) / c)
+                for m, pc in p.terms]
+    return Polynomial(f.arity, shifted(f, fm, fc) + shifted(g, gm, -gc))
+
+
+def all_pairs_reference(polys):
+    """Buchberger's criterion on every pair, with no pair skipped."""
+    polys = [g for g in polys if not g.is_zero()]
+    return bool(polys) and all(divide(s_definition(f, g), polys).remainder.is_zero()
+                               for f, g in combinations(polys, 2))
+
+
+def random_set(rng, arity, integral):
+    """1 to 4 polynomials: random ones, scalar and monomial multiples, and
+    ones whose leading monomials are powers of distinct variables, so that
+    some or all pairs are coprime."""
+    polys = []
+    for v in rng.sample(range(arity), rng.randint(0, arity)):
+        # x_v^e leads: no tail monomial has a later variable or x_v^e
+        e = rng.randint(1, 3)
+        tail = [(random_monomial(rng, v + 1, 3) + (0,) * (arity - v - 1),
+                 random_coefficient(rng, integral)) for _ in range(rng.randint(0, 3))]
+        tail = [(m, c) for m, c in tail if m[v] < e]
+        lead = tuple(e if w == v else 0 for w in range(arity))
+        polys.append(Polynomial(arity, [(lead, random_coefficient(rng, integral)), *tail]))
+    while not polys or (len(polys) < 4 and rng.random() < 0.5):
+        if polys and rng.random() < 0.3:
+            m = random_monomial(rng, arity, 2)
+            polys.append(rng.choice(polys).mul_term(m, random_coefficient(rng, integral)))
+        else:
+            polys.append(random_polynomial(rng, arity, 3, 4, integral=integral))
+    return polys
 
 
 class TestOverflowIdeals:

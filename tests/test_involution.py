@@ -334,6 +334,19 @@ class TestCertification:
                 next(orbit_trace("hkn", k, n))
 
     @pytest.mark.parametrize("family", ["hkn", "ekn"])
+    def test_empty_carrier_is_not_enumerated(self, patch_family, family):
+        # for k > n the carrier is empty, but enumerating it would build
+        # all 2^40 A sides (hkn) before finding that no B side exists
+        def refuse(k, n):
+            raise AssertionError("an empty carrier must not be enumerated")
+
+        patch_family(family, carrier=refuse)
+        r = certify_involution(family, 41, 40)
+        assert r.carrier_size == 0
+        assert all(getattr(r, f) for f in FLAGS) and r.ok
+        assert list(orbit_trace(family, 41, 40)) == []
+
+    @pytest.mark.parametrize("family", ["hkn", "ekn"])
     def test_one_validation_per_pair(self, patch_family, family):
         calls = []
         member = involution.FAMILIES[family].member

@@ -1,7 +1,8 @@
 """The packed product kernel, ``poly._product_sum``, behind ``*``,
-``mul_term``, ``s_polynomial``, the identity defects and the e1ek identity,
-against a plain reference written here: exponent tuples added componentwise,
-coefficients summed as Fractions in a dict, sorted by the reversed tuple."""
+``mul_term``, the identity defects and the e1ek identity, and the packed
+S-pair step behind ``s_polynomial`` and Buchberger, against a plain reference
+written here: exponent tuples added componentwise, coefficients summed as
+Fractions in a dict, sorted by the reversed tuple."""
 
 from fractions import Fraction
 
@@ -216,7 +217,8 @@ def test_defects_match_the_reference(monkeypatch, defect, parts, ks):
     assert nonzero > 0
 
 
-# -- mul_term and s_polynomial, formed by the same kernel
+# -- mul_term, formed by the product kernel, and s_polynomial, formed by the
+# S-pair step that Buchberger runs
 
 def nonzero(rng, arity, integral):
     if rng.random() < 0.3:
