@@ -241,13 +241,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Exact coefficients and exponents may have more digits than Python's
+    # limit on int <-> str conversion (4300 by default, from 3.10.7 on), so
+    # the command lifts it and restores it on return; the text parsed is
+    # bounded by the size of the command line.
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ValueError as exc:  # UsageError and PolyParseError included
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

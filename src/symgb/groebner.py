@@ -74,31 +74,28 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     divisible by any leading monomial of the divisors, and
     LT(f) >= LT(a_i * f_i) whenever a_i * f_i != 0.
     """
-    arity = f.arity
     if any(d.is_zero() for d in divisors):
         raise ZeroPolynomialError("zero divisor in division")
-    packed = _Packed(arity, divisors, _max_exponent(f))
     # f times the lcm of its denominators is integral
     den = lcm(*[c.denominator for _, c in f.terms])
     seed = [(m, c.numerator * (den // c.denominator)) for m, c in f.terms]
 
-    def step() -> tuple:
-        pack = packed.pack
+    def step(packed: _Packed) -> DivisionResult:
+        pack, unpack = packed.pack, packed.unpack
         quotients = [{} for _ in divisors]
-        work = {pack(m): c for m, c in seed}
-        return quotients, packed.reduce(work, den, packed.reducers, quotients)
+        remainder, scale = packed.reduce(
+            {pack(m): c for m, c in seed}, den, packed.reducers, quotients)
+        # reducer i is d_i / LC(f_i) times f_i, and a quotient term (q, s)
+        # stands for q / s times reducer i
+        return DivisionResult(
+            quotients=tuple(
+                Polynomial._trusted(f.arity, tuple(
+                    (unpack(t), _exact_div(q * d, s * g.leading_coefficient()))
+                    for t, (q, s) in qs.items()))
+                for qs, (_, d, _, _), g in zip(quotients, packed.reducers, divisors)),
+            remainder=packed.polynomial(remainder.items(), scale))
 
-    quotients, (remainder, scale) = packed.run(step)
-    # reducer i is d_i / LC(f_i) times f_i, and a quotient term (q, s)
-    # stands for q / s times reducer i
-    unpack = packed.unpack
-    return DivisionResult(
-        quotients=tuple(
-            Polynomial._trusted(arity, tuple(
-                (unpack(t), _exact_div(q * d, s * g.leading_coefficient()))
-                for t, (q, s) in qs.items()))
-            for qs, (_, d, _, _), g in zip(quotients, packed.reducers, divisors)),
-        remainder=packed.polynomial(remainder.items(), scale))
+    return _run(f.arity, divisors, _max_exponent(f), step)
 
 
 # -- the reduction kernel ----------------------------------------------------
@@ -108,7 +105,10 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
 # LMs a, b are coprime iff lcm(a, b) == a + b (see ``_Packed.lcm``).  Lex
 # reduction can raise exponents past any width (x2 - x1^100 turns x2^2 into
 # x1^200), so a monomial entering the work that sets a guard bit raises
-# _Overflow, and the caller re-packs one byte wider and redoes the reduction.
+# _Overflow, and ``_run`` builds the whole run again, from its input
+# polynomials, with fields one byte wider.  A run is deterministic and int
+# order is lex order at any width, so a run redone makes the same pairs in
+# the same order and ends with the same result and the same stats.
 #
 # Every coefficient in the kernel is an int.  A reducer is the primitive
 # integer multiple of its polynomial, and the work is reduced fraction-free:
@@ -121,40 +121,33 @@ class _Overflow(Exception):
     """A packed exponent reached the guard bit of its field."""
 
 
-class _Packed:
-    """Polynomials of one arity as the kernel's reducers: ``reducers[i]`` is
-    (LM, d, tail, i) of the primitive integer multiple of polynomial i, with
-    packed LM and tail monomials, int tail coefficients and LC d > 0.
-    ``pairs`` is the heap of pairs :func:`buchberger` has queued, as
-    (degree of lcm, packed lcm, serial, i, j), i < j."""
+def _run(arity: int, polys: Sequence[Polynomial], top: int, step):
+    """step(packed) on ``polys`` packed as reducers in fields of the fewest
+    bytes that keep every exponent, and top, under the guard bit; when the
+    step overflows, it is run again on ``polys`` packed one byte wider."""
+    for p in polys:  # packing does not see the arity
+        if p.arity != arity:
+            raise ArityMismatchError(f"arity mismatch: {arity} vs {p.arity}")
+    width = max([top, *map(_max_exponent, polys)]).bit_length() // 8 + 1
+    while True:
+        try:
+            return step(_Packed(arity, polys, width))
+        except _Overflow:
+            width += 1
 
-    def __init__(self, arity: int, polys: Iterable[Polynomial], top: int = 0):
-        self.arity = arity
-        polys = list(polys)
-        for p in polys:  # packing does not see the arity
-            if p.arity != arity:
-                raise ArityMismatchError(f"arity mismatch: {arity} vs {p.arity}")
-        # the fewest bytes that keep every exponent, and top, under the guard
-        self.width = max([top, *map(_max_exponent, polys)]).bit_length() // 8
-        self.reducers, self.pairs, self.unpack = [], [], None  # nothing to re-pack yet
-        self.widen()
-        pack = self.pack
+
+class _Packed:
+    """Polynomials of one arity as the kernel's reducers, in fields of
+    ``width`` bytes: ``reducers[i]`` is (LM, d, tail, i) of the primitive
+    integer multiple of polynomial i, with packed LM and tail monomials, int
+    tail coefficients and LC d > 0."""
+
+    def __init__(self, arity: int, polys: Iterable[Polynomial], width: int):
+        self.arity, self.width = arity, width
+        self.pack, self.unpack = pack, _ = _packers(arity, width)
+        self.guard = int.from_bytes((bytes(width - 1) + b"\x80") * arity, "little")
         self.reducers = [self.reducer([(pack(m), c) for m, c in p.terms], i)
                          for i, p in enumerate(polys)]
-
-    def widen(self) -> None:
-        """Re-pack every reducer and queued lcm, in place, with fields one byte
-        wider; packing keeps lex order, so the heap of pairs stays a heap."""
-        unpack = self.unpack
-        self.width += 1
-        self.pack, self.unpack = pack, _ = _packers(self.arity, self.width)
-        self.guard = int.from_bytes(
-            (bytes(self.width - 1) + b"\x80") * self.arity, "little")
-        self.reducers[:] = [
-            (pack(unpack(lm)), d, tuple((pack(unpack(k)), c) for k, c in tail), i)
-            for lm, d, tail, i in self.reducers]
-        self.pairs[:] = [(deg, pack(unpack(m)), s, i, j)
-                         for deg, m, s, i, j in self.pairs]
 
     def lcm(self, a: int, b: int) -> int:
         """lcm of the packed monomials a and b: the larger of each two fields."""
@@ -182,14 +175,6 @@ class _Packed:
         lm, d, tail, _ = reducer
         return self.polynomial(((lm, d), *tail), d)
 
-    def run(self, step, *args):
-        """step(*args), redone one byte wider for as long as it overflows."""
-        while True:
-            try:
-                return step(*args)
-            except _Overflow:
-                self.widen()
-
     def polynomial(self, terms: Iterable[tuple], scale: int) -> Polynomial:
         """The polynomial of packed nonzero int terms in decreasing lex order,
         divided by ``scale``."""
@@ -202,8 +187,7 @@ class _Packed:
 
     def s_remainder(self, i: int, j: int, basis: Sequence[int]) -> Optional[tuple]:
         """:meth:`reduce`'s (remainder, scale) of the S-polynomial of reducers
-        i and j by the reducers at ``basis``, or None when it is zero; read by
-        index, so that a :meth:`run` redone after a widen reads them anew."""
+        i and j by the reducers at ``basis``, or None when it is zero."""
         (li, di, ti, _), (lj, dj, tj, _) = self.reducers[i], self.reducers[j]
         top = self.lcm(li, lj)
         # polynomial i is reducer i over di, so S times L = lcm(di, dj) is the
@@ -279,9 +263,12 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """(lcm/LT(f))*f - (lcm/LT(g))*g for the lcm of the leading monomials."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomialError("s_polynomial of a zero polynomial")
-    packed = _Packed(f.arity, (f, g))
-    r, scale = packed.run(packed.s_remainder, 0, 1, ()) or ({}, 1)
-    return packed.polynomial(r.items(), scale)
+
+    def step(packed: _Packed) -> Polynomial:
+        r, scale = packed.s_remainder(0, 1, ()) or ({}, 1)
+        return packed.polynomial(r.items(), scale)
+
+    return _run(f.arity, (f, g), 0, step)
 
 
 def normal_form(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
@@ -320,82 +307,79 @@ def buchberger(generators: Iterable[Polynomial],
     S-polynomials only.  Raises :class:`ZeroIdealError` when no nonzero
     generator remains.
     """
-    packed, active, stats = _buchberger(generators, product_criterion)
-    return GroebnerBasis(packed.arity, tuple(
-        packed.monic(packed.reducers[i]) for i in active), stats=stats)
+    return _buchberger(generators, product_criterion, lambda packed, active: tuple(
+        packed.monic(packed.reducers[i]) for i in active))
 
 
-def _buchberger(generators: Iterable[Polynomial], product_criterion: bool) -> tuple:
-    """(packed, active, stats) of a :func:`buchberger` run: every element
-    that entered is a reducer of ``packed``; ``active`` indexes the basis."""
+def _buchberger(generators: Iterable[Polynomial], product_criterion: bool,
+                finish) -> GroebnerBasis:
+    """The basis finish(packed, active) of a :func:`buchberger` run, with its
+    stats: the reducers of ``packed`` are the generators and then every
+    element that entered the basis; ``active`` indexes the basis."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise ZeroIdealError("all generators are zero")
-    if (odd := next((g for g in gens if g.arity != gens[0].arity), None)) is not None:
-        raise ArityMismatchError(f"arity mismatch: {gens[0].arity} vs {odd.arity}")
-    stats = GroebnerStats()
-    packed = _Packed(gens[0].arity, (), max(map(_max_exponent, gens)))
-    # every element that entered, packed once, and the pairs queued
-    reducers, pairs, serial = packed.reducers, packed.pairs, count()
-    active: list = []  # indices into reducers of the active basis, in order
 
-    def update(reducer: tuple) -> None:
-        ih, (lh, d, tail, _) = len(reducers), reducer
-        reducers.append(reducer)
-        stats.peak_coeff_bits = max(stats.peak_coeff_bits,
-                                    max([d] + [abs(c) for _, c in tail]).bit_length())
-        lcm, guard = packed.lcm, packed.guard
-        new = [(lcm(reducers[ig][0], lh), ig) for ig in active]
-        stats.pairs += len(new)
-        if product_criterion:
-            kept = []  # (lcm, index, coprime), the set D of the update
-            for pos, (m, ig) in enumerate(new):
-                coprime = m == reducers[ig][0] + lh
-                if coprime or not (
-                        any(not (m - m2) & guard for m2, _ in new[pos + 1:])
-                        or any(not (m - m2) & guard for m2, _, _ in kept)):
-                    kept.append((m, ig, coprime))
-            stats.product_skipped += sum(c for _, _, c in kept)
-            stats.chain_skipped += len(new) - len(kept)
-            new = [(m, ig) for m, ig, coprime in kept if not coprime]
-            queued = len(pairs)
-            pairs[:] = [p for p in pairs if (p[1] - lh) & guard
-                        or lcm(reducers[p[3]][0], lh) == p[1]
-                        or lcm(reducers[p[4]][0], lh) == p[1]]
-            stats.chain_skipped += queued - len(pairs)
-            heapq.heapify(pairs)
-            active[:] = [ig for ig in active if (reducers[ig][0] - lh) & guard]
-        for m, ig in new:
-            heapq.heappush(pairs, (sum(packed.unpack(m)), m, next(serial), ig, ih))
-        active.append(ih)
-        stats.peak_basis = max(stats.peak_basis, len(active))
+    def step(packed: _Packed) -> GroebnerBasis:
+        stats = GroebnerStats()
+        reducers, lcm, guard = packed.reducers, packed.lcm, packed.guard
+        pairs: list = []  # heap of (degree of lcm, packed lcm, serial, i, j), i < j
+        serial = count()
+        active: list = []  # indices into reducers of the active basis, in order
 
-    def entry(g: Polynomial) -> dict:
-        """A multiple of g, packed; on the fast path, reduced by the basis."""
-        lm, d, tail, _ = packed.reducer([(packed.pack(m), c) for m, c in g.terms], 0)
-        work = {lm: d, **dict(tail)}
-        if not product_criterion:
-            return work
-        return packed.reduce(work, 1, [reducers[ig] for ig in active])[0]
+        def update(reducer: tuple) -> None:
+            ih, (lh, d, tail, _) = len(reducers), reducer
+            reducers.append(reducer)
+            bits = max([d] + [abs(c) for _, c in tail]).bit_length()
+            stats.peak_coeff_bits = max(stats.peak_coeff_bits, bits)
+            new = [(lcm(reducers[ig][0], lh), ig) for ig in active]
+            stats.pairs += len(new)
+            if product_criterion:
+                kept = []  # (lcm, index, coprime), the set D of the update
+                for pos, (m, ig) in enumerate(new):
+                    coprime = m == reducers[ig][0] + lh
+                    if coprime or not (
+                            any(not (m - m2) & guard for m2, _ in new[pos + 1:])
+                            or any(not (m - m2) & guard for m2, _, _ in kept)):
+                        kept.append((m, ig, coprime))
+                stats.product_skipped += sum(c for _, _, c in kept)
+                stats.chain_skipped += len(new) - len(kept)
+                new = [(m, ig) for m, ig, coprime in kept if not coprime]
+                queued = len(pairs)
+                pairs[:] = [p for p in pairs if (p[1] - lh) & guard
+                            or lcm(reducers[p[3]][0], lh) == p[1]
+                            or lcm(reducers[p[4]][0], lh) == p[1]]
+                stats.chain_skipped += queued - len(pairs)
+                heapq.heapify(pairs)
+                active[:] = [ig for ig in active if (reducers[ig][0] - lh) & guard]
+            for m, ig in new:
+                heapq.heappush(pairs, (sum(packed.unpack(m)), m, next(serial), ig, ih))
+            active.append(ih)
+            stats.peak_basis = max(stats.peak_basis, len(active))
 
-    for g in gens:
-        r = packed.run(entry, g)
-        if r:
-            update(packed.reducer(list(r.items()), len(reducers)))
-            if product_criterion and not reducers[-1][0]:
-                return packed, active, stats  # a constant: the unit ideal
-    while pairs:
-        *_, i, j = heapq.heappop(pairs)
-        if (s := packed.run(packed.s_remainder, i, j, active)) is None:
-            continue
-        r = s[0]
-        stats.reductions += 1
-        stats.zero_reductions += not r
-        if r:
-            update(packed.reducer(list(r.items()), len(reducers)))
-            if not reducers[-1][0]:  # the unit ideal: no pair can add anything
-                break
-    return packed, active, stats
+        for lm, d, tail, _ in reducers[:len(gens)]:
+            r = {lm: d, **dict(tail)}  # on the fast path, reduced by the basis
+            if product_criterion:
+                r = packed.reduce(r, 1, [reducers[ig] for ig in active])[0]
+            if r:
+                update(packed.reducer(list(r.items()), len(reducers)))
+                if product_criterion and not reducers[-1][0]:
+                    break  # a constant: the unit ideal
+        else:  # no constant entered: work through the pairs
+            while pairs:
+                *_, i, j = heapq.heappop(pairs)
+                if (s := packed.s_remainder(i, j, active)) is None:
+                    continue
+                r = s[0]
+                stats.reductions += 1
+                stats.zero_reductions += not r
+                if r:
+                    update(packed.reducer(list(r.items()), len(reducers)))
+                    if not reducers[-1][0]:  # the unit ideal: no pair can add anything
+                        break
+        return GroebnerBasis(packed.arity, finish(packed, active), stats=stats)
+
+    return _run(gens[0].arity, gens, 0, step)
 
 
 def _interreduce(packed: _Packed, indices: Iterable[int]) -> tuple:
@@ -408,17 +392,13 @@ def _interreduce(packed: _Packed, indices: Iterable[int]) -> tuple:
     for i in sorted(indices, key=lambda i: reducers[i][0]):
         if all((reducers[i][0] - reducers[j][0]) & guard for j in minimal):
             minimal.append(i)
-
     # no LM divides another, so only the tails need reducing; an LM that
     # divides a tail monomial m of g is at most m < LM(g), so the tail of g
     # is reduced by the elements with smaller LMs alone, reduced before it
-    def tail_remainder(pos: int) -> tuple:
-        _, d, tail, _ = reducers[minimal[pos]]
-        return packed.reduce(dict(tail), d, [reducers[j] for j in minimal[:pos]])
-
     for pos, i in enumerate(minimal):
-        tail, scale = packed.run(tail_remainder, pos)
-        reducers[i] = packed.reducer([(reducers[i][0], scale), *tail.items()], i)
+        lm, d, tail, _ = reducers[i]
+        tail, scale = packed.reduce(dict(tail), d, [reducers[j] for j in minimal[:pos]])
+        reducers[i] = packed.reducer([(lm, scale), *tail.items()], i)
     return tuple(packed.monic(reducers[i]) for i in reversed(minimal))
 
 
@@ -427,8 +407,8 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     minimal, monic, every element fully reduced against the others, sorted
     by decreasing leading monomial."""
     elements = [g for g in gb.elements if not g.is_zero()]
-    return GroebnerBasis(gb.arity, _interreduce(
-        _Packed(gb.arity, elements), range(len(elements))), stats=gb.stats)
+    return _run(gb.arity, elements, 0, lambda packed: GroebnerBasis(
+        gb.arity, _interreduce(packed, range(len(elements))), stats=gb.stats))
 
 
 def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:
@@ -438,14 +418,15 @@ def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:
     polys = [g for g in polys if not g.is_zero()]
     if not polys:
         return False
-    packed, every = _Packed(polys[0].arity, polys), range(len(polys))
+    every = range(len(polys))
 
-    def reduces_to_zero(i: int, j: int) -> bool:
-        li, lj = packed.reducers[i][0], packed.reducers[j][0]
-        coprime = packed.lcm(li, lj) == li + lj
-        return coprime or not (s := packed.s_remainder(i, j, every)) or not s[0]
+    def step(packed: _Packed) -> bool:
+        lms = [lm for lm, _, _, _ in packed.reducers]
+        return all(packed.lcm(lms[i], lms[j]) == lms[i] + lms[j]
+                   or not (s := packed.s_remainder(i, j, every)) or not s[0]
+                   for i, j in combinations(every, 2))
 
-    return all(packed.run(reduces_to_zero, i, j) for i, j in combinations(every, 2))
+    return _run(polys[0].arity, polys, 0, step)
 
 
 def is_reduced(polys: Sequence[Polynomial]) -> bool:
@@ -461,6 +442,6 @@ def is_reduced(polys: Sequence[Polynomial]) -> bool:
 
 def reduced_groebner_basis(generators: Iterable[Polynomial]) -> GroebnerBasis:
     """The reduced Groebner basis of the ideal: :func:`buchberger`, then the
-    interreduction of :func:`reduce_basis` on its packed reducers."""
-    packed, active, stats = _buchberger(generators, True)
-    return GroebnerBasis(packed.arity, _interreduce(packed, active), stats=stats)
+    interreduction of :func:`reduce_basis` on its packed reducers, in one
+    packed run."""
+    return _buchberger(generators, True, _interreduce)

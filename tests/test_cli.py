@@ -171,6 +171,22 @@ class TestGb:
         assert out.splitlines() == ["x2-x1^99999999999999999999",
                                     "x1^199999999999999999998"]
 
+    @pytest.mark.parametrize("gens, basis", [
+        # a coefficient of the basis, of the input and an exponent past
+        # Python's default limit of 4300 digits on int <-> str conversion
+        (f"x2-1{'0' * 3000}*x1,x2^2-1", [f"x2-1{'0' * 3000}*x1",
+                                          f"x1^2-1/1{'0' * 6000}"]),
+        (f"x1-{'7' * 5000}", [f"x1-{'7' * 5000}"]),
+        (f"x1^{'1' * 5000}-x1", [f"x1^{'1' * 5000}-x1"]),
+    ], ids=["output", "coefficient", "exponent"])
+    def test_digits_past_the_int_str_limit(self, capsys, gens, basis):
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        code, out, err = run(capsys, "gb", "--n", "2", "--gens", gens)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == basis
+        # lifted for the command only
+        assert getattr(sys, "get_int_max_str_digits", int)() == limit
+
 
 @pytest.mark.parametrize("command", ["gb"])
 def test_stats_line_on_stderr(capsys, command):

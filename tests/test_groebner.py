@@ -10,6 +10,7 @@ from symgb.groebner import (
     GroebnerStats,
     ZeroIdealError,
     _Packed,
+    _run,
     buchberger,
     divide,
     is_groebner_basis,
@@ -513,25 +514,60 @@ class TestOverflowIdeals:
         assert all(normal_form(g, gb).is_zero() for g in gens)
 
     def test_fields_widen_with_pairs_queued(self, monkeypatch):
-        # the 1-byte fields overflow while pairs are queued, so their
-        # packed lcms are re-packed along with the reducers; left as they
-        # were, they would be compared with wider ones, and the basis of
-        # this ideal would come out wrong
-        queued = []
-        widen = _Packed.widen
-
-        def recording(packed):
-            queued.append(len(packed.pairs))
-            widen(packed)
-
-        monkeypatch.setattr(_Packed, "widen", recording)
+        # the 1-byte fields overflow with pairs queued, so the run is built
+        # again, from the generators, one byte wider; the stats are those of
+        # the run that ends, with nothing counted by the one abandoned
+        widths = record_widths(monkeypatch)
         gens = [P(g) for g in ("x3^3-x1^25*x2", "x2^3-x1^72",
                                "x3*x2^2-x1^29*x3", "x3*x2*x1-x2")]
         gb = reduced_groebner_basis(gens)
-        assert max(queued) > 1
+        assert len(set(widths)) > 1
         assert "; ".join(map(str, gb)) == (
             "x3^3-x1^72; x1^29*x3-x1^72; x2-x1^72; x1^73-x1^72")
+        assert gb.stats.record() == (
+            "pairs=110 product_skipped=36 chain_skipped=39 reductions=34 "
+            "zero_reductions=12 peak_basis=7 peak_coeff_bits=1")
         assert gb == reduce_basis(buchberger(gens, product_criterion=False))
+
+    def test_stretched_ideals(self, monkeypatch):
+        # x_i -> x_i^s keeps lex order, divisibility, lcms and the order of
+        # total degrees, so the stretched run makes the same pairs and
+        # reductions as the plain one; the generators are square-free, so
+        # even at s = 127 they fit 1-byte fields that the run outgrows at
+        # some point, and each restart must leave no trace
+        widths = record_widths(monkeypatch)
+        rng, restarts = random.Random(19), 0
+        for _ in range(60):
+            arity, s = rng.randint(2, 3), rng.choice([25, 42, 63, 64, 100, 127, 128])
+            gens = [Polynomial(arity, [
+                (tuple(rng.randint(0, 1) for _ in range(arity)), random_coefficient(rng))
+                for _ in range(3)]) for _ in range(arity)]
+            gens = [g for g in gens if not g.is_zero()] or [P("x1", arity)]
+            gb = reduced_groebner_basis(gens)
+            widths.clear()
+            wide = reduced_groebner_basis([stretched(g, s) for g in gens])
+            restarts += len(widths) - 1
+            assert wide == GroebnerBasis(arity, tuple(stretched(g, s) for g in gb))
+            assert wide.stats == gb.stats
+        assert restarts > 10
+
+
+def record_widths(monkeypatch):
+    """The list, filled as they are built, of the field widths of every
+    packed run."""
+    widths, init = [], _Packed.__init__
+
+    def recording(packed, arity, polys, width):
+        widths.append(width)
+        init(packed, arity, polys, width)
+
+    monkeypatch.setattr(_Packed, "__init__", recording)
+    return widths
+
+
+def stretched(p, s):
+    """p(x_1^s, ..., x_n^s)."""
+    return Polynomial(p.arity, [(tuple(s * e for e in m), c) for m, c in p.terms])
 
 
 def packed_monomials(width):
@@ -552,7 +588,7 @@ class TestPackedMonomials:
         @given(packed_monomials(width))
         def check(ab):
             a, b = ab
-            packed = _Packed(len(a), (), 2 ** (8 * width - 1) - 1)
+            packed = _run(len(a), (), 2 ** (8 * width - 1) - 1, lambda packed: packed)
             assert packed.width == width
             ka, kb = packed.pack(a), packed.pack(b)
             m = packed.lcm(ka, kb)
@@ -562,6 +598,14 @@ class TestPackedMonomials:
             assert (ka < kb) == (lex_key(a) < lex_key(b))
 
         check()
+
+    @pytest.mark.parametrize("top, width", [
+        (0, 1), (127, 1), (128, 2), (2 ** 15 - 1, 2), (2 ** 15, 3)])
+    def test_run_picks_fewest_bytes(self, top, width):
+        # for the top exponent passed, and for one of the polynomials packed
+        assert _run(1, (), top, lambda packed: packed.width) == width
+        assert _run(2, [Polynomial(2, [((1, top), 1), ((1, 0), 1)])], 0,
+                    lambda packed: packed.width) == width
 
 
 def shifted(p, c):
