@@ -21,32 +21,37 @@ Both carriers have sum_i C(n, i) C(n-i, k-i) = 2^k C(n, k) pairs, and
 count, before any pair is enumerated.
 
 Each family is one ``Family`` entry of ``FAMILIES``, and every function here
-works through that table on plain ``(a, b)`` tuples of sorted elements; the
-certificate and the trace both stream the carrier through ``_iter_carrier``,
-so neither starts on a carrier that ``refuse_carrier`` refuses.
+works through that table on plain ``(a, b)`` tuples of sorted elements.  Its
+carrier is k + 1 layers, one per |A| = i: a pair (A_i, B_i) of pools of sorted
+tuples, whose pairs are ``product(A_i, B_i)``.  A pair (a, b) is in the
+carrier iff a is in A_j and b in B_j for j = |a| <= k, so the pools alone
+define the carrier.  The certificate and the trace both get the
+layers from ``_layers``, so neither starts on a carrier that
+``refuse_carrier`` refuses, and both stream the pairs of each layer.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product, repeat
 from math import comb
-from operator import le, lt
-from typing import Callable, Dict, Iterator, NamedTuple, Tuple
+from operator import add
+from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 from .poly import Polynomial
 from .symfunc import weight
 
 Pair = Tuple[tuple, tuple]
+# (A_i, B_i): the pools of sorted tuples whose product is the pairs with |A| = i
+Layer = Tuple[Tuple[tuple, ...], Tuple[tuple, ...]]
 
 
 class Family(NamedTuple):
-    # (k, n) -> the carrier's (a, b) pairs in (|A|, A, B) lexicographic order
-    carrier: Callable[[int, int], Iterator[Pair]]
+    # (k, n) -> the carrier's k + 1 layers, in (|A|, A, B) lexicographic order
+    carrier: Callable[[int, int], List[Layer]]
     # (a, b) -> the involution's image of a nonempty carrier pair, unchecked
     step: Callable[[tuple, tuple], Pair]
-    # (k, n, a, b) -> whether (a, b) is in the carrier
-    member: Callable[[int, int, tuple, tuple], bool]
     # (k, n, cap) -> the carrier's size in closed form, or cap + 1 above cap
     size: Callable[[int, int, int], int]
 
@@ -61,12 +66,12 @@ def _pow2_binomial(k: int, n: int, cap: int) -> int:
     return min(comb(n, k) << k, cap + 1)
 
 
-def _hkn_carrier(k: int, n: int) -> Iterator[Pair]:
-    b_pool = range(1, n - k + 2)
-    return chain.from_iterable(
-        product(combinations(range(1, n + 1), i),
-                combinations_with_replacement(b_pool, k - i))
-        for i in range(k + 1))
+def _hkn_carrier(k: int, n: int) -> List[Layer]:
+    # A: set in {1..n}; B: multiset in {1..n-k+1}
+    b_range = range(1, n - k + 2)
+    return [(tuple(combinations(range(1, n + 1), i)),
+             tuple(combinations_with_replacement(b_range, k - i)))
+            for i in range(k + 1)]
 
 
 def _hkn_step(a: tuple, b: tuple) -> Pair:
@@ -76,20 +81,11 @@ def _hkn_step(a: tuple, b: tuple) -> Pair:
     return a[1:], a[:1] + b
 
 
-def _hkn_member(k: int, n: int, a: tuple, b: tuple) -> bool:
-    # A: set in {1..n}; B: multiset in {1..n-k+1}
-    i = len(a)
-    return (i <= k and len(b) == k - i
-            and all(map(lt, a, a[1:])) and all(map(le, b, b[1:]))
-            and (not a or 1 <= a[0] and a[-1] <= n)
-            and (not b or 1 <= b[0] and b[-1] <= n - k + 1))
-
-
-def _ekn_carrier(k: int, n: int) -> Iterator[Pair]:
-    return chain.from_iterable(
-        product(combinations_with_replacement(range(1, n - i + 2), i),
-                combinations(range(1, n - i + 1), k - i))
-        for i in range(k + 1))
+def _ekn_carrier(k: int, n: int) -> List[Layer]:
+    # A: multiset in {1..n-i+1}; B: set in {1..n-i}
+    return [(tuple(combinations_with_replacement(range(1, n - i + 2), i)),
+             tuple(combinations(range(1, n - i + 1), k - i)))
+            for i in range(k + 1)]
 
 
 def _ekn_step(a: tuple, b: tuple) -> Pair:
@@ -99,18 +95,9 @@ def _ekn_step(a: tuple, b: tuple) -> Pair:
     return a[:-1], b + a[-1:]
 
 
-def _ekn_member(k: int, n: int, a: tuple, b: tuple) -> bool:
-    # A: multiset in {1..n-i+1}; B: set in {1..n-i}
-    i = len(a)
-    return (i <= k and len(b) == k - i
-            and all(map(le, a, a[1:])) and all(map(lt, b, b[1:]))
-            and (not a or 1 <= a[0] and a[-1] <= n - i + 1)
-            and (not b or 1 <= b[0] and b[-1] <= n - i))
-
-
 FAMILIES: Dict[str, Family] = {
-    "hkn": Family(_hkn_carrier, _hkn_step, _hkn_member, _pow2_binomial),
-    "ekn": Family(_ekn_carrier, _ekn_step, _ekn_member, _pow2_binomial),
+    "hkn": Family(_hkn_carrier, _hkn_step, _pow2_binomial),
+    "ekn": Family(_ekn_carrier, _ekn_step, _pow2_binomial),
 }
 
 
@@ -121,8 +108,9 @@ def _family(family: str) -> Family:
     return spec
 
 
-# Limit of the pairs a certificate streams: the largest carrier under it,
-# 860160 pairs at k=13, n=15, takes 4-5 s and 44 MB on a 2-vCPU Xeon.
+# Limit of the pairs a certificate steps: the largest carrier under it,
+# 860160 pairs at k=13, n=15, takes 2.5-3.5 s and 48 MB on a 2-vCPU Xeon,
+# and the widest, 10^6 pairs at k=1, n=500000, 3-3.5 s and 192 MB.
 MAX_CARRIER_PAIRS = 10**6
 
 
@@ -146,16 +134,15 @@ def _format_pair(a: tuple, b: tuple) -> str:
     return f"({fmt(a)}|{fmt(b)})"
 
 
-def _iter_carrier(family: str, k: int, n: int) -> Iterator[Pair]:
-    """Stream the carrier's (a, b) pairs in (|A|, A, B) order, after
-    ``refuse_carrier`` has passed the carrier's closed-form size.  An empty
-    carrier (k > n) is not enumerated: ``itertools.product`` would build
-    every A side before it saw that the B side is empty."""
+def _layers(family: str, k: int, n: int) -> List[Layer]:
+    """The carrier's layers, after ``refuse_carrier`` has passed the
+    carrier's closed-form size.  An empty carrier (k > n) has no layers and
+    builds no pools: its A pools alone would hold 2^n tuples."""
     spec = _family(family)
     if k < 1:
         raise ValueError("carrier requires k >= 1")
     refuse_carrier(family, k, n)
-    return spec.carrier(k, n) if carrier_size(family, k, n) else iter(())
+    return spec.carrier(k, n) if carrier_size(family, k, n) else []
 
 
 @dataclass(frozen=True)
@@ -178,66 +165,71 @@ class CertReport:
 
 
 def certify_involution(family: str, k: int, n: int) -> CertReport:
-    """Stream the carrier, apply the involution to each pair, and check
+    """Apply the involution to each carrier pair, layer by layer, and check
     closure, involutivity, sign reversal, freeness from fixed points, and
-    that the signed weights sum to the zero polynomial.  The enumerated pairs
-    are trusted; each image gets one ``member`` test, so closure fails
-    exactly where an image leaves the carrier, and the other flags are
-    checked on the images that stay in it.
+    that the signed weights sum to the zero polynomial.  Each image gets
+    one pool lookup per side, so closure fails exactly where an image
+    leaves the carrier, and the other flags are checked on the images that
+    stay in it.
 
-    The sign of (a, b) is read as the parity ``len(a) & 1`` and its weight
-    as the sorted tuple of a + b; distinct sorted tuples are distinct
-    monomials, so the weights sum to zero iff every signed count cancels."""
-    pairs = _iter_carrier(family, k, n)
-    spec = FAMILIES[family]
-    step, member = spec.step, spec.member
-    carrier_size = 0
+    A pair's sign is the parity of its layer, and its weight the sorted
+    tuple of a + b; distinct sorted tuples are distinct monomials, so the
+    weights sum to zero iff every signed count cancels.  The weights of a
+    layer are counted a row at a time, along its longer pool."""
+    layers = _layers(family, k, n)
+    step = FAMILIES[family].step
+    a_sets = [frozenset(pool) for pool, _ in layers]
+    b_sets = [frozenset(pool) for _, pool in layers]
     carrier_closed = True
     is_involution = True
     sign_reversing = True
     fixed_point_free = True
-    weight_acc: dict = {}
-    for p in pairs:
-        carrier_size += 1
-        a, b = p
-        odd = len(a) & 1
-        key = tuple(sorted(a + b))
-        weight_acc[key] = weight_acc.get(key, 0) + (-1 if odd else 1)
-        q = qa, qb = step(a, b)
-        if not member(k, n, qa, qb):
-            carrier_closed = False
-            continue
-        if q == p:
-            fixed_point_free = False
-        if len(qa) & 1 == odd:
-            sign_reversing = False
-        if step(qa, qb) != p:
-            is_involution = False
+    weights: Counter = Counter()
+    for i, (a_pool, b_pool) in enumerate(layers):
+        count = weights.subtract if i & 1 else weights.update
+        longer, shorter = ((a_pool, b_pool) if len(a_pool) >= len(b_pool)
+                           else (b_pool, a_pool))
+        for x in shorter:
+            count(map(tuple, map(sorted, map(add, longer, repeat(x)))))
+        for p in product(a_pool, b_pool):
+            q = qa, qb = step(*p)
+            j = len(qa)
+            if j > k or qa not in a_sets[j] or qb not in b_sets[j]:
+                carrier_closed = False
+                continue
+            if (i ^ j) & 1 == 0:
+                # a fixed point keeps |A|: it is one of these
+                sign_reversing = False
+                if q == p:
+                    fixed_point_free = False
+            if step(qa, qb) != p:
+                is_involution = False
     return CertReport(
         family=family, k=k, n=n,
-        carrier_size=carrier_size,
+        carrier_size=sum(len(a) * len(b) for a, b in layers),
         carrier_closed=carrier_closed,
         is_involution=is_involution,
         sign_reversing=sign_reversing,
         fixed_point_free=fixed_point_free,
-        weight_sum_zero=not any(weight_acc.values()),
+        weight_sum_zero=not any(weights.values()),
     )
 
 
 def orbit_trace(family: str, k: int, n: int) -> Iterator[str]:
     """Trace lines "(A|B) <-> (A'|B') weight ±monomial", one per orbit, as
-    the carrier streams.  The carrier runs in (|A|, A, B) order and the step
-    changes |A| by one, so each orbit is met first at its pair with the
-    smaller |A|, and the line is made there."""
+    the layers are walked row by row.  The carrier runs in (|A|, A, B)
+    order and the step changes |A| by one, so each orbit is met first at its
+    pair with the smaller |A|, and the line is made there."""
     from .poly import format_polynomial
 
-    pairs = _iter_carrier(family, k, n)
+    layers = _layers(family, k, n)
     step = FAMILIES[family].step
     arity = max(n, 1)
-    for a, b in pairs:
-        qa, qb = step(a, b)
-        if len(a) < len(qa):
-            sign = -1 if len(a) & 1 else 1
-            wpoly = Polynomial(arity, [(weight(a + b, arity), sign)])
-            yield (f"{_format_pair(a, b)} <-> {_format_pair(qa, qb)} "
-                   f"weight {format_polynomial(wpoly)}")
+    for i, (a_pool, b_pool) in enumerate(layers):
+        sign = -1 if i & 1 else 1
+        for a, b in product(a_pool, b_pool):
+            qa, qb = step(a, b)
+            if i < len(qa):
+                wpoly = Polynomial(arity, [(weight(a + b, arity), sign)])
+                yield (f"{_format_pair(a, b)} <-> {_format_pair(qa, qb)} "
+                       f"weight {format_polynomial(wpoly)}")

@@ -129,10 +129,10 @@ TARGETS = {
         symfunc.newton_defect(k, n)), 12, _ks(1, 2)),
     "e1ek-reduction": Target(_e1ek_reduction_check, 12, _ks(1)),
     "involution-hkn": Target(lambda k, n: _certify_check(
-        involution.certify_involution("hkn", k, n)), 10, _ks(1),
+        involution.certify_involution("hkn", k, n)), 11, _ks(1),
         lambda k, n: involution.refuse_carrier("hkn", k, n)),
     "involution-ekn": Target(lambda k, n: _certify_check(
-        involution.certify_involution("ekn", k, n)), 10, _ks(1),
+        involution.certify_involution("ekn", k, n)), 11, _ks(1),
         lambda k, n: involution.refuse_carrier("ekn", k, n)),
     "hilbert": Target(_hilbert_check, 11, lambda n: (None,),
                       lambda k, n: _refuse_hilbert_n(n)),

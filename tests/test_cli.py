@@ -272,8 +272,9 @@ class TestInvolutionAndHilbert:
         for family in involution.FAMILIES:
             for n in range(1, 7):
                 for k in range(1, n + 3):
-                    pairs = involution.FAMILIES[family].carrier(k, n)
-                    assert carrier_size(family, k, n) == sum(1 for _ in pairs)
+                    layers = involution.FAMILIES[family].carrier(k, n)
+                    assert carrier_size(family, k, n) == sum(
+                        len(a_pool) * len(b_pool) for a_pool, b_pool in layers)
 
     def test_huge_carrier_refused_without_enumerating(self, capsys, patch_family):
         over = involution.MAX_CARRIER_PAIRS + 1

@@ -1,4 +1,5 @@
 from functools import partial
+from itertools import product
 from math import comb
 
 import pytest
@@ -10,8 +11,19 @@ from symgb.symfunc import elementary, homogeneous, weight
 
 
 def carrier(family, k, n):
-    """The family's carrier pairs (a, b), as its ``FAMILIES`` entry yields them."""
-    return list(involution.FAMILIES[family].carrier(k, n))
+    """The family's carrier pairs (a, b): the pairs of its ``FAMILIES``
+    entry's layers, flattened in order."""
+    return [p for a_pool, b_pool in involution.FAMILIES[family].carrier(k, n)
+            for p in product(a_pool, b_pool)]
+
+
+def pool_member(family, k, n):
+    """Membership (a, b) -> bool by lookup in the family's layer pools:
+    a in A_j and b in B_j for j = |a| <= k."""
+    layers = involution.FAMILIES[family].carrier(k, n)
+    pools = [(set(a_pool), set(b_pool)) for a_pool, b_pool in layers]
+    return lambda a, b: (len(a) <= k and a in pools[len(a)][0]
+                         and b in pools[len(a)][1])
 
 
 def sign(pair):
@@ -72,15 +84,14 @@ FLAGS = ("carrier_closed", "is_involution", "sign_reversing",
 
 
 def reference_certificate(family, k, n, step):
-    """The carrier size and the five flags, from the family's ``carrier``
-    and ``member``, ``step`` on each pair, and each pair's sign (-1)^|A|
-    and weight."""
-    member = involution.FAMILIES[family].member
+    """The carrier size and the five flags, from the family's carrier,
+    ``reference_member``, ``step`` on each pair, and each pair's sign
+    (-1)^|A| and weight."""
     pairs = carrier(family, k, n)
     flags = dict.fromkeys(FLAGS, True)
     for p in pairs:
         q = step(*p)
-        if not member(k, n, *q):
+        if not reference_member(family, k, n, *q):
             flags["carrier_closed"] = False
             continue
         flags["fixed_point_free"] &= q != p
@@ -171,24 +182,29 @@ class TestEnumeration:
 
     def test_no_duplicates_and_membership(self):
         for family in ("hkn", "ekn"):
-            member = involution.FAMILIES[family].member
             for n in range(1, 6):
                 for k in range(1, n + 1):
+                    layers = involution.FAMILIES[family].carrier(k, n)
+                    assert len(layers) == k + 1
+                    for i, (a_pool, b_pool) in enumerate(layers):
+                        assert len(set(a_pool)) == len(a_pool)
+                        assert len(set(b_pool)) == len(b_pool)
+                        assert all(len(a) == i for a in a_pool)
                     pairs = carrier(family, k, n)
-                    assert len(set(pairs)) == len(pairs)
-                    assert all(member(k, n, a, b) for a, b in pairs)
+                    assert all(reference_member(family, k, n, a, b)
+                               for a, b in pairs)
 
     @pytest.mark.parametrize("family", ["hkn", "ekn"])
     def test_member_matches_the_reference_near_the_carrier(self, family):
-        member = involution.FAMILIES[family].member
         rejected = 0
         for n in range(1, 7):
             for k in range(1, n + 3):
+                member = pool_member(family, k, n)
                 for p in carrier(family, k, n):
-                    assert member(k, n, *p)
+                    assert member(*p)
                     for a, b in perturbed(family, k, n, *p):
                         want = reference_member(family, k, n, a, b)
-                        assert member(k, n, a, b) == want, (k, n, a, b)
+                        assert member(a, b) == want, (k, n, a, b)
                         rejected += not want
         assert rejected > 0
 
@@ -209,8 +225,8 @@ class TestApplyF:
         assert step((), (1, 1)) == ((1,), (1,))
 
     def test_outside_carrier_rejected(self):
-        assert not involution.FAMILIES["hkn"].member(2, 2, (3,), (1,))
-        assert not involution.FAMILIES["ekn"].member(1, 2, (), (1, 1))
+        assert not pool_member("hkn", 2, 2)((3,), (1,))
+        assert not pool_member("ekn", 1, 2)((), (1, 1))
 
     def test_flip_matches_the_sorted_rule(self):
         for family in ("hkn", "ekn"):
@@ -225,9 +241,10 @@ class TestApplyF:
             spec = involution.FAMILIES[family]
             for n in range(1, 7):
                 for k in range(1, n + 1):
+                    member = pool_member(family, k, n)
                     for p in carrier(family, k, n):
                         q = spec.step(*p)
-                        assert spec.member(k, n, *q), (family, k, n, p)
+                        assert member(*q), (family, k, n, p)
                         assert q != p
                         assert sign(q) == -sign(p)
                         assert abs(len(q[0]) - len(p[0])) == 1
@@ -298,28 +315,41 @@ class TestCertification:
                 assert report_fields(r) == reference_certificate(
                     family, k, n, partial(sorted_step, family)), (k, n)
 
-    def test_carrier_is_streamed(self, patch_family):
-        # each pair is stepped before the next one is drawn, so neither the
-        # certificate nor the trace holds the carrier as a list
-        for family in ("hkn", "ekn"):
-            spec = involution.FAMILIES[family]
-            steps = []
+    @pytest.mark.parametrize("k, n", [(1, 300), (2, 40)])
+    @pytest.mark.parametrize("family", ["hkn", "ekn"])
+    def test_matches_the_reference_certificate_on_wide_carriers(self, family, k, n):
+        # the weights of a layer are counted along its longer pool: B in
+        # layer 0, A in the top layer, and A for (2, 40) in layer 1
+        r = certify_involution(family, k, n)
+        assert r.ok and r.carrier_size == 2**k * comb(n, k)
+        assert report_fields(r) == reference_certificate(
+            family, k, n, partial(sorted_step, family))
 
-            def counted_step(a, b, step=spec.step):
-                steps.append((a, b))
+    def test_carrier_is_streamed(self, patch_family, monkeypatch):
+        # each pair of a layer is stepped before the next one is drawn from
+        # the layer's ``product``, so neither the certificate nor the trace
+        # holds a layer's pairs as a list
+        drawn = []
+        stepped = []
+
+        def checked_product(a_pool, b_pool):
+            for p in product(a_pool, b_pool):
+                assert len(stepped) == len(drawn), \
+                    "a pair was drawn before the previous one was stepped"
+                drawn.append(p)
+                yield p
+
+        monkeypatch.setattr(involution, "product", checked_product)
+        for family in ("hkn", "ekn"):
+            def counted_step(a, b, step=involution.FAMILIES[family].step):
+                if len(stepped) < len(drawn) and (a, b) == drawn[-1]:
+                    stepped.append((a, b))
                 return step(a, b)
 
-            def checked_carrier(k, n, pairs=spec.carrier):
-                stepped = None
-                for p in pairs(k, n):
-                    assert stepped is None or len(steps) > stepped, \
-                        "a pair was drawn before the previous one was stepped"
-                    stepped = len(steps)
-                    yield p
-
-            patch_family(family, step=counted_step, carrier=checked_carrier)
+            patch_family(family, step=counted_step)
             assert certify_involution(family, 3, 4).ok
             assert len(list(orbit_trace(family, 3, 4))) == 2**2 * comb(4, 3)
+        assert len(drawn) == 2 * 2 * 2**3 * comb(4, 3)
 
     def test_carrier_over_the_limit_is_refused_before_enumerating(self, patch_family):
         def refuse(k, n):
@@ -347,17 +377,19 @@ class TestCertification:
         assert list(orbit_trace(family, 41, 40)) == []
 
     @pytest.mark.parametrize("family", ["hkn", "ekn"])
-    def test_one_validation_per_pair(self, patch_family, family):
+    def test_two_steps_per_pair(self, patch_family, family):
+        # on a valid carrier every image is in it and is stepped back
         calls = []
-        member = involution.FAMILIES[family].member
+        step = involution.FAMILIES[family].step
 
-        def counted(k, n, a, b):
+        def counted(a, b):
             calls.append((a, b))
-            return member(k, n, a, b)
+            return step(a, b)
 
-        patch_family(family, member=counted)
+        patch_family(family, step=counted)
         r = certify_involution(family, 3, 5)
-        assert r.ok and len(calls) == r.carrier_size
+        assert r.ok and len(calls) == 2 * r.carrier_size
+        assert calls[::2] == carrier(family, 3, 5)
 
     def test_trace_format(self):
         lines = list(orbit_trace("hkn", 2, 2))

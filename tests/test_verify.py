@@ -94,10 +94,10 @@ def test_hilbert_past_its_default_ceiling():
 @pytest.mark.parametrize("family", involution.FAMILIES)
 def test_involution_sweep_to_the_new_ceiling(family):
     target = f"involution-{family}"
-    assert verify.TARGETS[target].max_n == 10
-    results = run_sweep(target, 7, 10)
+    assert verify.TARGETS[target].max_n == 11
+    results = run_sweep(target, 7, 11)
     assert [(r.k, r.n, r.ok, r.witness) for r in results] == [
-        (k, n, True, "") for n in range(7, 11) for k in range(1, n + 1)]
+        (k, n, True, "") for n in range(7, 12) for k in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("target, n_lo, fixed_k", [
