@@ -15,6 +15,7 @@ from .poly import (
     ZeroPolynomialError,
     _exact_div,
     _max_exponent,
+    _packed_terms,
     _packers,
     mono_divides,
 )
@@ -108,7 +109,10 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
 # _Overflow, and ``_run`` builds the whole run again, from its input
 # polynomials, with fields one byte wider.  A run is deterministic and int
 # order is lex order at any width, so a run redone makes the same pairs in
-# the same order and ends with the same result and the same stats.
+# the same order and ends with the same result and the same stats.  An
+# input born packed at the run's width (``poly._packed_terms``) enters with
+# its packed monomials as they are: e_{k,n}, whose exponents are at most 1,
+# always does.
 #
 # Every coefficient in the kernel is an int.  A reducer is the primitive
 # integer multiple of its polynomial, and the work is reduced fraction-free:
@@ -146,7 +150,7 @@ class _Packed:
         self.arity, self.width = arity, width
         self.pack, self.unpack = pack, _ = _packers(arity, width)
         self.guard = int.from_bytes((bytes(width - 1) + b"\x80") * arity, "little")
-        self.reducers = [self.reducer([(pack(m), c) for m, c in p.terms], i)
+        self.reducers = [self.reducer(_packed_terms(p, width, pack), i)
                          for i, p in enumerate(polys)]
 
     def lcm(self, a: int, b: int) -> int:
@@ -157,7 +161,7 @@ class _Packed:
         return b ^ ((a ^ b) & low)
 
     @staticmethod
-    def reducer(terms: list, i: int) -> tuple:
+    def reducer(terms: Sequence[tuple], i: int) -> tuple:
         """Reducer i, of the packed nonzero terms in decreasing lex order."""
         den = lcm(*[c.denominator for _, c in terms])
         if den != 1:

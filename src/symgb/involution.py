@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product, repeat
+from itertools import chain, combinations, combinations_with_replacement, product, repeat
 from math import comb
 from operator import add
 from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
@@ -66,11 +66,23 @@ def _pow2_binomial(k: int, n: int, cap: int) -> int:
     return min(comb(n, k) << k, cap + 1)
 
 
+def _pool(built: dict, multiset: bool, top: int, size: int) -> Tuple[tuple, ...]:
+    """The sorted tuples of ``size`` elements of {1..top}, repeated or not as
+    ``multiset`` says, built once per carrier in ``built``: sets and
+    multisets of at most one element are the same tuples, so at k = 1 the
+    A pool of one layer is the B pool of the other."""
+    key = (multiset and size > 1, top, size)
+    pool = built.get(key)
+    if pool is None:
+        pick = combinations_with_replacement if multiset else combinations
+        pool = built[key] = tuple(pick(range(1, top + 1), size))
+    return pool
+
+
 def _hkn_carrier(k: int, n: int) -> List[Layer]:
     # A: set in {1..n}; B: multiset in {1..n-k+1}
-    b_range = range(1, n - k + 2)
-    return [(tuple(combinations(range(1, n + 1), i)),
-             tuple(combinations_with_replacement(b_range, k - i)))
+    built: dict = {}
+    return [(_pool(built, False, n, i), _pool(built, True, n - k + 1, k - i))
             for i in range(k + 1)]
 
 
@@ -83,8 +95,8 @@ def _hkn_step(a: tuple, b: tuple) -> Pair:
 
 def _ekn_carrier(k: int, n: int) -> List[Layer]:
     # A: multiset in {1..n-i+1}; B: set in {1..n-i}
-    return [(tuple(combinations_with_replacement(range(1, n - i + 2), i)),
-             tuple(combinations(range(1, n - i + 1), k - i)))
+    built: dict = {}
+    return [(_pool(built, True, n - i + 1, i), _pool(built, False, n - i, k - i))
             for i in range(k + 1)]
 
 
@@ -110,7 +122,7 @@ def _family(family: str) -> Family:
 
 # Limit of the pairs a certificate steps: the largest carrier under it,
 # 860160 pairs at k=13, n=15, takes 2.5-3.5 s and 48 MB on a 2-vCPU Xeon,
-# and the widest, 10^6 pairs at k=1, n=500000, 3-3.5 s and 192 MB.
+# and the widest, 10^6 pairs at k=1, n=500000, 2-3.5 s and 133 MB.
 MAX_CARRIER_PAIRS = 10**6
 
 
@@ -178,8 +190,12 @@ def certify_involution(family: str, k: int, n: int) -> CertReport:
     layer are counted a row at a time, along its longer pool."""
     layers = _layers(family, k, n)
     step = FAMILIES[family].step
-    a_sets = [frozenset(pool) for pool, _ in layers]
-    b_sets = [frozenset(pool) for _, pool in layers]
+    sets: dict = {}  # one frozenset per pool: layers may share a pool
+    for pool in chain.from_iterable(layers):
+        if id(pool) not in sets:
+            sets[id(pool)] = frozenset(pool)
+    a_sets = [sets[id(pool)] for pool, _ in layers]
+    b_sets = [sets[id(pool)] for _, pool in layers]
     carrier_closed = True
     is_involution = True
     sign_reversing = True

@@ -8,14 +8,21 @@ polynomials stay in ``int`` arithmetic until a division.  The only
 monomial order provided is lexicographic with the highest-index variable
 most significant (``x_n > x_{n-1} > ... > x_1``).  Products are formed on
 monomials packed into ints (``_product_sum``) and unpacked into tuples.
+
+A polynomial may be born packed (``Polynomial._packed_born``), as
+``symfunc``'s e, h and p are: a sum of monomials with coefficient 1 that
+keeps them packed.  Both kernels (``_product_sum`` here and ``groebner``'s
+reductions) read them through ``_packed_terms``, and its ``terms`` tuple is
+built only when something reads it.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from operator import add, le, sub
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Monomial = tuple
 Coefficient = Union[int, Fraction]
@@ -118,10 +125,12 @@ class Polynomial:
 
     ``terms`` is a tuple of (monomial, coefficient) pairs with distinct
     monomials, nonzero coefficients, sorted strictly decreasing under lex.
-    The empty tuple is the zero polynomial.
+    The empty tuple is the zero polynomial.  A polynomial born packed keeps
+    (width, largest exponent, packed monomials) in ``_packed`` instead, and
+    builds ``terms`` from them when it is first read, dropping them then.
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "_terms", "_packed")
 
     def __init__(self, arity: int, terms: Iterable = ()):
         if arity < 1:
@@ -132,7 +141,8 @@ class Polynomial:
             _check_monomial(mono, arity)
             merged[mono] = merged.get(mono, 0) + _coefficient(coeff)
         self.arity = arity
-        self.terms = _sorted_terms(merged)
+        self._terms = _sorted_terms(merged)
+        self._packed = None
 
     @classmethod
     def _trusted(cls, arity: int, terms: tuple) -> "Polynomial":
@@ -140,8 +150,34 @@ class Polynomial:
         docstring); nothing is checked, merged or sorted."""
         p = object.__new__(cls)
         p.arity = arity
-        p.terms = terms
+        p._terms = terms
+        p._packed = None
         return p
+
+    @classmethod
+    def _packed_born(cls, arity: int, width: int, top: int,
+                     keys: tuple) -> "Polynomial":
+        """The sum, each with coefficient 1, of the distinct monomials
+        ``keys``, packed in ``width``-byte fields (see ``_packers``) and in
+        decreasing lex order; nothing is checked.  ``top`` is their largest
+        exponent.  The zero polynomial keeps no packed monomials."""
+        if not keys:
+            return cls._trusted(arity, ())
+        p = object.__new__(cls)
+        p.arity = arity
+        p._terms = None
+        p._packed = width, top, keys
+        return p
+
+    @property
+    def terms(self) -> tuple:
+        terms = self._terms
+        if terms is None:
+            width, _, keys = self._packed
+            unpack = _packers(self.arity, width)[1]
+            terms = self._terms = tuple(zip(map(unpack, keys), repeat(1)))
+            self._packed = None
+        return terms
 
     # -- constructors ------------------------------------------------------
 
@@ -173,7 +209,8 @@ class Polynomial:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        # the zero polynomial is never born packed
+        return self._packed is None and not self._terms
 
     # -- leading data ------------------------------------------------------
 
@@ -280,7 +317,7 @@ class Polynomial:
         return hash((self.arity, self.terms))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return not self.is_zero()
 
     # -- text form ---------------------------------------------------------
 
@@ -301,7 +338,15 @@ class Polynomial:
 # same packing, with the top bit of each field kept clear as a guard bit.
 
 def _max_exponent(p: Polynomial) -> int:
+    if p._packed is not None:
+        return p._packed[1]
     return max(map(max, zip(*[m for m, _ in p.terms])), default=0)
+
+
+def _field_width(top: int) -> int:
+    """The fewest bytes per field that hold exponents up to ``top``: the
+    width of a product whose largest exponent is top."""
+    return max(1, (top.bit_length() + 7) // 8)
 
 
 def _packers(arity: int, width: int) -> tuple:
@@ -323,6 +368,16 @@ def _packers(arity: int, width: int) -> tuple:
     return pack, unpack
 
 
+def _packed_terms(p: Polynomial, width: int, pack) -> Sequence[tuple]:
+    """p's (packed monomial, coefficient) pairs in decreasing lex order, in
+    ``width``-byte fields, which ``pack`` packs: from the monomials p was
+    born packed with when they have that width, else from its terms."""
+    packed = p._packed
+    if packed is not None and packed[0] == width:
+        return tuple(zip(packed[2], repeat(1)))
+    return [(pack(m), c) for m, c in p.terms]
+
+
 def _product_sum(arity: int, parts: Iterable[tuple]) -> Polynomial:
     """sum of a * f * g over the (a, f, g) triples of ``parts``: a is an int
     or a Fraction, f and g are polynomials of the given arity.
@@ -333,16 +388,17 @@ def _product_sum(arity: int, parts: Iterable[tuple]) -> Polynomial:
     parts = list(parts)
     top = max((_max_exponent(f) + _max_exponent(g) for _, f, g in parts),
               default=0)
-    pack, unpack = _packers(arity, max(1, (top.bit_length() + 7) // 8))
+    width = _field_width(top)
+    pack, unpack = _packers(arity, width)
     acc: dict = {}
     get = acc.get
     for a, f, g in parts:
-        if len(f.terms) > len(g.terms):
+        f, g = _packed_terms(f, width, pack), _packed_terms(g, width, pack)
+        if len(f) > len(g):
             f, g = g, f  # the longer factor in the inner loop
-        packed = [(pack(m), c) for m, c in g.terms]
-        for m, c in f.terms:
-            k1, c1 = pack(m), a * c
-            for k2, c2 in packed:
+        for k1, c in f:
+            c1 = a * c
+            for k2, c2 in g:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
     keys = [k for k, c in acc.items() if c]

@@ -1,14 +1,20 @@
 """Elementary, complete homogeneous and power-sum symmetric polynomials,
 each built as the sum of wt(S) over the sets S that define it, plus the
 defects (signed sums that vanish) of the identities that relate them and the
-closed-form reduced Groebner bases they predict."""
+closed-form reduced Groebner bases they predict.
+
+e, h and p are born packed (``Polynomial._packed_born``): wt(S) is the sum
+of the packed variables in S, so each family is one enumeration of packed
+monomials in decreasing order.  Both kernels, the product kernel behind the
+defects and ``groebner``'s reductions, read those monomials as they are,
+and no term tuple is built unless something reads ``terms``."""
 
 from __future__ import annotations
 
 from itertools import chain, combinations, combinations_with_replacement
 from typing import Iterable, Optional
 
-from .poly import Monomial, Polynomial, _product_sum
+from .poly import Monomial, Polynomial, _field_width, _product_sum
 
 
 def _ambient(n: int, arity: Optional[int]) -> int:
@@ -21,21 +27,20 @@ def _ambient(n: int, arity: Optional[int]) -> int:
     return arity
 
 
-def _sum_of_weights(arity: int, sets: Iterable[tuple]) -> Polynomial:
-    """sum of wt(S) over ``sets``, which must be distinct, each listed in
-    decreasing order and all in decreasing lex order, as the combinations of
-    range(n, 0, -1) come.  Their weights are then in decreasing lex order
-    too, because the first element where two sets differ is the largest
-    variable whose exponents differ; so the terms need no sort.  The
-    elements come from range(n, 0, -1) and ``_ambient`` checked n against
-    the arity, so they are not checked again here."""
-    terms = []
-    for s in sets:
-        exps = [0] * arity
-        for j in s:
-            exps[j - 1] += 1
-        terms.append((tuple(exps), 1))
-    return Polynomial._trusted(arity, tuple(terms))
+def _packed_sum(arity: int, n: int, top: int, keys) -> Polynomial:
+    """The sum, each with coefficient 1, of the packed monomials that
+    ``keys(xs)`` yields, for xs the packed variables x_n, x_{n-1}, ..., x_1
+    in fields wide enough for ``top``, the largest exponent of the sum.
+
+    ``keys`` must yield distinct monomials in decreasing order, as the sums
+    of the combinations (with or without replacement) of xs come: the first
+    place where two of them differ holds the larger variable of the one
+    that comes first, and one more of that variable outweighs every smaller
+    one, so the sums need no sort.  ``_ambient`` checked n against the
+    arity, so the variables are not checked again here."""
+    width = _field_width(top)
+    xs = [1 << 8 * width * j for j in range(n - 1, -1, -1)]
+    return Polynomial._packed_born(arity, width, top, tuple(keys(xs)))
 
 
 def elementary(k: int, n: int, arity: Optional[int] = None) -> Polynomial:
@@ -46,7 +51,8 @@ def elementary(k: int, n: int, arity: Optional[int] = None) -> Polynomial:
     """
     if k < 0:
         raise ValueError("degree k must be >= 0")
-    return _sum_of_weights(_ambient(n, arity), combinations(range(n, 0, -1), k))
+    return _packed_sum(_ambient(n, arity), n, min(k, 1),
+                       lambda xs: map(sum, combinations(xs, k)))
 
 
 def homogeneous(k: int, n: int, arity: Optional[int] = None) -> Polynomial:
@@ -56,15 +62,15 @@ def homogeneous(k: int, n: int, arity: Optional[int] = None) -> Polynomial:
     """
     if k < 0:
         raise ValueError("degree k must be >= 0")
-    return _sum_of_weights(_ambient(n, arity),
-                           combinations_with_replacement(range(n, 0, -1), k))
+    return _packed_sum(_ambient(n, arity), n, k,
+                       lambda xs: map(sum, combinations_with_replacement(xs, k)))
 
 
 def powersum(k: int, n: int, arity: Optional[int] = None) -> Polynomial:
     """p_{k,n} = x_1^k + ... + x_n^k for k >= 1."""
     if k < 1:
         raise ValueError("power sums require k >= 1")
-    return _sum_of_weights(_ambient(n, arity), ((j,) * k for j in range(n, 0, -1)))
+    return _packed_sum(_ambient(n, arity), n, k, lambda xs: [k * x for x in xs])
 
 
 def weight(elements: Iterable[int], arity: int) -> Monomial:

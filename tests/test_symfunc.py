@@ -1,9 +1,12 @@
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from symgb.poly import Polynomial, parse_polynomial
+from symgb.groebner import _Packed, reduced_groebner_basis
+from symgb.poly import Polynomial, _product_sum, parse_polynomial
 from symgb.symfunc import (
     check_e1ek_reduction,
     conjectured_gb_e1ek,
@@ -111,6 +114,111 @@ class TestConstructors:
                 assert lm == weight(range(n - k + 1, n + 1), n)
                 lm = homogeneous(k, n - k + 1, n).leading_monomial()
                 assert lm == weight([n - k + 1] * k, n)
+
+
+BUILDERS = [(elementary, brute_elementary, 0), (homogeneous, brute_homogeneous, 0),
+            (powersum, brute_powersum, 1)]
+
+
+@st.composite
+def builds(draw, max_k=8, max_n=6):
+    """(builder, brute force, k, n, arity): k from 0, or 1 for p, up to
+    max_k, past n as often as not; n from -1; arity from max(n, 1) up."""
+    builder, brute, low = draw(st.sampled_from(BUILDERS))
+    n = draw(st.integers(-1, max_n))
+    k = draw(st.integers(low, max_k))
+    arity = max(n, 1) + draw(st.integers(0, 2))
+    return builder, brute, k, n, arity
+
+
+def born_packed(p):
+    """p, after checking that it still holds its packed monomials."""
+    assert p.is_zero() or p._packed is not None
+    return p
+
+
+class TestPackedBorn:
+    # e, h and p are born packed: the kernels read their packed monomials,
+    # and their terms are built only when read
+
+    @given(builds())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, case):
+        builder, brute, k, n, arity = case
+        assert builder(k, n, arity) == brute(k, n, arity)
+        assert builder(k, n, arity).terms == brute(k, n, arity).terms
+
+    @given(st.sampled_from([(homogeneous, brute_homogeneous), (powersum, brute_powersum)]),
+           st.integers(1, 2), st.integers(250, 300))
+    @settings(max_examples=30, deadline=None)
+    def test_two_byte_fields(self, pair, n, k):
+        builder, brute = pair
+        p = born_packed(builder(k, n))
+        assert p._packed[0] == (1 if k < 256 else 2)
+        assert p == brute(k, n, n)
+
+    def test_two_byte_examples(self):
+        assert str(homogeneous(300, 1)) == "x1^300"
+        assert str(powersum(256, 2)) == "x2^256+x1^256"
+        assert homogeneous(0, -1, 2) == Polynomial.one(2)
+        assert elementary(3, 0, 2).is_zero() and not elementary(3, 0, 2)
+        assert homogeneous(2, 0, 3).is_zero() and elementary(5, 3).terms == ()
+
+    def test_terms_are_built_on_first_read(self):
+        p = born_packed(homogeneous(3, 4))
+        assert p and not p.is_zero() and p._terms is None
+        terms = p.terms
+        assert p._packed is None and p.terms is terms
+        assert p == brute_homogeneous(3, 4, 4)
+
+    @given(builds(max_k=5, max_n=4), builds(max_k=5, max_n=4))
+    @settings(max_examples=150, deadline=None)
+    def test_twin_gives_identical_results(self, case, other):
+        # a born-packed polynomial and its twin with built terms, under the
+        # product kernel, == and hash
+        builder, _, k, n, arity = case
+        other_builder, _, j, m, _ = other
+        arity = max(arity, m, 1)
+
+        def born():
+            return born_packed(builder(k, n, arity))
+
+        twin = Polynomial(arity, builder(k, n, arity).terms)
+        q = other_builder(j, m, arity)
+        assert (born() * q).terms == (twin * q).terms
+        assert (q * born()).terms == (q * twin).terms
+        assert (born() * born()).terms == (twin * twin).terms
+        parts = lambda f: [(1, f, q), (Fraction(-1, 2), q, f), (3, f, Polynomial.one(arity))]
+        assert _product_sum(arity, parts(born())).terms == _product_sum(arity, parts(twin)).terms
+        assert hash(born()) == hash(twin) and born() == twin and twin == born()
+
+    @pytest.mark.parametrize("gens", [
+        [(elementary, 1, 3), (elementary, 3, 3)],
+        [(elementary, 1, 4), (homogeneous, 2, 3), (powersum, 3, 4)],
+        [(powersum, 2, 3), (powersum, 3, 3), (powersum, 4, 3)],
+        # 1-byte keys whose exponent 128 sets the guard bit: the run packs
+        # them again two bytes wide
+        [(elementary, 1, 2), (homogeneous, 128, 2)],
+    ])
+    def test_twin_gives_identical_bases(self, monkeypatch, gens):
+        arity = max(n for _, _, n in gens)
+        widths, init = [], _Packed.__init__
+
+        def recording(packed, arity, polys, width):
+            widths.append(width)
+            init(packed, arity, polys, width)
+
+        monkeypatch.setattr(_Packed, "__init__", recording)
+        born = reduced_groebner_basis(
+            [born_packed(b(k, n, arity)) for b, k, n in gens])
+        born_widths = widths[:]
+        widths.clear()
+        twin = reduced_groebner_basis(
+            [Polynomial(arity, b(k, n, arity).terms) for b, k, n in gens])
+        assert born == twin and born.stats == twin.stats
+        assert born_widths == widths
+        top = max(k if b is not elementary else 1 for b, k, _ in gens)
+        assert widths == [top.bit_length() // 8 + 1]
 
 
 class TestIdentities:
