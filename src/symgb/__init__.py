@@ -9,11 +9,6 @@ from .poly import (
     Polynomial,
     ZeroPolynomialError,
     format_polynomial,
-    lex_key,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
     parse_polynomial,
 )
 from .groebner import (

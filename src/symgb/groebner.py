@@ -14,10 +14,10 @@ from .poly import (
     Polynomial,
     ZeroPolynomialError,
     _exact_div,
+    _field_width,
     _max_exponent,
     _packed_terms,
     _packers,
-    mono_divides,
 )
 
 
@@ -101,18 +101,19 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
 
 # -- the reduction kernel ----------------------------------------------------
 #
-# Monomials are packed as in products (``poly._packers``), with the top bit of
-# each field kept clear as a guard bit: LM | m iff (m - LM) & guard == 0, and
-# LMs a, b are coprime iff lcm(a, b) == a + b (see ``_Packed.lcm``).  Lex
-# reduction can raise exponents past any width (x2 - x1^100 turns x2^2 into
-# x1^200), so a monomial entering the work that sets a guard bit raises
-# _Overflow, and ``_run`` builds the whole run again, from its input
-# polynomials, with fields one byte wider.  A run is deterministic and int
-# order is lex order at any width, so a run redone makes the same pairs in
-# the same order and ends with the same result and the same stats.  An
-# input born packed at the run's width (``poly._packed_terms``) enters with
-# its packed monomials as they are: e_{k,n}, whose exponents are at most 1,
-# always does.
+# Monomials are packed as in products (``poly._packers``), in fields as wide
+# as ``poly._field_width`` makes them, whose top bits are kept clear as guard
+# bits: LM | m iff (m - LM) & guard == 0, and LMs a, b are coprime iff
+# lcm(a, b) == a + b (see ``_Packed.lcm``).  Lex reduction can raise
+# exponents past any width (x2 - x1^100 turns x2^2 into x1^200), so a
+# monomial entering the work that sets a guard bit raises _Overflow, and
+# ``_run`` builds the whole run again, from its input polynomials, with
+# fields one byte wider.  A run is deterministic and int order is lex order
+# at any width, so a run redone makes the same pairs in the same order and
+# ends with the same result and the same stats.  An input born packed at the
+# run's width (``poly._packed_terms``) enters with its packed monomials as
+# they are: e, h and p do unless another input, or an overflow, needs wider
+# fields.
 #
 # Every coefficient in the kernel is an int.  A reducer is the primitive
 # integer multiple of its polynomial, and the work is reduced fraction-free:
@@ -132,7 +133,7 @@ def _run(arity: int, polys: Sequence[Polynomial], top: int, step):
     for p in polys:  # packing does not see the arity
         if p.arity != arity:
             raise ArityMismatchError(f"arity mismatch: {arity} vs {p.arity}")
-    width = max([top, *map(_max_exponent, polys)]).bit_length() // 8 + 1
+    width = _field_width(max([top, *map(_max_exponent, polys)]))
     while True:
         try:
             return step(_Packed(arity, polys, width))
@@ -439,9 +440,18 @@ def is_reduced(polys: Sequence[Polynomial]) -> bool:
     polys = list(polys)
     if any(g.is_zero() or g.leading_coefficient() != 1 for g in polys):
         return False
-    lms = [g.leading_monomial() for g in polys]
-    return not any(mono_divides(lm, m) for i, g in enumerate(polys)
-                   for m, _ in g.terms for j, lm in enumerate(lms) if j != i)
+    if not polys:
+        return True
+
+    def step(packed: _Packed) -> bool:
+        reducers, guard = packed.reducers, packed.guard
+        lms = [lm for lm, _, _, _ in reducers]
+        return not any(not (m - lm) & guard
+                       for i, (lead, _, tail, _) in enumerate(reducers)
+                       for m in (lead, *(k for k, _ in tail))
+                       for j, lm in enumerate(lms) if j != i)
+
+    return _run(polys[0].arity, polys, 0, step)
 
 
 def reduced_groebner_basis(generators: Iterable[Polynomial]) -> GroebnerBasis:

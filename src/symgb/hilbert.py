@@ -70,6 +70,8 @@ def _trim(coeffs: Sequence[int]) -> tuple:
 
 
 def _checked(leading_monomials: Sequence[Monomial], arity: int) -> List[Monomial]:
+    if arity < 0:
+        raise ValueError(f"negative arity {arity}")
     lms = [tuple(m) for m in leading_monomials]
     if any(len(m) != arity for m in lms):
         raise ValueError("staircase monomial arity mismatch")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import repeat
-from operator import add, le, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 Monomial = tuple
@@ -38,44 +37,6 @@ class ZeroPolynomialError(ValueError):
 
 class PolyParseError(ValueError):
     """Raised on malformed polynomial text."""
-
-
-def _require_same_arity(a: Monomial, b: Monomial) -> None:
-    if len(a) != len(b):
-        raise ArityMismatchError(f"arity mismatch: {len(a)} vs {len(b)}")
-
-
-def mono_one(arity: int) -> Monomial:
-    return (0,) * arity
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    _require_same_arity(a, b)
-    return tuple(map(add, a, b))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True iff a | b, i.e. exponents of a are componentwise <= those of b."""
-    _require_same_arity(a, b)
-    return all(map(le, a, b))
-
-
-def mono_div(b: Monomial, a: Monomial) -> Monomial:
-    """Return b / a.  Raises ValueError when a does not divide b."""
-    _require_same_arity(a, b)
-    if not all(map(le, a, b)):
-        raise ValueError(f"{a} does not divide {b}")
-    return tuple(map(sub, b, a))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    _require_same_arity(a, b)
-    return tuple(map(max, a, b))
-
-
-def lex_key(m: Monomial) -> Monomial:
-    """Sort key of the lex order: the exponent of x_n first, then x_{n-1}, ..."""
-    return m[::-1]
 
 
 def _coefficient(c: Coefficient) -> Coefficient:
@@ -98,7 +59,7 @@ def _exact_div(a: Coefficient, b: Coefficient) -> Coefficient:
 
 
 def _term_key(term: tuple) -> Monomial:
-    return term[0][::-1]  # lex_key of the monomial, inlined: every result sorts by it
+    return term[0][::-1]  # lex order: the exponent of x_n first, then x_{n-1}, ...
 
 
 def _check_monomial(mono: Monomial, arity: int) -> None:
@@ -187,11 +148,11 @@ class Polynomial:
 
     @classmethod
     def one(cls, arity: int) -> "Polynomial":
-        return cls(arity, [(mono_one(arity), 1)])
+        return cls(arity, [((0,) * arity, 1)])
 
     @classmethod
     def constant(cls, c: Coefficient, arity: int) -> "Polynomial":
-        return cls(arity, [(mono_one(arity), c)])
+        return cls(arity, [((0,) * arity, c)])
 
     @classmethod
     def variable(cls, i: int, arity: int) -> "Polynomial":
@@ -285,25 +246,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exp: int) -> "Polynomial":
-        if exp < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial.one(self.arity)
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base if exp > 1 else base
-            exp >>= 1
-        return result
-
-    def mul_term(self, mono: Monomial, coeff: Coefficient) -> "Polynomial":
-        """Fast multiplication by a single term."""
-        mono = tuple(mono)
-        _check_monomial(mono, self.arity)
-        term = Polynomial._trusted(self.arity, ((mono, 1),))
-        return _product_sum(self.arity, ((_coefficient(coeff), self, term),))
-
     # -- equality / hashing ------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -334,8 +276,10 @@ class Polynomial:
 # variable, x_1 in the lowest field and x_n in the top one.  While no field
 # overflows, the product of two monomials is the sum of their ints and lex
 # order is int order (Monagan and Pearce, "Sparse polynomial division using
-# a heap", J. Symbolic Comput. 46, 2011).  ``groebner``'s reductions use the
-# same packing, with the top bit of each field kept clear as a guard bit.
+# a heap", J. Symbolic Comput. 46, 2011).  Every packing takes its width
+# from ``_field_width``, which keeps the top bit of each field clear: the
+# guard bit that ``groebner``'s reductions test.  So a polynomial born packed
+# for its own largest exponent is read as it is by both kernels.
 
 def _max_exponent(p: Polynomial) -> int:
     if p._packed is not None:
@@ -344,9 +288,9 @@ def _max_exponent(p: Polynomial) -> int:
 
 
 def _field_width(top: int) -> int:
-    """The fewest bytes per field that hold exponents up to ``top``: the
-    width of a product whose largest exponent is top."""
-    return max(1, (top.bit_length() + 7) // 8)
+    """The fewest bytes per field that hold exponents up to ``top`` with
+    the top bit of each field clear: one byte up to 127, two up to 2^15 - 1."""
+    return top.bit_length() // 8 + 1
 
 
 def _packers(arity: int, width: int) -> tuple:

@@ -1,10 +1,37 @@
 import random
 from fractions import Fraction
+from operator import add, le, sub
 
 import pytest
 
 from symgb import involution
 from symgb.poly import Polynomial
+
+
+# -- monomial operations on exponent tuples, the reference that the packed
+# kernels are tested against
+
+def lex_key(m: tuple) -> tuple:
+    """Sort key of the lex order: the exponent of x_n first, then x_{n-1}, ..."""
+    return m[::-1]
+
+
+def mono_mul(a: tuple, b: tuple) -> tuple:
+    return tuple(map(add, a, b))
+
+
+def mono_divides(a: tuple, b: tuple) -> bool:
+    """True iff a | b, i.e. exponents of a are componentwise <= those of b."""
+    return all(map(le, a, b))
+
+
+def mono_div(b: tuple, a: tuple) -> tuple:
+    """b / a, for a that divides b."""
+    return tuple(map(sub, b, a))
+
+
+def mono_lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(map(max, a, b))
 
 
 def random_monomial(rng: random.Random, arity: int, max_degree: int) -> tuple:

@@ -10,7 +10,7 @@ import pytest
 from symgb.groebner import buchberger, divide, reduce_basis
 from symgb.hilbert import closed_form_series, staircase_series
 from symgb.involution import certify_involution
-from symgb.poly import Polynomial, lex_key, mono_divides
+from symgb.poly import Polynomial
 from symgb.symfunc import (
     check_e1ek_reduction,
     conjectured_gb_e1ek,
@@ -24,7 +24,7 @@ from symgb.symfunc import (
     weight,
 )
 from symgb.verify import computed_gb_ek, computed_gb_e1ek
-from conftest import random_polynomial
+from conftest import lex_key, mono_divides, random_polynomial
 
 
 def report(name, ok):

@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 
 from symgb.groebner import divide
-from symgb.poly import Polynomial, lex_key, mono_divides, parse_polynomial
-from conftest import random_monomial, random_polynomial
+from symgb.poly import Polynomial, parse_polynomial
+from conftest import lex_key, mono_divides, random_monomial, random_polynomial
 
 ARITY = 3
 
@@ -90,7 +90,7 @@ def test_scalar_operations(integral):
             assert_canonical(a * c, ref_scale(ref(a), Fraction(c)))
             assert_canonical(c * a, ref_scale(ref(a), Fraction(c)))
             m = random_monomial(random.Random(seed), ARITY, 2)
-            assert_canonical(a.mul_term(m, c),
+            assert_canonical(a * Polynomial.from_monomial(m, c),
                              ref_mul(ref(a), {m: Fraction(c)}))
         if not a.is_zero():
             lc = Fraction(a.leading_coefficient())

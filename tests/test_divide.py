@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from symgb.groebner import divide
-from symgb.poly import Polynomial, mono_divides
-from conftest import random_polynomial
+from symgb.poly import Polynomial
+from conftest import mono_divides, random_polynomial
 
 # exponents at the guard bit of a 1-byte field (127 | 128), at the top of a
 # plain byte (255 | 256), at the guard bit of an 8-byte field (2^63) and

@@ -24,10 +24,6 @@ from symgb.poly import (
     ArityMismatchError,
     Polynomial,
     ZeroPolynomialError,
-    lex_key,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
     parse_polynomial,
 )
 from symgb.symfunc import (
@@ -37,7 +33,15 @@ from symgb.symfunc import (
     homogeneous,
     powersum,
 )
-from conftest import random_coefficient, random_monomial, random_polynomial
+from conftest import (
+    lex_key,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    random_coefficient,
+    random_monomial,
+    random_polynomial,
+)
 
 
 def P(text, arity=3):
@@ -437,9 +441,28 @@ class TestCriterionCheckers:
         f = P("3*x3^2*x1-x2+1/2")
         assert is_groebner_basis([f, 2 * f])
 
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_reduced_against_tuple_reference(self, rng, integral):
+        # random sets, the same made monic (so that divisibility decides),
+        # and the reduced bases of those that are Groebner bases
+        answers = []
+        for _ in range(200):
+            arity = rng.randint(1, 3)
+            polys = random_set(rng, arity, integral)
+            sets = [polys, [g.monic() for g in polys if g]]
+            if is_groebner_basis(polys):
+                sets.append(list(reduce_basis(GroebnerBasis(arity, tuple(polys)))))
+            for s in sets:
+                answers.append(is_reduced(s))
+                assert answers[-1] == reduced_reference(s), s
+        assert answers.count(True) > 100 and answers.count(False) > 100
+        assert is_reduced([])
+
     def test_mixed_arities(self):
         with pytest.raises(ArityMismatchError):
             is_groebner_basis([P("x2^2-x1", 2), P("x2*x1", 3)])
+        with pytest.raises(ArityMismatchError):
+            is_reduced([P("x2-x1", 2), P("x3", 3)])
 
 
 def s_definition(f, g):
@@ -461,6 +484,15 @@ def all_pairs_reference(polys):
                                for f, g in combinations(polys, 2))
 
 
+def reduced_reference(polys):
+    """is_reduced from its definition, on exponent tuples."""
+    if any(g.is_zero() or g.leading_coefficient() != 1 for g in polys):
+        return False
+    lms = [g.leading_monomial() for g in polys]
+    return not any(mono_divides(lm, m) for i, g in enumerate(polys)
+                   for m, _ in g.terms for j, lm in enumerate(lms) if j != i)
+
+
 def random_set(rng, arity, integral):
     """1 to 4 polynomials: random ones, scalar and monomial multiples, and
     ones whose leading monomials are powers of distinct variables, so that
@@ -477,7 +509,8 @@ def random_set(rng, arity, integral):
     while not polys or (len(polys) < 4 and rng.random() < 0.5):
         if polys and rng.random() < 0.3:
             m = random_monomial(rng, arity, 2)
-            polys.append(rng.choice(polys).mul_term(m, random_coefficient(rng, integral)))
+            polys.append(rng.choice(polys)
+                         * Polynomial.from_monomial(m, random_coefficient(rng, integral)))
         else:
             polys.append(random_polynomial(rng, arity, 3, 4, integral=integral))
     return polys
@@ -615,7 +648,8 @@ def shifted(p, c):
     for m, coeff in p.terms:
         term = Polynomial.constant(coeff, p.arity)
         for x, e in zip(xs, m):
-            term = term * x ** e
+            for _ in range(e):
+                term = term * x
         out = out + term
     return out
 

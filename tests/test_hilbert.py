@@ -13,9 +13,9 @@ from symgb.hilbert import (
     hilbert_numerator,
     staircase_series,
 )
-from symgb.poly import mono_divides
 from symgb.symfunc import elementary
 from symgb.verify import computed_gb_ek
+from conftest import mono_divides
 
 
 def refuse(*args):
@@ -123,6 +123,14 @@ class TestStaircase:
         assert not isinstance(info.value, NonArtinianError)
         with pytest.raises(TypeError, match="exponents must be ints"):
             series([(1.5, 0), (0, 2)], 2)
+
+    @pytest.mark.parametrize("series", [staircase_series, hilbert_numerator])
+    def test_negative_arity_rejected(self, series):
+        # arity -1 used to reach _dense: staircase_series raised IndexError
+        # and hilbert_numerator answered [1]
+        assert series([], 0) == SeriesPoly((1,))
+        with pytest.raises(ValueError, match="negative arity"):
+            series([], -1)
 
     # the limit is now on the length of the series, sum(c_i - 1) + 1 for
     # the pure powers x_i^c_i, not on the prod(c_i) points of the box

@@ -1,5 +1,5 @@
-"""The packed product kernel, ``poly._product_sum``, behind ``*``,
-``mul_term``, the identity defects and the e1ek identity, and the packed
+"""The packed product kernel, ``poly._product_sum``, behind ``*`` (also
+by a single term), the identity defects and the e1ek identity, and the packed
 S-pair step behind ``s_polynomial`` and Buchberger, against a plain reference
 written here: exponent tuples added componentwise, coefficients summed as
 Fractions in a dict, sorted by the reversed tuple."""
@@ -217,8 +217,8 @@ def test_defects_match_the_reference(monkeypatch, defect, parts, ks):
     assert nonzero > 0
 
 
-# -- mul_term, formed by the product kernel, and s_polynomial, formed by the
-# S-pair step that Buchberger runs
+# -- products by a single term, formed by the product kernel, and
+# s_polynomial, formed by the S-pair step that Buchberger runs
 
 def nonzero(rng, arity, integral):
     if rng.random() < 0.3:
@@ -247,19 +247,28 @@ class TestMulTerm:
             f = factor(rng, arity, integral)
             m = tuple(rng.choice((0, 1, 2, 255, 256)) for _ in range(arity))
             c = rng.choice([1, -2, 3, Fraction(4, 2), Fraction(-1, 3), Fraction(5, 2)])
-            assert typed(f.mul_term(m, c)) == reference([(c, f, Polynomial.from_monomial(m))])
+            assert (typed(f * Polynomial.from_monomial(m, c))
+                    == reference([(c, f, Polynomial.from_monomial(m))]))
 
     def test_field_boundaries(self):
-        # x1^255 fits a one-byte field, x1^256 needs two
+        # a product's fields are one byte wide up to exponent 127, and two
+        # from 128 up to 2^15 - 1
+        x = Polynomial.from_monomial
+        f = Polynomial(2, [((127, 1), 1), ((1, 0), Fraction(1, 2))])
+        assert typed(f * x((0, 0), 2)) == [((127, 1), int, 2), ((1, 0), int, 1)]
+        assert typed(f * x((1, 0), 1)) == [
+            ((128, 1), int, 1), ((2, 0), Fraction, Fraction(1, 2))]
         f = Polynomial(2, [((255, 1), 1), ((1, 0), Fraction(1, 2))])
-        assert typed(f.mul_term((0, 0), 2)) == [((255, 1), int, 2), ((1, 0), int, 1)]
-        assert typed(f.mul_term((1, 255), 1)) == [
+        assert typed(f * x((0, 0), 2)) == [((255, 1), int, 2), ((1, 0), int, 1)]
+        assert typed(f * x((1, 255), 1)) == [
             ((256, 256), int, 1), ((2, 255), Fraction, Fraction(1, 2))]
+        assert typed(f * x((255, 0), 1)) == [
+            ((510, 1), int, 1), ((256, 0), Fraction, Fraction(1, 2))]
 
     def test_zero(self, rng):
         f = random_polynomial(rng, 3, 4, 6, allow_zero=False)
-        assert f.mul_term((1, 2, 3), 0).is_zero()
-        assert Polynomial.zero(3).mul_term((1, 2, 3), 5).is_zero()
+        assert (f * Polynomial.from_monomial((1, 2, 3), 0)).is_zero()
+        assert (Polynomial.zero(3) * Polynomial.from_monomial((1, 2, 3), 5)).is_zero()
 
 
 class TestSPolynomial:

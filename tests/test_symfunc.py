@@ -149,15 +149,18 @@ class TestPackedBorn:
         assert builder(k, n, arity).terms == brute(k, n, arity).terms
 
     @given(st.sampled_from([(homogeneous, brute_homogeneous), (powersum, brute_powersum)]),
-           st.integers(1, 2), st.integers(250, 300))
+           st.integers(1, 2), st.integers(100, 300))
     @settings(max_examples=30, deadline=None)
     def test_two_byte_fields(self, pair, n, k):
+        # one byte up to exponent 127, the guard bit of a one-byte field
         builder, brute = pair
         p = born_packed(builder(k, n))
-        assert p._packed[0] == (1 if k < 256 else 2)
+        assert p._packed[0] == (1 if k < 128 else 2)
         assert p == brute(k, n, n)
 
     def test_two_byte_examples(self):
+        assert str(powersum(127, 2)) == "x2^127+x1^127"
+        assert str(homogeneous(128, 1)) == "x1^128"
         assert str(homogeneous(300, 1)) == "x1^300"
         assert str(powersum(256, 2)) == "x2^256+x1^256"
         assert homogeneous(0, -1, 2) == Polynomial.one(2)
@@ -196,8 +199,7 @@ class TestPackedBorn:
         [(elementary, 1, 3), (elementary, 3, 3)],
         [(elementary, 1, 4), (homogeneous, 2, 3), (powersum, 3, 4)],
         [(powersum, 2, 3), (powersum, 3, 3), (powersum, 4, 3)],
-        # 1-byte keys whose exponent 128 sets the guard bit: the run packs
-        # them again two bytes wide
+        # exponent 128 sets the guard bit of a one-byte field
         [(elementary, 1, 2), (homogeneous, 128, 2)],
     ])
     def test_twin_gives_identical_bases(self, monkeypatch, gens):
@@ -218,7 +220,18 @@ class TestPackedBorn:
         assert born == twin and born.stats == twin.stats
         assert born_widths == widths
         top = max(k if b is not elementary else 1 for b, k, _ in gens)
-        assert widths == [top.bit_length() // 8 + 1]
+        assert widths == [1 if top < 128 else 2]
+
+    @pytest.mark.parametrize("k", [127, 128, 200, 255, 256])
+    def test_born_keys_reach_the_reduction_kernel(self, k):
+        # h_{k,2} is born as wide as the run it enters, so the kernel reads
+        # its keys and builds no terms; for k in 128..255 it was born one
+        # byte wide, under a second width rule, and packed again
+        h = born_packed(homogeneous(k, 2))
+        basis = reduced_groebner_basis([elementary(1, 2), h])
+        assert h._terms is None
+        twin = Polynomial(2, homogeneous(k, 2).terms)
+        assert basis == reduced_groebner_basis([elementary(1, 2), twin])
 
 
 class TestIdentities:

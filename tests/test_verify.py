@@ -164,8 +164,10 @@ def accumulated_telescope(j, n):
     arity = max(n, 1)
     x = Polynomial.variable(n - j + 1, arity)
     acc = -symfunc.homogeneous(j, n - j + 1, arity)
+    power = Polynomial.one(arity)  # x^ell
     for ell in range(j + 1):
-        acc = acc + x ** ell * symfunc.homogeneous(j - ell, n - j, arity)
+        acc = acc + power * symfunc.homogeneous(j - ell, n - j, arity)
+        power = power * x
     return acc
 
 
