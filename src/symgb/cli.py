@@ -2,10 +2,10 @@
 
 Commands: sym, gb, verify, involution, hilbert.  Exit codes:
 0 = success / all verified, 1 = mathematical mismatch found, 2 = usage or
-parse error.  The CLI owns the size limit of its own builds; the hard limits
-of a sweep are the ``verify.Target.refuse`` of each target, and the carrier
-limit of `involution` is ``involution.refuse_carrier``, which the
-certificate and the trace apply themselves.
+parse error.  The CLI applies ``symfunc``'s build limit to its own builds;
+the hard limits of a sweep are the ``verify.Target.refuse`` of each target,
+and the carrier limit of `involution` is ``involution.refuse_carrier``,
+which the certificate and the trace apply themselves.
 """
 
 from __future__ import annotations
@@ -15,16 +15,11 @@ import sys
 from typing import List, Optional
 
 from . import groebner, involution, symfunc, verify
-from .poly import (PolyParseError, Polynomial, _split_terms, format_polynomial,
+from .poly import (PolyParseError, Polynomial, _split_summands, format_polynomial,
                    parse_polynomial)
+from .symfunc import sym_build_size
 
 USAGE_ERROR = 2
-# Limit of the builds `sym` and `gb` run, in exponents stored (h_{10,10}
-# stores 1847560).  e, h and p are built packed, one int per term, and only
-# `sym` then unpacks every term into its n exponents, to print it: h_{10,10}
-# peaks at 44 MB (ru_maxrss, Python 3.11), as it did when the builders made
-# the exponent tuples themselves.
-MAX_SYM_EXPONENTS = 4 * 10**6
 
 
 class UsageError(ValueError):
@@ -75,53 +70,20 @@ def _parse_generators(spec: str, n: int) -> List[Polynomial]:
     return gens
 
 
-def _comb_capped(n: int, k: int, cap: int) -> int:
-    """C(n, k) when it is at most cap, else cap + 1; cheap for any n, k."""
-    k = min(k, n - k)
-    if k < 0:
-        return 0
-    c = 1
-    for i in range(k):  # C(n, i) grows with i up to n/2
-        c = c * (n - i) // (i + 1)
-        if c > cap:
-            return cap + 1
-    return c
-
-
-def sym_build_size(kind: str, k: int, n: int) -> int:
-    """Cost of building e_{k,n}, h_{k,n} or p_{k,n} in n variables, counted
-    without building anything; MAX_SYM_EXPONENTS + 1 stands for every count
-    above the limit.
-
-    The result has C(n, k), C(n+k-1, k) or n terms of n exponents each, and
-    each term is the weight of an enumerated k-tuple, so a term costs n + k:
-    h_{k,1} = x1^k is one term but k steps.  0 for a negative k, which the
-    builders reject."""
-    cap = MAX_SYM_EXPONENTS
-    if k < 0:
-        return 0
-    if kind == "p":
-        terms = n
-    elif kind == "e":
-        terms = _comb_capped(n, k, cap)
-    else:
-        terms = _comb_capped(n + k - 1, k, cap)
-    return min(terms * (n + k), cap + 1)
-
-
 def _check_sym_size(kind: str, k: int, n: int) -> None:
-    if sym_build_size(kind, k, n) > MAX_SYM_EXPONENTS:
+    if sym_build_size(kind, k, n) > symfunc.MAX_SYM_EXPONENTS:
         raise UsageError(f"building {kind}_{{{k},{n}}} stores more than the "
-                         f"limit of {MAX_SYM_EXPONENTS} exponents")
+                         f"limit of {symfunc.MAX_SYM_EXPONENTS} exponents")
 
 
 def _check_text_size(text: str, n: int) -> None:
     """Refuse polynomial text whose terms of n exponents each would store
-    more than MAX_SYM_EXPONENTS, counting the terms before parsing them."""
-    terms = sum(1 for _ in _split_terms(text.replace(" ", "")))
-    if terms * n > MAX_SYM_EXPONENTS:
+    more than symfunc.MAX_SYM_EXPONENTS, counting the terms before parsing
+    them."""
+    terms = sum(1 for _ in _split_summands(text.replace(" ", "")))
+    if terms * n > symfunc.MAX_SYM_EXPONENTS:
         raise UsageError(f"parsing {text!r} in {n} variables stores more than "
-                         f"the limit of {MAX_SYM_EXPONENTS} exponents")
+                         f"the limit of {symfunc.MAX_SYM_EXPONENTS} exponents")
 
 
 def cmd_sym(args) -> int:
@@ -153,22 +115,11 @@ def cmd_verify(args) -> int:
     if hi < lo:
         raise UsageError("range is empty after applying caps")
     results = verify.run_sweep(args.target, lo, hi, fixed_k=args.k)
-    failed = False
     for r in results:
-        if args.format == "records":
-            print(r.record())
-        else:
-            k = "" if r.k is None else f" k={r.k}"
-            status = "PASS" if r.ok else "FAIL"
-            line = f"{status} {r.target}{k} n={r.n}"
-            if r.witness:
-                line += f"  [{r.witness}]"
-            print(line)
-        failed = failed or not r.ok
-    total = len(results)
+        print(r.record() if args.format == "records" else r.text())
     bad = sum(1 for r in results if not r.ok)
-    print(f"{total - bad}/{total} cells passed")
-    return 1 if failed else 0
+    print(f"{len(results) - bad}/{len(results)} cells passed")
+    return 1 if bad else 0
 
 
 def cmd_involution(args) -> int:

@@ -15,8 +15,9 @@ from .poly import (
     ZeroPolynomialError,
     _exact_div,
     _field_width,
+    _guard,
     _max_exponent,
-    _packed_terms,
+    _packed_pairs,
     _packers,
 )
 
@@ -78,23 +79,23 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     if any(d.is_zero() for d in divisors):
         raise ZeroPolynomialError("zero divisor in division")
     # f times the lcm of its denominators is integral
-    den = lcm(*[c.denominator for _, c in f.terms])
-    seed = [(m, c.numerator * (den // c.denominator)) for m, c in f.terms]
+    den = lcm(*[c.denominator for c in f.coeffs])
 
     def step(packed: _Packed) -> DivisionResult:
-        pack, unpack = packed.pack, packed.unpack
         quotients = [{} for _ in divisors]
         remainder, scale = packed.reduce(
-            {pack(m): c for m, c in seed}, den, packed.reducers, quotients)
+            {k: c.numerator * (den // c.denominator)
+             for k, c in _packed_pairs(f, packed.width)},
+            den, packed.reducers, quotients)
         # reducer i is d_i / LC(f_i) times f_i, and a quotient term (q, s)
         # stands for q / s times reducer i
         return DivisionResult(
             quotients=tuple(
-                Polynomial._trusted(f.arity, tuple(
-                    (unpack(t), _exact_div(q * d, s * g.leading_coefficient()))
-                    for t, (q, s) in qs.items()))
+                Polynomial._from_keys(f.arity, packed.width, qs, [
+                    _exact_div(q * d, s * g.leading_coefficient())
+                    for q, s in qs.values()])
                 for qs, (_, d, _, _), g in zip(quotients, packed.reducers, divisors)),
-            remainder=packed.polynomial(remainder.items(), scale))
+            remainder=packed.polynomial(remainder, scale))
 
     return _run(f.arity, divisors, _max_exponent(f), step)
 
@@ -110,10 +111,10 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
 # ``_run`` builds the whole run again, from its input polynomials, with
 # fields one byte wider.  A run is deterministic and int order is lex order
 # at any width, so a run redone makes the same pairs in the same order and
-# ends with the same result and the same stats.  An input born packed at the
-# run's width (``poly._packed_terms``) enters with its packed monomials as
-# they are: e, h and p do unless another input, or an overflow, needs wider
-# fields.
+# ends with the same result and the same stats.  Every input enters with
+# its own packed monomials (``poly._packed_pairs``), widened when another
+# input, or an overflow, needs wider fields, and every output polynomial is
+# built from the kernel's packed monomials, narrowed to its own width.
 #
 # Every coefficient in the kernel is an int.  A reducer is the primitive
 # integer multiple of its polynomial, and the work is reduced fraction-free:
@@ -133,7 +134,7 @@ def _run(arity: int, polys: Sequence[Polynomial], top: int, step):
     for p in polys:  # packing does not see the arity
         if p.arity != arity:
             raise ArityMismatchError(f"arity mismatch: {arity} vs {p.arity}")
-    width = _field_width(max([top, *map(_max_exponent, polys)]))
+    width = max([_field_width(top), *[p.width for p in polys]])
     while True:
         try:
             return step(_Packed(arity, polys, width))
@@ -149,9 +150,9 @@ class _Packed:
 
     def __init__(self, arity: int, polys: Iterable[Polynomial], width: int):
         self.arity, self.width = arity, width
-        self.pack, self.unpack = pack, _ = _packers(arity, width)
-        self.guard = int.from_bytes((bytes(width - 1) + b"\x80") * arity, "little")
-        self.reducers = [self.reducer(_packed_terms(p, width, pack), i)
+        self.pack, self.unpack = _packers(arity, width)
+        self.guard = _guard(arity, width)
+        self.reducers = [self.reducer(_packed_pairs(p, width), i)
                          for i, p in enumerate(polys)]
 
     def lcm(self, a: int, b: int) -> int:
@@ -178,17 +179,15 @@ class _Packed:
     def monic(self, reducer: tuple) -> Polynomial:
         """The monic polynomial of a reducer."""
         lm, d, tail, _ = reducer
-        return self.polynomial(((lm, d), *tail), d)
+        return self.polynomial(dict(((lm, d), *tail)), d)
 
-    def polynomial(self, terms: Iterable[tuple], scale: int) -> Polynomial:
-        """The polynomial of packed nonzero int terms in decreasing lex order,
-        divided by ``scale``."""
-        unpack = self.unpack
-        if scale == 1:
-            return Polynomial._trusted(self.arity, tuple(
-                (unpack(k), c) for k, c in terms))
-        return Polynomial._trusted(self.arity, tuple(
-            (unpack(k), _exact_div(c, scale)) for k, c in terms))
+    def polynomial(self, terms: dict, scale: int) -> Polynomial:
+        """The polynomial of packed nonzero int terms (monomial ->
+        coefficient) in decreasing lex order, divided by ``scale``."""
+        coeffs = terms.values()
+        if scale != 1:
+            coeffs = [_exact_div(c, scale) for c in coeffs]
+        return Polynomial._from_keys(self.arity, self.width, terms, coeffs)
 
     def s_remainder(self, i: int, j: int, basis: Sequence[int]) -> Optional[tuple]:
         """:meth:`reduce`'s (remainder, scale) of the S-polynomial of reducers
@@ -271,7 +270,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
     def step(packed: _Packed) -> Polynomial:
         r, scale = packed.s_remainder(0, 1, ()) or ({}, 1)
-        return packed.polynomial(r.items(), scale)
+        return packed.polynomial(r, scale)
 
     return _run(f.arity, (f, g), 0, step)
 

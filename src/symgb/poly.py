@@ -1,26 +1,24 @@
 """Sparse multivariate polynomial arithmetic over Q.
 
 Monomials are dense exponent tuples of a fixed arity; ``exps[i-1]`` is the
-exponent of the variable ``x_i``.  Polynomials are canonical sorted term
-lists with exact coefficients: an integral coefficient is always an
-``int`` and any other one a :class:`fractions.Fraction`, so integer
-polynomials stay in ``int`` arithmetic until a division.  The only
-monomial order provided is lexicographic with the highest-index variable
-most significant (``x_n > x_{n-1} > ... > x_1``).  Products are formed on
-monomials packed into ints (``_product_sum``) and unpacked into tuples.
+exponent of the variable ``x_i``.  Coefficients are exact: an integral
+coefficient is always an ``int`` and any other one a
+:class:`fractions.Fraction`, so integer polynomials stay in ``int``
+arithmetic until a division.  The only monomial order provided is
+lexicographic with the highest-index variable most significant
+(``x_n > x_{n-1} > ... > x_1``).
 
-A polynomial may be born packed (``Polynomial._packed_born``), as
-``symfunc``'s e, h and p are: a sum of monomials with coefficient 1 that
-keeps them packed.  Both kernels (``_product_sum`` here and ``groebner``'s
-reductions) read them through ``_packed_terms``, and its ``terms`` tuple is
-built only when something reads it.
+A polynomial stores one form, its packed monomials beside their
+coefficients (see :class:`Polynomial`), which both kernels, ``_product_sum``
+here and ``groebner``'s reductions, read and build from.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import repeat
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence, Union
 
 Monomial = tuple
@@ -58,10 +56,6 @@ def _exact_div(a: Coefficient, b: Coefficient) -> Coefficient:
     return _coefficient(a / b)
 
 
-def _term_key(term: tuple) -> Monomial:
-    return term[0][::-1]  # lex order: the exponent of x_n first, then x_{n-1}, ...
-
-
 def _check_monomial(mono: Monomial, arity: int) -> None:
     if len(mono) != arity:
         raise ArityMismatchError(
@@ -72,26 +66,18 @@ def _check_monomial(mono: Monomial, arity: int) -> None:
         raise ValueError(f"negative exponent in {mono}")
 
 
-def _sorted_terms(acc: dict) -> tuple:
-    """Canonical terms of a monomial -> coefficient dict: zeros dropped,
-    coefficients canonical, sorted strictly decreasing under lex."""
-    terms = [(m, c if type(c) is int else _coefficient(c))
-             for m, c in acc.items() if c]
-    terms.sort(key=_term_key, reverse=True)
-    return tuple(terms)
-
-
 class Polynomial:
     """Immutable polynomial in canonical form.
 
-    ``terms`` is a tuple of (monomial, coefficient) pairs with distinct
-    monomials, nonzero coefficients, sorted strictly decreasing under lex.
-    The empty tuple is the zero polynomial.  A polynomial born packed keeps
-    (width, largest exponent, packed monomials) in ``_packed`` instead, and
-    builds ``terms`` from them when it is first read, dropping them then.
+    ``keys`` are the monomials packed in ``width``-byte fields, the fewest
+    that ``_field_width`` allows for the largest exponent, in strictly
+    decreasing (lex) order; ``coeffs`` are their nonzero canonical
+    coefficients.  The zero polynomial has no keys and width 1.  So equal
+    polynomials have equal fields, and ``terms`` is a view that unpacks the
+    keys into (monomial, coefficient) pairs on each read.
     """
 
-    __slots__ = ("arity", "_terms", "_packed")
+    __slots__ = ("arity", "width", "keys", "coeffs")
 
     def __init__(self, arity: int, terms: Iterable = ()):
         if arity < 1:
@@ -101,44 +87,33 @@ class Polynomial:
             mono = tuple(mono)
             _check_monomial(mono, arity)
             merged[mono] = merged.get(mono, 0) + _coefficient(coeff)
-        self.arity = arity
-        self._terms = _sorted_terms(merged)
-        self._packed = None
+        terms = [(m, c) for m, c in merged.items() if c]
+        width = _field_width(max([max(m) for m, _ in terms], default=0))
+        pack = _packers(arity, width)[0]
+        terms = sorted([(pack(m), _coefficient(c)) for m, c in terms], reverse=True)
+        self.arity, self.width = arity, width
+        self.keys, self.coeffs = tuple(zip(*terms)) or ((), ())
 
     @classmethod
-    def _trusted(cls, arity: int, terms: tuple) -> "Polynomial":
-        """A polynomial whose ``terms`` are already canonical (see the class
-        docstring); nothing is checked, merged or sorted."""
+    def _from_keys(cls, arity: int, width: int, keys: Sequence[int],
+                   coeffs: Iterable) -> "Polynomial":
+        """The polynomial of a kernel's packed monomials ``keys``, in
+        ``width``-byte fields with the top bit of each clear and in strictly
+        decreasing order, and of their nonzero canonical ``coeffs``; nothing
+        is checked.  The keys are narrowed to the polynomial's own width when
+        their largest exponent fits fewer bytes."""
         p = object.__new__(cls)
-        p.arity = arity
-        p._terms = terms
-        p._packed = None
-        return p
-
-    @classmethod
-    def _packed_born(cls, arity: int, width: int, top: int,
-                     keys: tuple) -> "Polynomial":
-        """The sum, each with coefficient 1, of the distinct monomials
-        ``keys``, packed in ``width``-byte fields (see ``_packers``) and in
-        decreasing lex order; nothing is checked.  ``top`` is their largest
-        exponent.  The zero polynomial keeps no packed monomials."""
-        if not keys:
-            return cls._trusted(arity, ())
-        p = object.__new__(cls)
-        p.arity = arity
-        p._terms = None
-        p._packed = width, top, keys
+        p.arity, p.width, p.keys, p.coeffs = arity, width, tuple(keys), tuple(coeffs)
+        if width > 1:
+            own = _field_width(_max_exponent(p))
+            if own < width:
+                p.width, p.keys = own, _rewidth(p.keys, arity, width, own)
         return p
 
     @property
     def terms(self) -> tuple:
-        terms = self._terms
-        if terms is None:
-            width, _, keys = self._packed
-            unpack = _packers(self.arity, width)[1]
-            terms = self._terms = tuple(zip(map(unpack, keys), repeat(1)))
-            self._packed = None
-        return terms
+        """The (monomial, coefficient) pairs in decreasing lex order."""
+        return tuple(_unpacked(self))
 
     # -- constructors ------------------------------------------------------
 
@@ -170,17 +145,15 @@ class Polynomial:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        # the zero polynomial is never born packed
-        return self._packed is None and not self._terms
+        return not self.keys
 
     # -- leading data ------------------------------------------------------
 
     def leading_term(self) -> tuple:
         """(coefficient, monomial) of the lex-maximal term."""
-        if not self.terms:
+        if not self.keys:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        mono, coeff = self.terms[0]
-        return coeff, mono
+        return self.coeffs[0], _packers(self.arity, self.width)[1](self.keys[0])
 
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[1]
@@ -210,17 +183,13 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = dict(self.terms)
-        get = acc.get
-        for m, c in other.terms:
-            acc[m] = get(m, 0) + c
-        return Polynomial._trusted(self.arity, _sorted_terms(acc))
+        one = Polynomial.one(self.arity)
+        return _product_sum(self.arity, ((1, self, one), (1, other, one)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.arity,
-                                   tuple((m, -c) for m, c in self.terms))
+        return self * -1
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -232,13 +201,6 @@ class Polynomial:
         return -(self - other)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            c = _coefficient(other)
-            if not c:
-                return Polynomial.zero(self.arity)
-            # a nonzero scalar keeps every term nonzero and the order intact
-            return Polynomial._trusted(self.arity, tuple(
-                (m, _coefficient(cc * c)) for m, cc in self.terms))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -253,10 +215,11 @@ class Polynomial:
             other = Polynomial.constant(other, self.arity)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return (self.arity == other.arity and self.width == other.width
+                and self.keys == other.keys and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
-        return hash((self.arity, self.terms))
+        return hash((self.arity, self.width, self.keys, self.coeffs))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -270,27 +233,35 @@ class Polynomial:
         return f"Polynomial({self.arity}, {format_polynomial(self)!r})"
 
 
-# -- packed products ---------------------------------------------------------
+# -- packed monomials --------------------------------------------------------
 #
-# A product packs each monomial into one int with a field of whole bytes per
-# variable, x_1 in the lowest field and x_n in the top one.  While no field
-# overflows, the product of two monomials is the sum of their ints and lex
-# order is int order (Monagan and Pearce, "Sparse polynomial division using
-# a heap", J. Symbolic Comput. 46, 2011).  Every packing takes its width
-# from ``_field_width``, which keeps the top bit of each field clear: the
-# guard bit that ``groebner``'s reductions test.  So a polynomial born packed
-# for its own largest exponent is read as it is by both kernels.
-
-def _max_exponent(p: Polynomial) -> int:
-    if p._packed is not None:
-        return p._packed[1]
-    return max(map(max, zip(*[m for m, _ in p.terms])), default=0)
-
+# A monomial packs into one int with a field of whole bytes per variable,
+# x_1 in the lowest field and x_n in the top one.  While no field overflows,
+# the product of two monomials is the sum of their ints and lex order is int
+# order (Monagan and Pearce, "Sparse polynomial division using a heap",
+# J. Symbolic Comput. 46, 2011).  Every packing takes its width from
+# ``_field_width``, which keeps the top bit of each field clear: the guard
+# bit that ``groebner``'s reductions test.  Both kernels read a polynomial's
+# own keys, widened when they work in wider fields (``_packed_pairs``).
 
 def _field_width(top: int) -> int:
     """The fewest bytes per field that hold exponents up to ``top`` with
     the top bit of each field clear: one byte up to 127, two up to 2^15 - 1."""
     return top.bit_length() // 8 + 1
+
+
+def _guard(arity: int, width: int) -> int:
+    """The top bit of each of ``arity`` fields of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * arity, "little")
+
+
+def _max_exponent(p: Polynomial) -> int:
+    """An exponent bound of p with the bit length of its largest exponent:
+    the largest field of the bitwise OR of its keys."""
+    width = p.width
+    fields = reduce(or_, p.keys, 0).to_bytes(p.arity * width, "little")
+    return max(int.from_bytes(fields[i:i + width], "little")
+               for i in range(0, len(fields), width))
 
 
 def _packers(arity: int, width: int) -> tuple:
@@ -312,32 +283,45 @@ def _packers(arity: int, width: int) -> tuple:
     return pack, unpack
 
 
-def _packed_terms(p: Polynomial, width: int, pack) -> Sequence[tuple]:
+def _rewidth(keys: Sequence[int], arity: int, old: int, new: int) -> tuple:
+    """``keys``, packed in ``old``-byte fields, repacked in ``new``-byte
+    ones: each field keeps its low bytes, so a narrower width must hold
+    every exponent.  All keys are moved at once, as one byte string."""
+    src = b"".join(k.to_bytes(arity * old, "little") for k in keys)
+    out = bytearray(len(keys) * arity * new)
+    for j in range(min(old, new)):
+        out[j::new] = src[j::old]
+    size = arity * new
+    return tuple(int.from_bytes(out[i:i + size], "little")
+                 for i in range(0, len(out), size))
+
+
+def _packed_pairs(p: Polynomial, width: int) -> Sequence[tuple]:
     """p's (packed monomial, coefficient) pairs in decreasing lex order, in
-    ``width``-byte fields, which ``pack`` packs: from the monomials p was
-    born packed with when they have that width, else from its terms."""
-    packed = p._packed
-    if packed is not None and packed[0] == width:
-        return tuple(zip(packed[2], repeat(1)))
-    return [(pack(m), c) for m, c in p.terms]
+    ``width``-byte fields, at least as wide as p's own."""
+    keys = p.keys if p.width == width else _rewidth(p.keys, p.arity, p.width, width)
+    return tuple(zip(keys, p.coeffs))
+
+
+def _unpacked(p: Polynomial) -> Iterator[tuple]:
+    """p's (monomial, coefficient) pairs, unpacked one at a time."""
+    return zip(map(_packers(p.arity, p.width)[1], p.keys), p.coeffs)
 
 
 def _product_sum(arity: int, parts: Iterable[tuple]) -> Polynomial:
     """sum of a * f * g over the (a, f, g) triples of ``parts``: a is an int
     or a Fraction, f and g are polynomials of the given arity.
 
-    The fields are wide enough for the largest exponent of any f * g, so no
-    sum of packed monomials carries.  The products are merged in one dict
-    keyed on packed monomials, and only the nonzero sums are unpacked."""
+    The fields are as wide as the widest factor's, whose top bits are clear,
+    so no sum of packed monomials carries.  The products are merged in one
+    dict keyed on packed monomials, whose nonzero sums are the result's keys;
+    when one of them reaches the top bit of a field, they take a byte more."""
     parts = list(parts)
-    top = max((_max_exponent(f) + _max_exponent(g) for _, f, g in parts),
-              default=0)
-    width = _field_width(top)
-    pack, unpack = _packers(arity, width)
+    width = max([1, *[max(f.width, g.width) for _, f, g in parts]])
     acc: dict = {}
     get = acc.get
     for a, f, g in parts:
-        f, g = _packed_terms(f, width, pack), _packed_terms(g, width, pack)
+        f, g = _packed_pairs(f, width), _packed_pairs(g, width)
         if len(f) > len(g):
             f, g = g, f  # the longer factor in the inner loop
         for k1, c in f:
@@ -347,9 +331,10 @@ def _product_sum(arity: int, parts: Iterable[tuple]) -> Polynomial:
                 acc[k] = get(k, 0) + c1 * c2
     keys = [k for k, c in acc.items() if c]
     keys.sort(reverse=True)
-    return Polynomial._trusted(arity, tuple(
-        (unpack(k), c if type(c := acc[k]) is int else _coefficient(c))
-        for k in keys))
+    coeffs = [c if type(c := acc[k]) is int else _coefficient(c) for k in keys]
+    if reduce(or_, keys, 0) & _guard(arity, width):
+        keys, width = _rewidth(keys, arity, width, width + 1), width + 1
+    return Polynomial._from_keys(arity, width, keys, coeffs)
 
 
 # -- canonical text grammar -------------------------------------------------
@@ -383,7 +368,7 @@ def format_polynomial(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     out = []
-    for idx, (mono, coeff) in enumerate(p.terms):
+    for idx, (mono, coeff) in enumerate(_unpacked(p)):
         neg = coeff < 0
         mag = -coeff if neg else coeff
         mono_s = _format_mono(mono)
@@ -404,7 +389,7 @@ _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 _COEFF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 
 
-def _split_terms(text: str) -> Iterator[tuple]:
+def _split_summands(text: str) -> Iterator[tuple]:
     """Yield (sign, term_text) pairs from the top-level +/- structure."""
     i = 0
     n = len(text)
@@ -435,7 +420,7 @@ def parse_polynomial(text: str, arity: int) -> Polynomial:
     if not text:
         raise PolyParseError("empty polynomial text")
     terms = []
-    for sign, chunk in _split_terms(text):
+    for sign, chunk in _split_summands(text):
         coeff = Fraction(sign)
         exps = [0] * arity
         saw_factor = False

@@ -3,11 +3,9 @@ each built as the sum of wt(S) over the sets S that define it, plus the
 defects (signed sums that vanish) of the identities that relate them and the
 closed-form reduced Groebner bases they predict.
 
-e, h and p are born packed (``Polynomial._packed_born``): wt(S) is the sum
+e, h and p are built packed (``Polynomial._from_keys``): wt(S) is the sum
 of the packed variables in S, so each family is one enumeration of packed
-monomials in decreasing order.  Both kernels, the product kernel behind the
-defects and ``groebner``'s reductions, read those monomials as they are,
-and no term tuple is built unless something reads ``terms``."""
+monomials in decreasing order, and no exponent tuple is made."""
 
 from __future__ import annotations
 
@@ -15,6 +13,46 @@ from itertools import chain, combinations, combinations_with_replacement
 from typing import Iterable, Optional
 
 from .poly import Monomial, Polynomial, _field_width, _product_sum
+
+
+# Limit of the builds `sym`, `gb` and `verify` run, in exponents stored
+# (h_{10,10} stores 1847560; `sym`, which unpacks one term at a time to
+# print it, peaks at 31 MB on it: ru_maxrss, Python 3.11).
+MAX_SYM_EXPONENTS = 4 * 10**6
+
+
+def _comb_capped(n: int, k: int, cap: int) -> int:
+    """C(n, k) when it is at most cap, else cap + 1; cheap for any n, k."""
+    k = min(k, n - k)
+    if k < 0:
+        return 0
+    c = 1
+    for i in range(k):  # C(n, i) grows with i up to n/2
+        c = c * (n - i) // (i + 1)
+        if c > cap:
+            return cap + 1
+    return c
+
+
+def sym_build_size(kind: str, k: int, n: int) -> int:
+    """Cost of building e_{k,n}, h_{k,n} or p_{k,n} in n variables, counted
+    without building anything; MAX_SYM_EXPONENTS + 1 stands for every count
+    above the limit.
+
+    The result has C(n, k), C(n+k-1, k) or n terms of n exponents each, and
+    each term is the weight of an enumerated k-tuple, so a term costs n + k:
+    h_{k,1} = x1^k is one term but k steps.  0 for a negative k, which the
+    builders reject."""
+    cap = MAX_SYM_EXPONENTS
+    if k < 0:
+        return 0
+    if kind == "p":
+        terms = n
+    elif kind == "e":
+        terms = _comb_capped(n, k, cap)
+    else:
+        terms = _comb_capped(n + k - 1, k, cap)
+    return min(terms * (n + k), cap + 1)
 
 
 def _ambient(n: int, arity: Optional[int]) -> int:
@@ -40,7 +78,8 @@ def _packed_sum(arity: int, n: int, top: int, keys) -> Polynomial:
     arity, so the variables are not checked again here."""
     width = _field_width(top)
     xs = [1 << 8 * width * j for j in range(n - 1, -1, -1)]
-    return Polynomial._packed_born(arity, width, top, tuple(keys(xs)))
+    keys = tuple(keys(xs))
+    return Polynomial._from_keys(arity, width, keys, (1,) * len(keys))
 
 
 def elementary(k: int, n: int, arity: Optional[int] = None) -> Polynomial:

@@ -20,13 +20,19 @@ class CellResult:
     ok: bool
     witness: str = ""
 
+    @property
+    def status(self) -> str:
+        return "PASS" if self.ok else "FAIL"
+
     def record(self) -> str:
         k = "-" if self.k is None else self.k
-        status = "PASS" if self.ok else "FAIL"
-        line = f"target={self.target} k={k} n={self.n} status={status}"
-        if self.witness:
-            line += f" witness={self.witness}"
-        return line
+        witness = f" witness={self.witness}" if self.witness else ""
+        return f"target={self.target} k={k} n={self.n} status={self.status}{witness}"
+
+    def text(self) -> str:
+        k = "" if self.k is None else f" k={self.k}"
+        witness = f"  [{self.witness}]" if self.witness else ""
+        return f"{self.status} {self.target}{k} n={self.n}{witness}"
 
 
 def computed_gb_ek(k: int, n: int) -> groebner.GroebnerBasis:
@@ -43,6 +49,16 @@ def computed_gb_e1ek(k: int, n: int) -> groebner.GroebnerBasis:
 # 0.05 / 0.12 / 0.31 / 0.75 s at n = 10 / 11 / 12 / 13 on a 2-vCPU Xeon,
 # about 2.5x more for each step of n.
 MAX_HILBERT_N = 13
+
+
+def _refuse_builds(k: int, n: int) -> None:
+    """Refuse a cell (k, n) whose e, h or p may store more than the build
+    limit: each has at most C(n, i) terms, i <= k, of cost at most n + k."""
+    limit, i = symfunc.MAX_SYM_EXPONENTS, min(k, n // 2)
+    if symfunc._comb_capped(n, i, limit) * (n + k) > limit:
+        raise ValueError(f"the cell k={k} n={n} builds e, h or p of up to "
+                         f"C({n},{i})*{n + k} exponents, more than the limit "
+                         f"of {limit}")
 
 
 def _refuse_hilbert_n(n: int) -> None:
@@ -116,18 +132,20 @@ class Target:
 # with the same k at the top n.
 TARGETS = {
     "gb-ek": Target(lambda k, n: _basis_check(
-        computed_gb_ek(k, n), symfunc.conjectured_gb_ek(k, n)), 11, _ks(1)),
+        computed_gb_ek(k, n), symfunc.conjectured_gb_ek(k, n)), 11, _ks(1),
+        _refuse_builds),
     "gb-e1ek": Target(lambda k, n: _basis_check(
-        computed_gb_e1ek(k, n), symfunc.conjectured_gb_e1ek(k, n)), 12, _ks(2)),
+        computed_gb_e1ek(k, n), symfunc.conjectured_gb_e1ek(k, n)), 12, _ks(2),
+        _refuse_builds),
     "hkn": Target(lambda k, n: _defect_check(
-        symfunc.hkn_identity_defect(k, n)), 12, _ks(1, 2)),
+        symfunc.hkn_identity_defect(k, n)), 12, _ks(1, 2), _refuse_builds),
     "ekn": Target(lambda k, n: _defect_check(
-        symfunc.ekn_identity_defect(k, n)), 12, _ks(1, 2)),
+        symfunc.ekn_identity_defect(k, n)), 12, _ks(1, 2), _refuse_builds),
     "telescope": Target(lambda k, n: _defect_check(
-        symfunc.telescope_defect(k, n)), 12, _ks(1)),
+        symfunc.telescope_defect(k, n)), 12, _ks(1), _refuse_builds),
     "newton": Target(lambda k, n: _defect_check(
-        symfunc.newton_defect(k, n)), 12, _ks(1, 2)),
-    "e1ek-reduction": Target(_e1ek_reduction_check, 12, _ks(1)),
+        symfunc.newton_defect(k, n)), 12, _ks(1, 2), _refuse_builds),
+    "e1ek-reduction": Target(_e1ek_reduction_check, 12, _ks(1), _refuse_builds),
     "involution-hkn": Target(lambda k, n: _certify_check(
         involution.certify_involution("hkn", k, n)), 11, _ks(1),
         lambda k, n: involution.refuse_carrier("hkn", k, n)),

@@ -4,7 +4,7 @@ from operator import add, le, sub
 
 import pytest
 
-from symgb import involution
+from symgb import groebner, involution
 from symgb.poly import Polynomial
 
 
@@ -63,6 +63,20 @@ def random_polynomial(rng: random.Random, arity: int, max_degree: int,
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The list, filled as they are built, of the field widths of every
+    packed run."""
+    widths, init = [], groebner._Packed.__init__
+
+    def recording(packed, arity, polys, width):
+        widths.append(width)
+        init(packed, arity, polys, width)
+
+    monkeypatch.setattr(groebner._Packed, "__init__", recording)
+    return widths
 
 
 @pytest.fixture

@@ -7,9 +7,10 @@ import pytest
 
 import symgb
 from symgb import cli, involution, symfunc, verify
-from symgb.cli import main, sym_build_size
+from symgb.cli import main
 from symgb.involution import carrier_size
 from symgb.poly import parse_polynomial
+from symgb.symfunc import sym_build_size
 
 
 def run(capsys, *argv):
@@ -62,7 +63,7 @@ class TestSymBudget:
     def test_huge_inputs_are_counted_without_building(self, capsys, monkeypatch):
         for name in ("elementary", "homogeneous", "powersum"):
             monkeypatch.setattr(symfunc, name, refuse)
-        over = cli.MAX_SYM_EXPONENTS + 1
+        over = symfunc.MAX_SYM_EXPONENTS + 1
         assert sym_build_size("h", 10**12, 10**12) == over
         assert sym_build_size("e", 10**6, 2 * 10**6) == over
         assert sym_build_size("h", 10**7, 1) == over  # x1^k: one term, k steps
@@ -76,10 +77,10 @@ class TestSymBudget:
     @pytest.mark.parametrize("kind,k,n", [("e", 3, 6), ("h", 3, 4), ("p", 2, 5)])
     def test_size_limit_is_inclusive(self, capsys, monkeypatch, kind, k, n):
         size = sym_build_size(kind, k, n)
-        monkeypatch.setattr(cli, "MAX_SYM_EXPONENTS", size)
+        monkeypatch.setattr(symfunc, "MAX_SYM_EXPONENTS", size)
         code, out, _ = run(capsys, "sym", "--kind", kind, "--k", str(k), "--n", str(n))
         assert code == 0 and out.strip() != "0"
-        monkeypatch.setattr(cli, "MAX_SYM_EXPONENTS", size - 1)
+        monkeypatch.setattr(symfunc, "MAX_SYM_EXPONENTS", size - 1)
         code, out, err = run(capsys, "sym", "--kind", kind, "--k", str(k), "--n", str(n))
         assert code == 2
         assert out == ""
@@ -100,7 +101,7 @@ class TestSymBudget:
         code, out, err = run(capsys, command, "--n", "40", "--gens", "e20")
         assert code == 2 and out == ""
         assert (f"error: building e_{{20,40}} stores more than the limit of "
-                f"{cli.MAX_SYM_EXPONENTS} exponents") in err
+                f"{symfunc.MAX_SYM_EXPONENTS} exponents") in err
 
     def test_polynomial_text_over_the_limit_is_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "parse_polynomial", refuse)
@@ -109,14 +110,14 @@ class TestSymBudget:
             code, out, err = run(capsys, "gb", "--n", str(n), "--gens", gens)
             assert code == 2 and out == ""
             assert (f"error: parsing {first!r} in {n} variables stores more "
-                    f"than the limit of {cli.MAX_SYM_EXPONENTS} exponents") in err
+                    f"than the limit of {symfunc.MAX_SYM_EXPONENTS} exponents") in err
 
     def test_polynomial_text_limit_is_inclusive(self, capsys, monkeypatch):
         gens = "-x1+x2-3*x1^2"  # 3 terms of 4 exponents
-        monkeypatch.setattr(cli, "MAX_SYM_EXPONENTS", 12)
+        monkeypatch.setattr(symfunc, "MAX_SYM_EXPONENTS", 12)
         code, out, _ = run(capsys, "gb", "--n", "4", f"--gens={gens}")
         assert code == 0 and out != ""
-        monkeypatch.setattr(cli, "MAX_SYM_EXPONENTS", 11)
+        monkeypatch.setattr(symfunc, "MAX_SYM_EXPONENTS", 11)
         code, out, err = run(capsys, "gb", "--n", "4", f"--gens={gens}")
         assert code == 2 and out == ""
         assert f"error: parsing {gens!r} in 4 variables" in err
@@ -247,6 +248,34 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "gb-e1ek", "--n", "1")
         assert (code, out) == (2, "")
         assert err == "error: gb-e1ek has no cell for n in 1..1\n"
+
+    # the seven targets that build e, h or p
+    BUILDING = ("gb-ek", "gb-e1ek", "hkn", "ekn", "telescope", "newton",
+                "e1ek-reduction")
+
+    @pytest.mark.parametrize("target", BUILDING)
+    def test_builds_past_the_limit_are_refused(self, capsys, monkeypatch, target):
+        # --no-limit lifts the n ceiling, not the build limit: every selected
+        # cell is checked before the first one builds anything
+        for name in ("elementary", "homogeneous", "powersum"):
+            monkeypatch.setattr(symfunc, name, refuse)
+        for argv in (["--n", "40", "--k", "20"], ["--n", "1..40"]):
+            code, out, err = run(capsys, "verify", target, *argv, "--no-limit")
+            assert code == 2 and out == ""
+            assert "builds e, h or p of up to C(40," in err
+            assert f"more than the limit of {symfunc.MAX_SYM_EXPONENTS}" in err
+
+    @pytest.mark.parametrize("target", BUILDING)
+    def test_build_limit_is_inclusive(self, capsys, monkeypatch, target):
+        # k=3, n=5: up to C(5,2)*8 = 80 exponents
+        monkeypatch.setattr(symfunc, "MAX_SYM_EXPONENTS", 80)
+        code, out, _ = run(capsys, "verify", target, "--n", "5", "--k", "3")
+        assert code == 0 and out.endswith("1/1 cells passed\n")
+        monkeypatch.setattr(symfunc, "MAX_SYM_EXPONENTS", 79)
+        code, out, err = run(capsys, "verify", target, "--n", "5", "--k", "3")
+        assert code == 2 and out == ""
+        assert ("error: the cell k=3 n=5 builds e, h or p of up to C(5,2)*8 "
+                "exponents, more than the limit of 79") in err
 
     def test_k_for_a_target_without_k(self, capsys):
         code, out, err = run(capsys, "verify", "hilbert", "--n", "2", "--k", "1")

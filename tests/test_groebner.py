@@ -9,7 +9,6 @@ from symgb.groebner import (
     GroebnerBasis,
     GroebnerStats,
     ZeroIdealError,
-    _Packed,
     _run,
     buchberger,
     divide,
@@ -546,11 +545,10 @@ class TestOverflowIdeals:
         assert is_reduced(gb.elements) and is_groebner_basis(gb.elements)
         assert all(normal_form(g, gb).is_zero() for g in gens)
 
-    def test_fields_widen_with_pairs_queued(self, monkeypatch):
+    def test_fields_widen_with_pairs_queued(self, widths):
         # the 1-byte fields overflow with pairs queued, so the run is built
         # again, from the generators, one byte wider; the stats are those of
         # the run that ends, with nothing counted by the one abandoned
-        widths = record_widths(monkeypatch)
         gens = [P(g) for g in ("x3^3-x1^25*x2", "x2^3-x1^72",
                                "x3*x2^2-x1^29*x3", "x3*x2*x1-x2")]
         gb = reduced_groebner_basis(gens)
@@ -562,13 +560,12 @@ class TestOverflowIdeals:
             "zero_reductions=12 peak_basis=7 peak_coeff_bits=1")
         assert gb == reduce_basis(buchberger(gens, product_criterion=False))
 
-    def test_stretched_ideals(self, monkeypatch):
+    def test_stretched_ideals(self, widths):
         # x_i -> x_i^s keeps lex order, divisibility, lcms and the order of
         # total degrees, so the stretched run makes the same pairs and
         # reductions as the plain one; the generators are square-free, so
         # even at s = 127 they fit 1-byte fields that the run outgrows at
         # some point, and each restart must leave no trace
-        widths = record_widths(monkeypatch)
         rng, restarts = random.Random(19), 0
         for _ in range(60):
             arity, s = rng.randint(2, 3), rng.choice([25, 42, 63, 64, 100, 127, 128])
@@ -583,19 +580,6 @@ class TestOverflowIdeals:
             assert wide == GroebnerBasis(arity, tuple(stretched(g, s) for g in gb))
             assert wide.stats == gb.stats
         assert restarts > 10
-
-
-def record_widths(monkeypatch):
-    """The list, filled as they are built, of the field widths of every
-    packed run."""
-    widths, init = [], _Packed.__init__
-
-    def recording(packed, arity, polys, width):
-        widths.append(width)
-        init(packed, arity, polys, width)
-
-    monkeypatch.setattr(_Packed, "__init__", recording)
-    return widths
 
 
 def stretched(p, s):

@@ -5,7 +5,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symgb.groebner import _Packed, reduced_groebner_basis
+from symgb import groebner, poly
+from symgb.groebner import reduced_groebner_basis
 from symgb.poly import Polynomial, _product_sum, parse_polynomial
 from symgb.symfunc import (
     check_e1ek_reduction,
@@ -131,15 +132,25 @@ def builds(draw, max_k=8, max_n=6):
     return builder, brute, k, n, arity
 
 
-def born_packed(p):
-    """p, after checking that it still holds its packed monomials."""
-    assert p.is_zero() or p._packed is not None
-    return p
+def fields(p):
+    """The stored form of p, all of which equal polynomials share."""
+    return p.arity, p.width, p.keys, p.coeffs
+
+
+def no_packing(monkeypatch):
+    """Make every pack and unpack of a monomial fail, in both kernels."""
+    def packers(arity, width):
+        def fail(_):
+            raise AssertionError("a monomial was packed or unpacked")
+        return fail, fail
+
+    for module in (poly, groebner):
+        monkeypatch.setattr(module, "_packers", packers)
 
 
 class TestPackedBorn:
-    # e, h and p are born packed: the kernels read their packed monomials,
-    # and their terms are built only when read
+    # e, h and p are built packed: the kernels read their keys as they are,
+    # and they equal, field for field, the same polynomial built from terms
 
     @given(builds())
     @settings(max_examples=300, deadline=None)
@@ -154,8 +165,8 @@ class TestPackedBorn:
     def test_two_byte_fields(self, pair, n, k):
         # one byte up to exponent 127, the guard bit of a one-byte field
         builder, brute = pair
-        p = born_packed(builder(k, n))
-        assert p._packed[0] == (1 if k < 128 else 2)
+        p = builder(k, n)
+        assert p.width == (1 if k < 128 else 2)
         assert p == brute(k, n, n)
 
     def test_two_byte_examples(self):
@@ -166,27 +177,23 @@ class TestPackedBorn:
         assert homogeneous(0, -1, 2) == Polynomial.one(2)
         assert elementary(3, 0, 2).is_zero() and not elementary(3, 0, 2)
         assert homogeneous(2, 0, 3).is_zero() and elementary(5, 3).terms == ()
-
-    def test_terms_are_built_on_first_read(self):
-        p = born_packed(homogeneous(3, 4))
-        assert p and not p.is_zero() and p._terms is None
-        terms = p.terms
-        assert p._packed is None and p.terms is terms
-        assert p == brute_homogeneous(3, 4, 4)
+        # a zero built for a wide exponent has the zero's one-byte width
+        assert fields(powersum(200, 0, 2)) == fields(Polynomial.zero(2))
 
     @given(builds(max_k=5, max_n=4), builds(max_k=5, max_n=4))
     @settings(max_examples=150, deadline=None)
     def test_twin_gives_identical_results(self, case, other):
-        # a born-packed polynomial and its twin with built terms, under the
-        # product kernel, == and hash
+        # a built polynomial and its twin from terms, under the product
+        # kernel, == and hash
         builder, _, k, n, arity = case
         other_builder, _, j, m, _ = other
         arity = max(arity, m, 1)
 
         def born():
-            return born_packed(builder(k, n, arity))
+            return builder(k, n, arity)
 
         twin = Polynomial(arity, builder(k, n, arity).terms)
+        assert fields(born()) == fields(twin)
         q = other_builder(j, m, arity)
         assert (born() * q).terms == (twin * q).terms
         assert (q * born()).terms == (q * twin).terms
@@ -202,17 +209,9 @@ class TestPackedBorn:
         # exponent 128 sets the guard bit of a one-byte field
         [(elementary, 1, 2), (homogeneous, 128, 2)],
     ])
-    def test_twin_gives_identical_bases(self, monkeypatch, gens):
+    def test_twin_gives_identical_bases(self, widths, gens):
         arity = max(n for _, _, n in gens)
-        widths, init = [], _Packed.__init__
-
-        def recording(packed, arity, polys, width):
-            widths.append(width)
-            init(packed, arity, polys, width)
-
-        monkeypatch.setattr(_Packed, "__init__", recording)
-        born = reduced_groebner_basis(
-            [born_packed(b(k, n, arity)) for b, k, n in gens])
+        born = reduced_groebner_basis([b(k, n, arity) for b, k, n in gens])
         born_widths = widths[:]
         widths.clear()
         twin = reduced_groebner_basis(
@@ -223,15 +222,73 @@ class TestPackedBorn:
         assert widths == [1 if top < 128 else 2]
 
     @pytest.mark.parametrize("k", [127, 128, 200, 255, 256])
-    def test_born_keys_reach_the_reduction_kernel(self, k):
-        # h_{k,2} is born as wide as the run it enters, so the kernel reads
-        # its keys and builds no terms; for k in 128..255 it was born one
-        # byte wide, under a second width rule, and packed again
-        h = born_packed(homogeneous(k, 2))
-        basis = reduced_groebner_basis([elementary(1, 2), h])
-        assert h._terms is None
+    def test_born_keys_reach_the_reduction_kernel(self, monkeypatch, k):
+        # h_{k,2} is built as wide as the run it enters, and the basis is
+        # built from the run's keys, so no monomial is packed or unpacked
         twin = Polynomial(2, homogeneous(k, 2).terms)
-        assert basis == reduced_groebner_basis([elementary(1, 2), twin])
+        expected = reduced_groebner_basis([elementary(1, 2), twin])
+        no_packing(monkeypatch)
+        assert reduced_groebner_basis([elementary(1, 2), homogeneous(k, 2)]) == expected
+
+
+class TestCanonicalForm:
+    # one polynomial reached by different routes has the same stored form:
+    # width, keys, coefficients, and so the same hash
+
+    @given(builds(max_k=6, max_n=4), st.integers(0, 300))
+    @settings(max_examples=150, deadline=None)
+    def test_routes_agree(self, case, top):
+        builder, _, k, n, arity = case
+        built = builder(k, n, arity)
+        twin = Polynomial(arity, built.terms)
+        wide = Polynomial.from_monomial((top,) + (0,) * (arity - 1))
+        routes = [
+            built,
+            twin,
+            parse_polynomial(str(built), arity),
+            built * Polynomial.one(arity),
+            _product_sum(arity, [(1, built, Polynomial.one(arity))]),
+            -(-built),
+            # the widest term, x1^top, enters and cancels
+            built + wide - wide,
+            (built + wide) + (-wide),
+            built * 3 * Fraction(1, 3),
+        ]
+        for p in routes:
+            assert fields(p) == fields(twin) and hash(p) == hash(twin)
+
+    def test_products_agree(self):
+        e1, h2 = elementary(1, 3), homogeneous(2, 3)
+        product = Polynomial(3, (e1 * h2).terms)
+        assert fields(e1 * h2) == fields(h2 * e1) == fields(product)
+        assert fields(elementary(1, 1) * homogeneous(127, 1)) == \
+            fields(homogeneous(128, 1))
+
+    def test_cancelling_the_widest_term_narrows(self):
+        p = parse_polynomial("x1^200+x1", 1) - parse_polynomial("x1^200", 1)
+        assert p.width == 1 and fields(p) == fields(Polynomial.variable(1, 1))
+        q = Polynomial.variable(1, 1) + parse_polynomial("x1^200", 1)
+        assert q.width == 2
+        assert fields(q + parse_polynomial("-x1^200", 1)) == fields(p)
+
+    def test_same_keys_at_other_widths_differ(self):
+        # x2 in one-byte fields and x1^256 in two-byte ones are both key 256
+        x2, x1_256 = parse_polynomial("x2", 2), parse_polynomial("x1^256", 2)
+        assert x2.keys == x1_256.keys and x2 != x1_256
+        assert len({x2, x1_256}) == 2
+
+    @pytest.mark.parametrize("arity, gens, basis", [
+        (1, "x1^200-x1, x1^2", "x1"),
+        (2, "x2^130-x1, x2^2+x1", "x2^2+x1; x1^65+x1"),
+    ])
+    def test_two_byte_runs_narrow_their_output(self, widths, arity, gens, basis):
+        gens = [parse_polynomial(g, arity) for g in gens.split(", ")]
+        expected = [parse_polynomial(g, arity) for g in basis.split("; ")]
+        gb = reduced_groebner_basis(gens)
+        assert widths == [2]
+        assert [fields(g) for g in gb] == [fields(g) for g in expected]
+        assert [g.width for g in gb] == [1] * len(expected)
+        assert [hash(g) for g in gb] == [hash(g) for g in expected]
 
 
 class TestIdentities:
