@@ -28,16 +28,22 @@ carrier iff a is in A_j and b in B_j for j = |a| <= k, so the pools alone
 define the carrier.  The certificate and the trace both get the
 layers from ``_layers``, so neither starts on a carrier that
 ``refuse_carrier`` refuses, and both stream the pairs of each layer.
+
+The certificate follows Zeilberger's proof of Newton's identities (D.
+Zeilberger, "A combinatorial proof of Newton's identities", Discrete Math.
+49, 1984): the signed weights cancel because the involution pairs them off,
+and it checks that they do by counting each weight, the monomial of the
+k-multiset a + b, under an int key that adds under multiset union
+(``_power_sums``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, combinations_with_replacement, product, repeat
 from math import comb
-from operator import add
-from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
+from operator import add, itemgetter, lshift, mul, sub
+from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .poly import Polynomial
 from .symfunc import weight
@@ -121,8 +127,8 @@ def _family(family: str) -> Family:
 
 
 # Limit of the pairs a certificate steps: the largest carrier under it,
-# 860160 pairs at k=13, n=15, takes 2.5-3.5 s and 48 MB on a 2-vCPU Xeon,
-# and the widest, 10^6 pairs at k=1, n=500000, 2-3.5 s and 133 MB.
+# 860160 pairs at k=13, n=15, takes 1.4-2.8 s and 46 MB on a 2-vCPU Xeon,
+# and the widest, 10^6 pairs at k=1, n=500000, 1.7-1.9 s and 137 MB.
 MAX_CARRIER_PAIRS = 10**6
 
 
@@ -157,6 +163,34 @@ def _layers(family: str, k: int, n: int) -> List[Layer]:
     return spec.carrier(k, n) if carrier_size(family, k, n) else []
 
 
+def _power_sums(k: int, n: int) -> List[int]:
+    """phi[e] for e in 0..n: the power sums (e, e^2, ..., e^k) packed into
+    fields of (k n^j).bit_length() bits, e^j in the j-th from the bottom.
+    A k-multiset of {1..n} sums each power to at most k n^j, so the phi of
+    its elements add without a carry, and their sum, its key, holds its
+    first k power sums, which fix it (Newton's identities)."""
+    phi = powers = list(range(n + 1))
+    offset = 0
+    for j in range(2, k + 1):
+        offset += (k * n ** (j - 1)).bit_length()
+        powers = list(map(mul, powers, range(n + 1)))
+        phi = list(map(add, phi, map(lshift, powers, repeat(offset))))
+    return phi
+
+
+def _pool_keys(phi: List[int], pool: Sequence[tuple]) -> List[int]:
+    """The key of each tuple of a pool of equal-length tuples: the sum of
+    the phi of its elements, one position at a time.  The first position's
+    keys are phi's own ints, so a pool of singletons makes no new ones."""
+    size = len(pool[0]) if pool else 0
+    if not size:
+        return [0] * len(pool)
+    keys = list(map(phi.__getitem__, map(itemgetter(0), pool)))
+    for i in range(1, size):
+        keys = list(map(add, keys, map(phi.__getitem__, map(itemgetter(i), pool))))
+    return keys
+
+
 @dataclass(frozen=True)
 class CertReport:
     family: str
@@ -184,29 +218,39 @@ def certify_involution(family: str, k: int, n: int) -> CertReport:
     leaves the carrier, and the other flags are checked on the images that
     stay in it.
 
-    A pair's sign is the parity of its layer, and its weight the sorted
-    tuple of a + b; distinct sorted tuples are distinct monomials, so the
-    weights sum to zero iff every signed count cancels.  The weights of a
-    layer are counted a row at a time, along its longer pool."""
+    A pair's sign is the parity of its layer, and its weight, the monomial
+    of the multiset a + b, is counted by an int key: the sum of the
+    ``_power_sums`` of its k elements, key(a) + key(b), with key(a) built
+    once per pool.  Distinct weights have distinct keys, so the weights sum
+    to zero iff every signed count cancels.  A key has 19 bits at k=1,
+    n=500000, the widest carrier under the limit, and 410 at k=13, n=15.
+    The weights of a layer are counted a row at a time, along its longer
+    pool, in one dict update per row: the keys of a row are distinct."""
     layers = _layers(family, k, n)
     step = FAMILIES[family].step
-    sets: dict = {}  # one frozenset per pool: layers may share a pool
+    phi = _power_sums(k, n)
+    built: dict = {}  # one frozenset and key list per pool: layers may share a pool
     for pool in chain.from_iterable(layers):
-        if id(pool) not in sets:
-            sets[id(pool)] = frozenset(pool)
-    a_sets = [sets[id(pool)] for pool, _ in layers]
-    b_sets = [sets[id(pool)] for _, pool in layers]
+        if id(pool) not in built:
+            built[id(pool)] = frozenset(pool), _pool_keys(phi, pool)
+    a_sets = [built[id(pool)][0] for pool, _ in layers]
+    b_sets = [built[id(pool)][0] for _, pool in layers]
     carrier_closed = True
     is_involution = True
     sign_reversing = True
     fixed_point_free = True
-    weights: Counter = Counter()
+    weights: dict = {}
+    get = weights.get
     for i, (a_pool, b_pool) in enumerate(layers):
-        count = weights.subtract if i & 1 else weights.update
+        count = sub if i & 1 else add
         longer, shorter = ((a_pool, b_pool) if len(a_pool) >= len(b_pool)
                            else (b_pool, a_pool))
-        for x in shorter:
-            count(map(tuple, map(sorted, map(add, longer, repeat(x)))))
+        longer_keys = built[id(longer)][1]
+        for x in built[id(shorter)][1]:
+            # beside the empty tuple, whose key is 0, a row is the longer
+            # pool's own key list: the widest rows make no new ints
+            row = list(map(add, longer_keys, repeat(x))) if x else longer_keys
+            weights.update(zip(row, map(count, map(get, row, repeat(0)), repeat(1))))
         for p in product(a_pool, b_pool):
             q = qa, qb = step(*p)
             j = len(qa)
@@ -246,6 +290,6 @@ def orbit_trace(family: str, k: int, n: int) -> Iterator[str]:
         for a, b in product(a_pool, b_pool):
             qa, qb = step(a, b)
             if i < len(qa):
-                wpoly = Polynomial(arity, [(weight(a + b, arity), sign)])
+                wpoly = Polynomial.from_monomial(weight(a + b, arity), sign)
                 yield (f"{_format_pair(a, b)} <-> {_format_pair(qa, qb)} "
                        f"weight {format_polynomial(wpoly)}")

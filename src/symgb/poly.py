@@ -56,6 +56,11 @@ def _exact_div(a: Coefficient, b: Coefficient) -> Coefficient:
     return _coefficient(a / b)
 
 
+def _check_arity(arity: int) -> None:
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+
+
 def _check_monomial(mono: Monomial, arity: int) -> None:
     if len(mono) != arity:
         raise ArityMismatchError(
@@ -80,8 +85,7 @@ class Polynomial:
     __slots__ = ("arity", "width", "keys", "coeffs")
 
     def __init__(self, arity: int, terms: Iterable = ()):
-        if arity < 1:
-            raise ValueError("arity must be >= 1")
+        _check_arity(arity)
         merged: dict = {}
         for mono, coeff in terms:
             mono = tuple(mono)
@@ -117,30 +121,42 @@ class Polynomial:
 
     # -- constructors ------------------------------------------------------
 
+    # The single-term constructors check their input as ``__init__`` does,
+    # with the same errors, and then pack their one key directly.
+
     @classmethod
     def zero(cls, arity: int) -> "Polynomial":
         return cls(arity)
 
     @classmethod
     def one(cls, arity: int) -> "Polynomial":
-        return cls(arity, [((0,) * arity, 1)])
+        _check_arity(arity)
+        return cls._from_keys(arity, 1, (0,), (1,))
 
     @classmethod
     def constant(cls, c: Coefficient, arity: int) -> "Polynomial":
-        return cls(arity, [((0,) * arity, c)])
+        _check_arity(arity)
+        c = _coefficient(c)
+        return cls._from_keys(arity, 1, (0,), (c,)) if c else cls(arity)
 
     @classmethod
     def variable(cls, i: int, arity: int) -> "Polynomial":
         """The polynomial x_i (1-based index)."""
         if not 1 <= i <= arity:
             raise ValueError(f"variable index {i} out of range 1..{arity}")
-        exps = [0] * arity
-        exps[i - 1] = 1
-        return cls(arity, [(tuple(exps), 1)])
+        return cls._from_keys(arity, 1, (1 << 8 * (i - 1),), (1,))
 
     @classmethod
     def from_monomial(cls, mono: Monomial, coeff: Coefficient = 1) -> "Polynomial":
-        return cls(len(mono), [(tuple(mono), coeff)])
+        arity = len(mono)
+        _check_arity(arity)
+        mono = tuple(mono)
+        _check_monomial(mono, arity)
+        coeff = _coefficient(coeff)
+        if not coeff:
+            return cls(arity)
+        width = _field_width(max(mono))
+        return cls._from_keys(arity, width, (_packers(arity, width)[0](mono),), (coeff,))
 
     # -- predicates --------------------------------------------------------
 

@@ -1,8 +1,9 @@
 from functools import partial
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from symgb import involution
 from symgb.involution import certify_involution, orbit_trace
@@ -397,6 +398,74 @@ class TestCertification:
             "({}|{1,1}) <-> ({1}|{1}) weight x1^2",
             "({2}|{1}) <-> ({1,2}|{}) weight -x1*x2",
         ]
+
+
+def multiset_key(k, n, multiset):
+    """The certificate's weight key of a multiset of {1..n}, for carriers of
+    k-element weights."""
+    return involution._pool_keys(involution._power_sums(k, n), [tuple(multiset)])[0]
+
+
+@st.composite
+def multisets(draw):
+    """(k, n, a, b, c): k <= 6 and n <= 7, a k-multiset c of {1..n}, and
+    multisets a and b of {1..n} with |a| + |b| = k."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    element = st.integers(1, n)
+    i = draw(st.integers(0, k))
+    a = draw(st.lists(element, min_size=i, max_size=i))
+    b = draw(st.lists(element, min_size=k - i, max_size=k - i))
+    c = draw(st.lists(element, min_size=k, max_size=k))
+    return k, n, a, b, c
+
+
+class TestWeightKeys:
+    """The int keys that ``certify_involution`` counts weights by."""
+
+    @given(multisets())
+    def test_keys_add_and_tell_multisets_apart(self, drawn):
+        k, n, a, b, c = drawn
+        key = partial(multiset_key, k, n)
+        assert key(a) + key(b) == key(sorted(a + b))
+        assert (key(sorted(a + b)) == key(sorted(c))) == (sorted(a + b) == sorted(c))
+        # field j holds the j-th power sum, in (k n^j).bit_length() bits
+        fields, rest = [], key(c)
+        for j in range(1, k + 1):
+            bits = (k * n**j).bit_length()
+            fields.append(rest & ((1 << bits) - 1))
+            rest >>= bits
+        assert rest == 0
+        assert fields == [sum(x**j for x in c) for j in range(1, k + 1)]
+
+    def test_every_multiset_has_its_own_key(self):
+        for n in range(1, 8):
+            for k in range(1, 7):
+                pool = tuple(combinations_with_replacement(range(1, n + 1), k))
+                keys = involution._pool_keys(involution._power_sums(k, n), pool)
+                assert len(set(keys)) == len(pool), (k, n)
+
+    def test_key_sizes(self):
+        # a key is at most k * phi[n], the sum of every field's largest value
+        bits = {(k, n): (k * involution._power_sums(k, n)[n]).bit_length()
+                for k, n in ((1, 500000), (6, 9), (13, 15))}
+        assert bits == {(1, 500000): 19, (6, 9): 85, (13, 15): 410}
+        assert bits[1, 500000] < 64  # the widest carrier's keys stay one machine word
+
+    @pytest.mark.parametrize("k, n", [(2, 3), (3, 4)])
+    @pytest.mark.parametrize("family", ["hkn", "ekn"])
+    def test_unbalanced_weights_are_caught(self, patch_family, family, k, n):
+        # a carrier whose layer-0 B pool has lost its last tuple: the pairs
+        # dropped with it have weights of one sign, which nothing cancels
+        def short_carrier(k, n, carrier=involution.FAMILIES[family].carrier):
+            (a_pool, b_pool), *rest = carrier(k, n)
+            return [(a_pool, b_pool[:-1]), *rest]
+
+        patch_family(family, carrier=short_carrier)
+        r = certify_involution(family, k, n)
+        assert not r.weight_sum_zero
+        want = reference_certificate(family, k, n, partial(sorted_step, family))
+        assert r.weight_sum_zero == want["weight_sum_zero"]
+        assert r.carrier_size == want["carrier_size"] == 2**k * comb(n, k) - 1
 
 
 def show(pair):

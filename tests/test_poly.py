@@ -146,6 +146,64 @@ class TestArithmetic:
             assert (f == g) == (f.terms == g.terms)
 
 
+def fields(p):
+    return p.arity, p.width, p.keys, p.coeffs
+
+
+def raised(build):
+    """(type, message) of the error that ``build()`` raises."""
+    with pytest.raises(Exception) as info:
+        build()
+    return info.type, str(info.value)
+
+
+class TestSingleTerms:
+    """``one``, ``constant``, ``variable`` and ``from_monomial`` pack their
+    one key directly: each must be the polynomial that the public
+    constructor builds from the same term, and fail as it does."""
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_equal_to_the_public_constructor(self, arity):
+        zero = (0,) * arity
+        built = [(Polynomial.one(arity), [(zero, 1)])]
+        for c in (0, 5, -1, Fraction(1, 2), Fraction(4, 2), Fraction(0)):
+            built.append((Polynomial.constant(c, arity), [(zero, c)]))
+        for i in range(1, arity + 1):
+            mono = tuple(int(j == i) for j in range(1, arity + 1))
+            built.append((Polynomial.variable(i, arity), [(mono, 1)]))
+        for e in (0, 1, 127, 128, 300):  # fields of 1, 1, 1, 2 and 2 bytes
+            for i in range(arity):
+                mono = zero[:i] + (e,) + zero[i + 1:]
+                for c in (1, -3, Fraction(2, 3), 0):
+                    built.append((Polynomial.from_monomial(mono, c), [(mono, c)]))
+                built.append((Polynomial.from_monomial(list(mono)), [(mono, 1)]))
+        for p, terms in built:
+            q = Polynomial(arity, terms)
+            assert fields(p) == fields(q) and hash(p) == hash(q), terms
+        widths = {p.width for p, _ in built}
+        assert widths == {1, 2}
+
+    def test_same_errors_as_the_public_constructor(self):
+        cases = [
+            (lambda: Polynomial.one(0), lambda: Polynomial(0, [((), 1)])),
+            (lambda: Polynomial.constant(1, 0), lambda: Polynomial(0, [((), 1)])),
+            (lambda: Polynomial.constant(1.5, 2),
+             lambda: Polynomial(2, [((0, 0), 1.5)])),
+            (lambda: Polynomial.from_monomial(()), lambda: Polynomial(0, [((), 1)])),
+            (lambda: Polynomial.from_monomial((1.5, 0)),
+             lambda: Polynomial(2, [((1.5, 0), 1)])),
+            (lambda: Polynomial.from_monomial((2, -1), 0),
+             lambda: Polynomial(2, [((2, -1), 0)])),
+            (lambda: Polynomial.from_monomial((1, 0), 0.5),
+             lambda: Polynomial(2, [((1, 0), 0.5)])),
+        ]
+        for single, public in cases:
+            assert raised(single) == raised(public)
+        for i, arity in ((0, 2), (3, 2), (1, 0)):
+            assert raised(lambda: Polynomial.variable(i, arity)) == (
+                ValueError, f"variable index {i} out of range 1..{arity}")
+
+
 class TestTextGrammar:
     def test_canonical_printing(self):
         assert format_polynomial(P("x2*x3+x1*x3+x1*x2")) == "x2*x3+x1*x3+x1*x2"
