@@ -228,7 +228,8 @@ def certify_involution(family: str, k: int, n: int) -> CertReport:
     pool, in one dict update per row: the keys of a row are distinct."""
     layers = _layers(family, k, n)
     step = FAMILIES[family].step
-    phi = _power_sums(k, n)
+    # an empty carrier (k > n) builds no keys: phi's fields would grow as k^2
+    phi = _power_sums(k, n) if layers else []
     built: dict = {}  # one frozenset and key list per pool: layers may share a pool
     for pool in chain.from_iterable(layers):
         if id(pool) not in built:

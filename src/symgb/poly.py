@@ -121,8 +121,9 @@ class Polynomial:
 
     # -- constructors ------------------------------------------------------
 
-    # The single-term constructors check their input as ``__init__`` does,
-    # with the same errors, and then pack their one key directly.
+    # The single-term constructors build through ``from_monomial``, which
+    # checks its input as ``__init__`` does, with the same errors, and then
+    # packs its one key directly.
 
     @classmethod
     def zero(cls, arity: int) -> "Polynomial":
@@ -130,21 +131,18 @@ class Polynomial:
 
     @classmethod
     def one(cls, arity: int) -> "Polynomial":
-        _check_arity(arity)
-        return cls._from_keys(arity, 1, (0,), (1,))
+        return cls.from_monomial((0,) * arity)
 
     @classmethod
     def constant(cls, c: Coefficient, arity: int) -> "Polynomial":
-        _check_arity(arity)
-        c = _coefficient(c)
-        return cls._from_keys(arity, 1, (0,), (c,)) if c else cls(arity)
+        return cls.from_monomial((0,) * arity, c)
 
     @classmethod
     def variable(cls, i: int, arity: int) -> "Polynomial":
         """The polynomial x_i (1-based index)."""
         if not 1 <= i <= arity:
             raise ValueError(f"variable index {i} out of range 1..{arity}")
-        return cls._from_keys(arity, 1, (1 << 8 * (i - 1),), (1,))
+        return cls.from_monomial((0,) * (i - 1) + (1,) + (0,) * (arity - i))
 
     @classmethod
     def from_monomial(cls, mono: Monomial, coeff: Coefficient = 1) -> "Polynomial":

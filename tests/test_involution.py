@@ -365,17 +365,23 @@ class TestCertification:
                 next(orbit_trace("hkn", k, n))
 
     @pytest.mark.parametrize("family", ["hkn", "ekn"])
-    def test_empty_carrier_is_not_enumerated(self, patch_family, family):
+    def test_empty_carrier_is_not_enumerated(self, patch_family, monkeypatch, family):
         # for k > n the carrier is empty, but enumerating it would build
-        # all 2^40 A sides (hkn) before finding that no B side exists
+        # all 2^40 A sides (hkn) before finding that no B side exists, and
+        # its keys' fields would grow as k^2
         def refuse(k, n):
             raise AssertionError("an empty carrier must not be enumerated")
 
+        def no_keys(k, n):
+            raise AssertionError("an empty carrier must build no keys")
+
         patch_family(family, carrier=refuse)
-        r = certify_involution(family, 41, 40)
-        assert r.carrier_size == 0
-        assert all(getattr(r, f) for f in FLAGS) and r.ok
-        assert list(orbit_trace(family, 41, 40)) == []
+        monkeypatch.setattr(involution, "_power_sums", no_keys)
+        for k, n in ((41, 40), (10**6, 5), (10**12 + 1, 10**12)):
+            r = certify_involution(family, k, n)
+            assert r.carrier_size == 0
+            assert all(getattr(r, f) for f in FLAGS) and r.ok
+            assert list(orbit_trace(family, k, n)) == []
 
     @pytest.mark.parametrize("family", ["hkn", "ekn"])
     def test_two_steps_per_pair(self, patch_family, family):
