@@ -11,12 +11,12 @@ which the certificate and the trace apply themselves.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import List, Optional
 
 from . import groebner, involution, symfunc, verify
-from .poly import (PolyParseError, Polynomial, _split_summands, format_polynomial,
-                   parse_polynomial)
+from .poly import PolyParseError, Polynomial, format_polynomial, parse_polynomial
 from .symfunc import sym_build_size
 
 USAGE_ERROR = 2
@@ -78,9 +78,9 @@ def _check_sym_size(kind: str, k: int, n: int) -> None:
 
 def _check_text_size(text: str, n: int) -> None:
     """Refuse polynomial text whose terms of n exponents each would store
-    more than symfunc.MAX_SYM_EXPONENTS, counting the terms before parsing
-    them."""
-    terms = sum(1 for _ in _split_summands(text.replace(" ", "")))
+    more than symfunc.MAX_SYM_EXPONENTS, counting the terms, the nonblank
+    pieces between signs, before parsing them."""
+    terms = sum(1 for chunk in re.split(r"[+-]", text) if chunk.strip())
     if terms * n > symfunc.MAX_SYM_EXPONENTS:
         raise UsageError(f"parsing {text!r} in {n} variables stores more than "
                          f"the limit of {symfunc.MAX_SYM_EXPONENTS} exponents")
@@ -110,10 +110,12 @@ def cmd_gb(args) -> int:
 
 def cmd_verify(args) -> int:
     lo, hi = _parse_n_range(args.n)
+    max_n = verify.TARGETS[args.target].max_n
     if not args.no_limit:
-        hi = min(hi, verify.TARGETS[args.target].max_n)
+        hi = min(hi, max_n)
     if hi < lo:
-        raise UsageError("range is empty after applying caps")
+        raise UsageError(f"range {args.n!r} lies above {args.target}'s default "
+                         f"ceiling n={max_n}; pass --no-limit to lift it")
     results = verify.run_sweep(args.target, lo, hi, fixed_k=args.k)
     for r in results:
         print(r.record() if args.format == "records" else r.text())
@@ -127,8 +129,7 @@ def cmd_involution(args) -> int:
     report = involution.certify_involution(args.family, k, n)
     print(f"family={report.family} k={report.k} n={report.n} "
           f"carrier_size={report.carrier_size}")
-    for name in ("carrier_closed", "is_involution", "sign_reversing",
-                 "fixed_point_free", "weight_sum_zero"):
+    for name in report.FLAGS:
         print(f"{name}: {getattr(report, name)}")
     if args.trace:
         for line in involution.orbit_trace(args.family, args.k, args.n):

@@ -45,7 +45,7 @@ from math import comb
 from operator import add, itemgetter, lshift, mul, sub
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .poly import Polynomial
+from .poly import Polynomial, format_polynomial
 from .symfunc import weight
 
 Pair = Tuple[tuple, tuple]
@@ -203,11 +203,13 @@ class CertReport:
     fixed_point_free: bool
     weight_sum_zero: bool
 
+    # the checks, in the order `symgb involution` prints them
+    FLAGS = ("carrier_closed", "is_involution", "sign_reversing",
+             "fixed_point_free", "weight_sum_zero")
+
     @property
     def ok(self) -> bool:
-        return (self.carrier_closed and self.is_involution
-                and self.sign_reversing and self.fixed_point_free
-                and self.weight_sum_zero)
+        return all(getattr(self, name) for name in self.FLAGS)
 
 
 def certify_involution(family: str, k: int, n: int) -> CertReport:
@@ -281,8 +283,6 @@ def orbit_trace(family: str, k: int, n: int) -> Iterator[str]:
     the layers are walked row by row.  The carrier runs in (|A|, A, B)
     order and the step changes |A| by one, so each orbit is met first at its
     pair with the smaller |A|, and the line is made there."""
-    from .poly import format_polynomial
-
     layers = _layers(family, k, n)
     step = FAMILIES[family].step
     arity = max(n, 1)

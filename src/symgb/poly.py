@@ -382,9 +382,8 @@ def format_polynomial(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     out = []
-    for idx, (mono, coeff) in enumerate(_unpacked(p)):
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
+    for mono, coeff in _unpacked(p):
+        mag = abs(coeff)
         mono_s = _format_mono(mono)
         if not mono_s:
             body = _format_coeff(mag)
@@ -392,40 +391,12 @@ def format_polynomial(p: Polynomial) -> str:
             body = mono_s
         else:
             body = f"{_format_coeff(mag)}*{mono_s}"
-        if idx == 0:
-            out.append(("-" if neg else "") + body)
-        else:
-            out.append(("-" if neg else "+") + body)
-    return "".join(out)
+        out.append(("-" if coeff < 0 else "+") + body)
+    return "".join(out).removeprefix("+")
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 _COEFF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
-
-
-def _split_summands(text: str) -> Iterator[tuple]:
-    """Yield (sign, term_text) pairs from the top-level +/- structure."""
-    i = 0
-    n = len(text)
-    sign = 1
-    if text.startswith("-"):
-        sign = -1
-        i = 1
-    elif text.startswith("+"):
-        raise PolyParseError("no '+' allowed before the first term")
-    start = i
-    while i <= n:
-        if i == n or text[i] in "+-":
-            chunk = text[start:i]
-            if not chunk:
-                raise PolyParseError(f"empty term in {text!r}")
-            yield sign, chunk
-            if i < n:
-                sign = 1 if text[i] == "+" else -1
-            i += 1
-            start = i
-        else:
-            i += 1
 
 
 def parse_polynomial(text: str, arity: int) -> Polynomial:
@@ -433,11 +404,16 @@ def parse_polynomial(text: str, arity: int) -> Polynomial:
     text = text.strip().replace(" ", "")
     if not text:
         raise PolyParseError("empty polynomial text")
+    if text.startswith("+"):
+        raise PolyParseError("no '+' allowed before the first term")
+    # ['', sign, term, sign, term, ...]: every term gets the sign before it
+    parts = re.split(r"([+-])", text if text.startswith("-") else "+" + text)
     terms = []
-    for sign, chunk in _split_summands(text):
-        coeff = Fraction(sign)
+    for sign, chunk in zip(parts[1::2], parts[2::2]):
+        if not chunk:
+            raise PolyParseError(f"empty term in {text!r}")
+        coeff = Fraction(-1 if sign == "-" else 1)
         exps = [0] * arity
-        saw_factor = False
         for pos, tok in enumerate(chunk.split("*")):
             fm = _FACTOR_RE.match(tok)
             if fm:
@@ -446,7 +422,6 @@ def parse_polynomial(text: str, arity: int) -> Polynomial:
                     raise PolyParseError(
                         f"variable x{i} out of range 1..{arity}")
                 exps[i - 1] += int(fm.group(2) or 1)
-                saw_factor = True
                 continue
             cm = _COEFF_RE.match(tok)
             if cm and pos == 0:
@@ -456,7 +431,5 @@ def parse_polynomial(text: str, arity: int) -> Polynomial:
                 coeff *= Fraction(int(cm.group(1)), den)
                 continue
             raise PolyParseError(f"bad token {tok!r} in {chunk!r}")
-        if not saw_factor and not _COEFF_RE.match(chunk.split("*")[0]):
-            raise PolyParseError(f"bad term {chunk!r}")
         terms.append((tuple(exps), coeff))
     return Polynomial(arity, terms)

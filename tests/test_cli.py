@@ -40,9 +40,10 @@ class TestSym:
         assert out.strip() == "0"
 
     def test_usage_error(self, capsys):
-        code, _, err = run(capsys, "sym", "--kind", "p", "--k", "0", "--n", "3")
-        assert code == 2
-        assert "error" in err
+        for kind, k, message in (("p", "0", "power sums require k >= 1"),
+                                 ("e", "-1", "degree k must be >= 0")):
+            code, out, err = run(capsys, "sym", "--kind", kind, "--k", k, "--n", "3")
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestSymBudget:
@@ -148,9 +149,16 @@ class TestGb:
         assert out.splitlines() == ["x1*x2"]
 
     def test_index_out_of_range(self, capsys):
-        code, out, err = run(capsys, "gb", "--n", "2", "--gens", "e3")
-        assert code == 2 and out == ""
-        assert "error: generator e3 out of range e1..e2" in err
+        for n, gens, message in (("2", "e3", "generator e3 out of range e1..e2"),
+                                 ("3", "e1,,e2", "empty generator in --gens")):
+            code, out, err = run(capsys, "gb", "--n", n, "--gens", gens)
+            assert code == 2 and out == ""
+            assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("stats", [[], ["--stats"]])
+    def test_zero_ideal_prints_nothing(self, capsys, stats):
+        code, out, err = run(capsys, "gb", "--n", "2", "--gens", "0", *stats)
+        assert (code, out, err) == (0, "", "")
 
     def test_parse_failure(self, capsys):
         code, _, err = run(capsys, "gb", "--n", "2", "--gens", "x1+!")
@@ -229,9 +237,18 @@ class TestVerify:
         assert out.count("PASS") == 3
 
     def test_bad_range(self, capsys):
-        code, _, err = run(capsys, "verify", "gb-ek", "--n", "5..2")
-        assert code == 2
-        assert "error" in err
+        for text, reason in (("5..2", "need 1 <= LO <= HI"),
+                             ("a..b", "expected N or LO..HI")):
+            code, out, err = run(capsys, "verify", "gb-ek", "--n", text)
+            assert (code, out) == (2, "")
+            assert err == f"error: bad range {text!r}; {reason}\n"
+
+    def test_range_above_the_ceiling(self, capsys):
+        assert verify.TARGETS["gb-ek"].max_n == 11
+        code, out, err = run(capsys, "verify", "gb-ek", "--n", "12..20")
+        assert (code, out) == (2, "")
+        assert err == ("error: range '12..20' lies above gb-ek's default ceiling "
+                       "n=11; pass --no-limit to lift it\n")
 
     def test_k_outside_the_targets_range(self, capsys):
         code, out, err = run(capsys, "verify", "gb-ek", "--n", "3", "--k", "9")
@@ -290,6 +307,11 @@ class TestInvolutionAndHilbert:
                            "--k", "2", "--n", "3")
         assert code == 0
         assert "weight_sum_zero: True" in out
+
+    def test_involution_needs_k(self, capsys):
+        code, out, err = run(capsys, "involution", "--family", "hkn",
+                             "--k", "0", "--n", "3")
+        assert (code, out, err) == (2, "", "error: carrier requires k >= 1\n")
 
     def test_involution_trace(self, capsys):
         code, out, _ = run(capsys, "involution", "--family", "hkn",

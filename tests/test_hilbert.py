@@ -197,6 +197,8 @@ class TestClosedForm:
     def test_small_values(self):
         assert closed_form_series(1) == SeriesPoly((1,))
         assert closed_form_series(3) == SeriesPoly((1, 2, 2, 1))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            closed_form_series(0)
 
     def test_n4_shape(self):
         s = closed_form_series(4)

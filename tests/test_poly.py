@@ -89,11 +89,15 @@ class TestArithmetic:
         f = P("x1^2-x2")
         assert f + Polynomial.zero(3) == f
         assert (P("x2^2") + P("-x2^2")).is_zero()
+        assert str(3 - P("x1", 2)) == "-x1+3"
+        with pytest.raises(TypeError):
+            P("x1", 2) + "a"
 
     def test_mul_examples(self):
         assert P("x1+x2") * P("x1+x2") == P("x1^2+2*x1*x2+x2^2")
         f = P("x3-2*x1")
         assert f * Polynomial.one(3) == f
+        assert Polynomial.one(2) == 1 and not P("x1", 2) == 1
         assert P("x1+x2") * P("x1-x2") == P("x1^2-x2^2")
 
     def test_leading_term(self):
@@ -118,6 +122,8 @@ class TestArithmetic:
             P("x1", 2) + P("x1", 3)
         with pytest.raises(ArityMismatchError):
             P("x1", 2) * P("x1", 3)
+        with pytest.raises(ArityMismatchError):
+            Polynomial(2, [((1, 2, 3), 1)])
 
     def test_non_int_exponent_rejected(self):
         # a float exponent used to print as x1^1.5 and fail in the next product
@@ -204,6 +210,30 @@ class TestSingleTerms:
                 ValueError, f"variable index {i} out of range 1..{arity}")
 
 
+@st.composite
+def term_texts(draw):
+    """(exponents, coefficient, text of the term without its sign): the
+    coefficient unreduced, or left out when it is 1, and each exponent split
+    over repeated factors in shuffled order."""
+    exps = draw(monomials3)
+    factors = []
+    for i, e in enumerate(exps, start=1):
+        while e:
+            part = draw(st.integers(1, e))
+            factors.append(f"x{i}^{part}" if part > 1 or draw(st.booleans()) else f"x{i}")
+            e -= part
+    factors = draw(st.permutations(factors))
+    num, den, scale = draw(st.integers(0, 9)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    coeff = Fraction(num, den) * draw(st.sampled_from([1, -1]))
+    if factors and num == den and draw(st.booleans()):
+        head = []
+    elif den * scale == 1:
+        head = [str(num)]
+    else:
+        head = [f"{num * scale}/{den * scale}"]
+    return exps, coeff, "*".join(head + list(factors))
+
+
 class TestTextGrammar:
     def test_canonical_printing(self):
         assert format_polynomial(P("x2*x3+x1*x3+x1*x2")) == "x2*x3+x1*x3+x1*x2"
@@ -211,6 +241,7 @@ class TestTextGrammar:
         assert format_polynomial(P("-x1+1/2")) == "-x1+1/2"
         assert format_polynomial(P("2/4*x1")) == "1/2*x1"
         assert str(P("x1^2*x3-x2")) == "x1^2*x3-x2"
+        assert repr(P("x1", 2)) == "Polynomial(2, 'x1')"
 
     def test_round_trip_random(self, rng):
         for _ in range(500):
@@ -220,6 +251,15 @@ class TestTextGrammar:
     def test_repeated_factors_multiply(self):
         assert P("x1*x1*x1") == P("x1^3")
         assert P("2*x1^2*x1") == P("2*x1^3")
+
+    @given(st.lists(term_texts(), min_size=1, max_size=6), st.data())
+    def test_noncanonical_text(self, terms, data):
+        # shuffled and repeated terms, each as written by term_texts
+        terms = data.draw(st.permutations(
+            terms + data.draw(st.lists(st.sampled_from(terms), max_size=3))))
+        text = "".join(("-" if c < 0 else "+") + body for _, c, body in terms)
+        expected = Polynomial(3, [(exps, c) for exps, c, _ in terms])
+        assert parse_polynomial(text.removeprefix("+"), 3) == expected
 
     @pytest.mark.parametrize("bad", [
         "", "+x1", "x1++x2", "x0", "x4", "x1^", "y1", "1/0", "3*", "*x1",

@@ -52,12 +52,16 @@ class TestConstructors:
         assert str(elementary(2, 3)) == "x2*x3+x1*x3+x1*x2"
         assert elementary(4, 3).is_zero()
         assert elementary(0, 5) == Polynomial.one(5)
+        with pytest.raises(ValueError, match="arity must be >= 1"):
+            elementary(1, 2, arity=0)
 
     def test_homogeneous_examples(self):
         assert str(homogeneous(2, 2)) == "x2^2+x1*x2+x1^2"
         assert homogeneous(3, 1) == parse_polynomial("x1^3", 1)
         for n in range(1, 5):
             assert homogeneous(1, n) == elementary(1, n)
+        with pytest.raises(ValueError, match="degree k must be >= 0"):
+            homogeneous(-1, 3)
 
     def test_powersum_examples(self):
         assert str(powersum(2, 2)) == "x2^2+x1^2"
@@ -302,6 +306,8 @@ class TestIdentities:
         assert ekn_identity_defect(1, 1).is_zero()
         assert ekn_identity_defect(3, 4).is_zero()
         assert ekn_identity_defect(6, 4).is_zero()
+        with pytest.raises(ValueError, match="identity requires k >= 1"):
+            ekn_identity_defect(0, 3)
 
     def test_telescope_examples(self):
         assert telescope_defect(1, 2).is_zero()
@@ -314,11 +320,15 @@ class TestIdentities:
         assert newton_defect(1, 3).is_zero()
         assert newton_defect(2, 2).is_zero()
         assert newton_defect(4, 3).is_zero()
+        with pytest.raises(ValueError, match="identity requires k >= 1"):
+            newton_defect(0, 3)
 
     def test_e1ek_reduction_examples(self):
         assert check_e1ek_reduction(1, 1)
         assert check_e1ek_reduction(2, 3)
         assert check_e1ek_reduction(4, 4)
+        with pytest.raises(ValueError, match="requires 1 <= k <= n"):
+            check_e1ek_reduction(0, 3)
 
     def test_all_identities_small_sweep(self):
         for n in range(1, 6):
