@@ -22,10 +22,6 @@ from .symfunc import sym_build_size
 USAGE_ERROR = 2
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_n_range(text: str) -> tuple:
     """"3" -> (3, 3); "1..5" -> (1, 5)."""
     try:
@@ -35,15 +31,15 @@ def _parse_n_range(text: str) -> tuple:
         else:
             lo = hi = int(text)
     except ValueError:
-        raise UsageError(f"bad range {text!r}; expected N or LO..HI")
+        raise ValueError(f"bad range {text!r}; expected N or LO..HI")
     if lo < 1 or hi < lo:
-        raise UsageError(f"bad range {text!r}; need 1 <= LO <= HI")
+        raise ValueError(f"bad range {text!r}; need 1 <= LO <= HI")
     return lo, hi
 
 
 def _require_n(n: int) -> int:
     if n < 1:
-        raise UsageError(f"n must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {n}")
     return n
 
 
@@ -54,11 +50,11 @@ def _parse_generators(spec: str, n: int) -> List[Polynomial]:
     for token in spec.split(","):
         token = token.strip()
         if not token:
-            raise UsageError("empty generator in --gens")
+            raise ValueError("empty generator in --gens")
         if token.startswith("e") and token[1:].isdigit():
             i = int(token[1:])
             if not 1 <= i <= n:
-                raise UsageError(f"generator {token} out of range e1..e{n}")
+                raise ValueError(f"generator {token} out of range e1..e{n}")
             _check_sym_size("e", i, n)
             gens.append(symfunc.elementary(i, n, n))
         else:
@@ -66,13 +62,13 @@ def _parse_generators(spec: str, n: int) -> List[Polynomial]:
                 _check_text_size(token, n)
                 gens.append(parse_polynomial(token, n))
             except PolyParseError as exc:
-                raise UsageError(f"cannot parse generator {token!r}: {exc}")
+                raise ValueError(f"cannot parse generator {token!r}: {exc}")
     return gens
 
 
 def _check_sym_size(kind: str, k: int, n: int) -> None:
     if sym_build_size(kind, k, n) > symfunc.MAX_SYM_EXPONENTS:
-        raise UsageError(f"building {kind}_{{{k},{n}}} stores more than the "
+        raise ValueError(f"building {kind}_{{{k},{n}}} stores more than the "
                          f"limit of {symfunc.MAX_SYM_EXPONENTS} exponents")
 
 
@@ -82,7 +78,7 @@ def _check_text_size(text: str, n: int) -> None:
     pieces between signs, before parsing them."""
     terms = sum(1 for chunk in re.split(r"[+-]", text) if chunk.strip())
     if terms * n > symfunc.MAX_SYM_EXPONENTS:
-        raise UsageError(f"parsing {text!r} in {n} variables stores more than "
+        raise ValueError(f"parsing {text!r} in {n} variables stores more than "
                          f"the limit of {symfunc.MAX_SYM_EXPONENTS} exponents")
 
 
@@ -114,7 +110,7 @@ def cmd_verify(args) -> int:
     if not args.no_limit:
         hi = min(hi, max_n)
     if hi < lo:
-        raise UsageError(f"range {args.n!r} lies above {args.target}'s default "
+        raise ValueError(f"range {args.n!r} lies above {args.target}'s default "
                          f"ceiling n={max_n}; pass --no-limit to lift it")
     results = verify.run_sweep(args.target, lo, hi, fixed_k=args.k)
     for r in results:
@@ -206,7 +202,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except ValueError as exc:  # UsageError and PolyParseError included
+    except ValueError as exc:  # PolyParseError included
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     finally:

@@ -287,9 +287,10 @@ def buchberger(generators: Iterable[Polynomial],
     degree-first pair selection, on packed leading monomials.
 
     Each generator is reduced by the basis before it enters: one that
-    reduces to zero is dropped, and a constant ends the run as the unit
-    ideal.  Adding a polynomial h to the basis runs the Gebauer-Moller
-    UPDATE (Becker & Weispfenning, *Groebner Bases*, 1993, p. 230):
+    reduces to zero is dropped.  A constant that enters, generator or
+    remainder, ends the run as the unit ideal.  Adding a polynomial h to the
+    basis runs the Gebauer-Moller UPDATE (Becker & Weispfenning, *Groebner
+    Bases*, 1993, p. 230):
 
     - a new pair (g, h) is dropped when LM(g) and LM(h) are coprime (the
       product criterion), or when the lcm of another new pair divides its
@@ -305,11 +306,11 @@ def buchberger(generators: Iterable[Polynomial],
     Robbiano, Traverso, ISSAC 1991); ties go to the pair formed first.
 
     With ``product_criterion=False`` the generators enter unreduced, every
-    pair is formed and processed and no element leaves the basis: the plain
-    algorithm, the reference the fast path is tested against.  The basis
-    carries a :class:`GroebnerStats` of the run, whose ``reductions`` counts
-    S-polynomials only.  Raises :class:`ZeroIdealError` when no nonzero
-    generator remains.
+    pair is formed and processed, also after a constant enters, and no
+    element leaves the basis: the plain algorithm, the reference the fast
+    path is tested against.  The basis carries a :class:`GroebnerStats` of
+    the run, whose ``reductions`` counts S-polynomials only.  Raises
+    :class:`ZeroIdealError` when no nonzero generator remains.
     """
     return _buchberger(generators, product_criterion, lambda packed, active: tuple(
         packed.monic(packed.reducers[i]) for i in active))
@@ -331,8 +332,11 @@ def _buchberger(generators: Iterable[Polynomial], product_criterion: bool,
         serial = count()
         active: list = []  # indices into reducers of the active basis, in order
 
-        def update(reducer: tuple) -> None:
-            ih, (lh, d, tail, _) = len(reducers), reducer
+        # add the nonzero packed remainder r to the basis; False ends the
+        # run: on the fast path, a constant is the unit ideal
+        def enter(r: dict) -> bool:
+            ih = len(reducers)
+            lh, d, tail, _ = reducer = packed.reducer(list(r.items()), ih)
             reducers.append(reducer)
             bits = max([d] + [abs(c) for _, c in tail]).bit_length()
             stats.peak_coeff_bits = max(stats.peak_coeff_bits, bits)
@@ -360,16 +364,15 @@ def _buchberger(generators: Iterable[Polynomial], product_criterion: bool,
                 heapq.heappush(pairs, (sum(packed.unpack(m)), m, next(serial), ig, ih))
             active.append(ih)
             stats.peak_basis = max(stats.peak_basis, len(active))
+            return bool(lh) or not product_criterion
 
         for lm, d, tail, _ in reducers[:len(gens)]:
             r = {lm: d, **dict(tail)}  # on the fast path, reduced by the basis
             if product_criterion:
                 r = packed.reduce(r, 1, [reducers[ig] for ig in active])[0]
-            if r:
-                update(packed.reducer(list(r.items()), len(reducers)))
-                if product_criterion and not reducers[-1][0]:
-                    break  # a constant: the unit ideal
-        else:  # no constant entered: work through the pairs
+            if r and not enter(r):
+                break
+        else:  # the run goes on: work through the pairs
             while pairs:
                 *_, i, j = heapq.heappop(pairs)
                 if (s := packed.s_remainder(i, j, active)) is None:
@@ -377,10 +380,8 @@ def _buchberger(generators: Iterable[Polynomial], product_criterion: bool,
                 r = s[0]
                 stats.reductions += 1
                 stats.zero_reductions += not r
-                if r:
-                    update(packed.reducer(list(r.items()), len(reducers)))
-                    if not reducers[-1][0]:  # the unit ideal: no pair can add anything
-                        break
+                if r and not enter(r):
+                    break
         return GroebnerBasis(packed.arity, finish(packed, active), stats=stats)
 
     return _run(gens[0].arity, gens, 0, step)

@@ -25,9 +25,9 @@ works through that table on plain ``(a, b)`` tuples of sorted elements.  Its
 carrier is k + 1 layers, one per |A| = i: a pair (A_i, B_i) of pools of sorted
 tuples, whose pairs are ``product(A_i, B_i)``.  A pair (a, b) is in the
 carrier iff a is in A_j and b in B_j for j = |a| <= k, so the pools alone
-define the carrier.  The certificate and the trace both get the
-layers from ``_layers``, so neither starts on a carrier that
-``refuse_carrier`` refuses, and both stream the pairs of each layer.
+define the carrier.  The certificate and the trace both get the layers and
+the step from ``_layers``, which counts the carrier once, so neither starts
+on one that ``refuse_carrier`` refuses; both stream each layer's pairs.
 
 The certificate follows Zeilberger's proof of Newton's identities (D.
 Zeilberger, "A combinatorial proof of Newton's identities", Discrete Math.
@@ -139,12 +139,13 @@ def carrier_size(family: str, k: int, n: int) -> int:
     return _family(family).size(k, n, MAX_CARRIER_PAIRS)
 
 
-def refuse_carrier(family: str, k: int, n: int) -> None:
-    """Raise ValueError when the carrier has more than MAX_CARRIER_PAIRS
-    pairs, before any pair is enumerated."""
-    if carrier_size(family, k, n) > MAX_CARRIER_PAIRS:
+def refuse_carrier(family: str, k: int, n: int) -> int:
+    """The carrier's size by ``carrier_size``; raise ValueError when it has
+    more than MAX_CARRIER_PAIRS pairs, before any pair is enumerated."""
+    if (size := carrier_size(family, k, n)) > MAX_CARRIER_PAIRS:
         raise ValueError(f"the {family} carrier for k={k}, n={n} has more "
                          f"than the limit of {MAX_CARRIER_PAIRS} pairs")
+    return size
 
 
 def _format_pair(a: tuple, b: tuple) -> str:
@@ -152,15 +153,14 @@ def _format_pair(a: tuple, b: tuple) -> str:
     return f"({fmt(a)}|{fmt(b)})"
 
 
-def _layers(family: str, k: int, n: int) -> List[Layer]:
-    """The carrier's layers, after ``refuse_carrier`` has passed the
-    carrier's closed-form size.  An empty carrier (k > n) has no layers and
-    builds no pools: its A pools alone would hold 2^n tuples."""
+def _layers(family: str, k: int, n: int) -> Tuple[List[Layer], Callable]:
+    """The carrier's layers, once ``refuse_carrier`` has passed its
+    closed-form size, and the family's step.  An empty carrier (k > n) has
+    no layers and builds no pools: its A pools alone would hold 2^n tuples."""
     spec = _family(family)
     if k < 1:
         raise ValueError("carrier requires k >= 1")
-    refuse_carrier(family, k, n)
-    return spec.carrier(k, n) if carrier_size(family, k, n) else []
+    return spec.carrier(k, n) if refuse_carrier(family, k, n) else [], spec.step
 
 
 def _power_sums(k: int, n: int) -> List[int]:
@@ -228,8 +228,7 @@ def certify_involution(family: str, k: int, n: int) -> CertReport:
     n=500000, the widest carrier under the limit, and 410 at k=13, n=15.
     The weights of a layer are counted a row at a time, along its longer
     pool, in one dict update per row: the keys of a row are distinct."""
-    layers = _layers(family, k, n)
-    step = FAMILIES[family].step
+    layers, step = _layers(family, k, n)
     # an empty carrier (k > n) builds no keys: phi's fields would grow as k^2
     phi = _power_sums(k, n) if layers else []
     built: dict = {}  # one frozenset and key list per pool: layers may share a pool
@@ -283,8 +282,7 @@ def orbit_trace(family: str, k: int, n: int) -> Iterator[str]:
     the layers are walked row by row.  The carrier runs in (|A|, A, B)
     order and the step changes |A| by one, so each orbit is met first at its
     pair with the smaller |A|, and the line is made there."""
-    layers = _layers(family, k, n)
-    step = FAMILIES[family].step
+    layers, step = _layers(family, k, n)
     arity = max(n, 1)
     for i, (a_pool, b_pool) in enumerate(layers):
         sign = -1 if i & 1 else 1

@@ -183,15 +183,19 @@ class Polynomial:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if other.arity != self.arity:
-                raise ArityMismatchError(
-                    f"arity mismatch: {self.arity} vs {other.arity}")
-            return other
+    def _number(self, other):
+        """An int or Fraction as its constant polynomial; other as it is."""
         if isinstance(other, (int, Fraction)):
             return Polynomial.constant(other, self.arity)
-        return NotImplemented
+        return other
+
+    def _coerce(self, other) -> "Polynomial":
+        other = self._number(other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        if other.arity != self.arity:
+            raise ArityMismatchError(f"arity mismatch: {self.arity} vs {other.arity}")
+        return other
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -225,14 +229,15 @@ class Polynomial:
     # -- equality / hashing ------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.arity)
+        other = self._number(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return (self.arity == other.arity and self.width == other.width
                 and self.keys == other.keys and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
+        if not any(self.keys):  # a constant, zero included: the number it equals
+            return hash(sum(self.coeffs))
         return hash((self.arity, self.width, self.keys, self.coeffs))
 
     def __bool__(self) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import chain, combinations, combinations_with_replacement
 from typing import Iterable, Optional
 
-from .poly import Monomial, Polynomial, _field_width, _product_sum
+from .poly import Monomial, Polynomial, _check_arity, _field_width, _product_sum
 
 
 # Limit of the builds `sym`, `gb` and `verify` run, in exponents stored
@@ -58,8 +58,7 @@ def sym_build_size(kind: str, k: int, n: int) -> int:
 def _ambient(n: int, arity: Optional[int]) -> int:
     if arity is None:
         arity = max(n, 1)
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
+    _check_arity(arity)
     if arity < n:
         raise ValueError(f"arity {arity} < variable count {n}")
     return arity

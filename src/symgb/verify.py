@@ -124,7 +124,7 @@ class Target:
     ks: Callable[[int], Sequence[Optional[int]]]  # k of the cells at n; grows with n
     # (k, n) -> raises ValueError for a cell past a hard limit; run_sweep asks
     # it of every selected cell at the top n, before the first cell runs
-    refuse: Callable[[Optional[int], int], None] = lambda k, n: None
+    refuse: Callable[[Optional[int], int], object]
 
 
 # hkn, ekn and newton also sweep k = n+1, n+2, where they hold trivially.

@@ -32,6 +32,7 @@ from symgb.symfunc import (
     homogeneous,
     powersum,
 )
+from symgb.verify import TARGETS
 from conftest import (
     lex_key,
     mono_divides,
@@ -240,6 +241,14 @@ class TestBuchberger:
         assert ref.stats.pairs == len(ref) * (len(ref) - 1) // 2
         assert ref.stats.zero_reductions > fast.stats.zero_reductions == 0
         assert reduce_basis(ref) == reduce_basis(fast)
+        # a constant ends only the fast path: on the reference path the pair
+        # (x1+1, x1) makes the constant 1, and its own pairs are processed
+        gens = [P("x1+1"), P("x1"), P("x2")]
+        assert buchberger(gens).stats.record() == (
+            "pairs=1 product_skipped=1 chain_skipped=0 reductions=0 "
+            "zero_reductions=0 peak_basis=1 peak_coeff_bits=1")
+        ref = buchberger(gens, product_criterion=False).stats
+        assert (ref.pairs, ref.reductions, ref.zero_reductions) == (6, 3, 2)
 
     def test_stats_are_not_part_of_the_value(self):
         gb = buchberger([elementary(i, 3) for i in (1, 2, 3)])
@@ -291,6 +300,17 @@ class TestAgainstSympy:
             assert list(gb.elements) == sympy_reduced_basis(sympy, gens)
             proper += gb.elements[0].leading_monomial() != (0,) * arity
         assert proper >= 15  # most cases are not the unit ideal
+
+    @pytest.mark.parametrize("target", ["gb-ek", "gb-e1ek"])
+    def test_paper_ideals(self, target):
+        # every cell of the target to n = 8: <e_1..e_k> or <e_1, e_k>
+        sympy = pytest.importorskip("sympy")
+        for n in range(1, 9):
+            for k in TARGETS[target].ks(n):
+                ks = range(1, k + 1) if target == "gb-ek" else (1, k)
+                gens = [elementary(i, n) for i in ks]
+                assert list(reduced_groebner_basis(gens).elements) == \
+                    sympy_reduced_basis(sympy, gens), (k, n)
 
     def test_ideal_that_first_in_first_out_selection_stalls_on(self):
         # with the Gebauer-Moller deletions, first-in-first-out selection

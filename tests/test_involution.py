@@ -384,6 +384,21 @@ class TestCertification:
             assert list(orbit_trace(family, k, n)) == []
 
     @pytest.mark.parametrize("family", ["hkn", "ekn"])
+    def test_carrier_counted_once(self, patch_family, family):
+        # the closed-form count both refuses the carrier and spares an
+        # empty one its pools: the certificate and the trace make it once
+        counts = []
+
+        def counting(k, n, cap, size=involution.FAMILIES[family].size):
+            counts.append((k, n))
+            return size(k, n, cap)
+
+        patch_family(family, size=counting)
+        assert certify_involution(family, 3, 5).ok and counts == [(3, 5)]
+        list(orbit_trace(family, 3, 5))
+        assert counts == [(3, 5)] * 2
+
+    @pytest.mark.parametrize("family", ["hkn", "ekn"])
     def test_two_steps_per_pair(self, patch_family, family):
         # on a valid carrier every image is in it and is stepped back
         calls = []

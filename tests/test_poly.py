@@ -100,6 +100,15 @@ class TestArithmetic:
         assert Polynomial.one(2) == 1 and not P("x1", 2) == 1
         assert P("x1+x2") * P("x1-x2") == P("x1^2-x2^2")
 
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    @pytest.mark.parametrize("c", [0, 1, -3, Fraction(1, 2)])
+    def test_constant_is_the_number_it_equals(self, c, arity):
+        # equal objects hash alike, so a constant and its number are one
+        # element of a set and one key of a dict
+        p = Polynomial.constant(c, arity)
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1 and {c: "v"}[p] == "v"
+
     def test_leading_term(self):
         c, m = P("x3+x2+x1").leading_term()
         assert (c, m) == (1, (0, 0, 1))
