@@ -2,10 +2,11 @@
 
 Commands: sym, gb, verify, involution, hilbert.  Exit codes:
 0 = success / all verified, 1 = mathematical mismatch found, 2 = usage or
-parse error.  The CLI applies ``symfunc``'s build limit to its own builds;
-the hard limits of a sweep are the ``verify.Target.refuse`` of each target,
-and the carrier limit of `involution` is ``involution.refuse_carrier``,
-which the certificate and the trace apply themselves.
+parse error.  ``symfunc``'s build limit bounds all that one command
+builds, every generator of ``gb --gens`` together, before it is built; the
+hard limits of a sweep are the ``verify.Target.refuse`` of each target, and
+the carrier limit of `involution` is ``involution.refuse_carrier``, which
+the certificate and the trace apply themselves.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _require_n(n: int) -> int:
 def _parse_generators(spec: str, n: int) -> List[Polynomial]:
     """Comma list of e-indices ("e1,e3") and/or raw polynomial text."""
     _require_n(n)
-    gens = []
+    gens, stored = [], 0
     for token in spec.split(","):
         token = token.strip()
         if not token:
@@ -55,38 +56,36 @@ def _parse_generators(spec: str, n: int) -> List[Polynomial]:
             i = int(token[1:])
             if not 1 <= i <= n:
                 raise ValueError(f"generator {token} out of range e1..e{n}")
-            _check_sym_size("e", i, n)
+            stored = _charge(stored, sym_build_size("e", i, n),
+                             f"building e_{{{i},{n}}}")
             gens.append(symfunc.elementary(i, n, n))
         else:
+            # n exponents a term, for each nonblank piece between signs
+            terms = sum(1 for chunk in re.split(r"[+-]", token) if chunk.strip())
+            stored = _charge(stored, terms * n,
+                             f"parsing {token!r} in {n} variables")
             try:
-                _check_text_size(token, n)
                 gens.append(parse_polynomial(token, n))
             except PolyParseError as exc:
                 raise ValueError(f"cannot parse generator {token!r}: {exc}")
     return gens
 
 
-def _check_sym_size(kind: str, k: int, n: int) -> None:
-    if sym_build_size(kind, k, n) > symfunc.MAX_SYM_EXPONENTS:
-        raise ValueError(f"building {kind}_{{{k},{n}}} stores more than the "
-                         f"limit of {symfunc.MAX_SYM_EXPONENTS} exponents")
-
-
-def _check_text_size(text: str, n: int) -> None:
-    """Refuse polynomial text whose terms of n exponents each would store
-    more than symfunc.MAX_SYM_EXPONENTS, counting the terms, the nonblank
-    pieces between signs, before parsing them."""
-    terms = sum(1 for chunk in re.split(r"[+-]", text) if chunk.strip())
-    if terms * n > symfunc.MAX_SYM_EXPONENTS:
-        raise ValueError(f"parsing {text!r} in {n} variables stores more than "
-                         f"the limit of {symfunc.MAX_SYM_EXPONENTS} exponents")
+def _charge(stored: int, size: int, what: str) -> int:
+    """stored + size, the exponents held once ``what`` is built too."""
+    limit = symfunc.MAX_SYM_EXPONENTS
+    if stored + size > limit:
+        after = f", after {stored} stored" if stored else ""
+        raise ValueError(f"{what} stores more than the limit of {limit} "
+                         f"exponents{after}")
+    return stored + size
 
 
 def cmd_sym(args) -> int:
     builders = {"e": symfunc.elementary, "h": symfunc.homogeneous,
                 "p": symfunc.powersum}
     kind, k, n = args.kind, args.k, _require_n(args.n)
-    _check_sym_size(kind, k, n)
+    _charge(0, sym_build_size(kind, k, n), f"building {kind}_{{{k},{n}}}")
     print(format_polynomial(builders[kind](k, n)))
     return 0
 

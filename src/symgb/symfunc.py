@@ -10,6 +10,7 @@ monomials in decreasing order, and no exponent tuple is made."""
 from __future__ import annotations
 
 from itertools import chain, combinations, combinations_with_replacement
+from math import comb
 from typing import Iterable, Optional
 
 from .poly import Monomial, Polynomial, _check_arity, _field_width, _product_sum
@@ -22,16 +23,15 @@ MAX_SYM_EXPONENTS = 4 * 10**6
 
 
 def _comb_capped(n: int, k: int, cap: int) -> int:
-    """C(n, k) when it is at most cap, else cap + 1; cheap for any n, k."""
+    """C(n, k) when it is at most cap, else cap + 1; cheap for any n, k,
+    since C(n, k) >= 2^k for k <= n/2 lets k alone decide every k past
+    cap's bits."""
     k = min(k, n - k)
     if k < 0:
         return 0
-    c = 1
-    for i in range(k):  # C(n, i) grows with i up to n/2
-        c = c * (n - i) // (i + 1)
-        if c > cap:
-            return cap + 1
-    return c
+    if k >= cap.bit_length():
+        return cap + 1
+    return min(comb(n, k), cap + 1)
 
 
 def sym_build_size(kind: str, k: int, n: int) -> int:

@@ -123,7 +123,7 @@ class Target:
     max_n: int  # default n ceiling, keeping the full sweep fast
     ks: Callable[[int], Sequence[Optional[int]]]  # k of the cells at n; grows with n
     # (k, n) -> raises ValueError for a cell past a hard limit; run_sweep asks
-    # it of every selected cell at the top n, before the first cell runs
+    # it of every selected cell at the top n, before it lists any cell
     refuse: Callable[[Optional[int], int], object]
 
 
@@ -161,17 +161,16 @@ def run_sweep(target: str, n_lo: int, n_hi: int,
               fixed_k: Optional[int] = None) -> List[CellResult]:
     """Check every (k, n) cell of the target with n_lo <= n <= n_hi, or only
     the cells with k = fixed_k; a range or a fixed_k that selects no cell is
-    an error."""
+    an error, and the cells at n_hi are refused or not before any is listed."""
     spec = TARGETS.get(target)
     if spec is None:
         raise ValueError(f"unknown target {target!r}")
-    if fixed_k is not None and fixed_k not in spec.ks(n_hi):
-        raise ValueError(
-            f"{target} has no cell with k={fixed_k} for n in {n_lo}..{n_hi}")
-    cells = [(k, n) for n in range(n_lo, n_hi + 1) for k in spec.ks(n)
-             if fixed_k is None or k == fixed_k]
-    if not cells:
-        raise ValueError(f"{target} has no cell for n in {n_lo}..{n_hi}")
-    for k in spec.ks(n_hi) if fixed_k is None else (fixed_k,):
+    ks = spec.ks if fixed_k is None else (  # the k selected at n
+        lambda n: (fixed_k,) if fixed_k in spec.ks(n) else ())
+    if n_hi < n_lo or not ks(n_hi):  # the k of a target grow with n
+        with_k = "" if fixed_k is None or ks(n_hi) else f" with k={fixed_k}"
+        raise ValueError(f"{target} has no cell{with_k} for n in {n_lo}..{n_hi}")
+    for k in ks(n_hi):
         spec.refuse(k, n_hi)
-    return [CellResult(target, k, n, *spec.check(k, n)) for k, n in cells]
+    return [CellResult(target, k, n, *spec.check(k, n))
+            for n in range(n_lo, n_hi + 1) for k in ks(n)]

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -61,6 +61,15 @@ class TestSymBudget:
         assert sym_build_size("e", 4, 3) == 0  # e_{4,3} = 0 at once
         assert sym_build_size("h", -1, 3) == 0
 
+    def test_capped_binomial(self):
+        # C(n, k) >= 2^k for k <= n/2, so k past the cap's bits needs no comb
+        for n in (*range(0, 25), 10**6, 10**12, 10**50):
+            for k in (*range(0, min(n, 30) + 3), *range(max(n - 30, 0), n + 3)):
+                for cap in (0, 1, 7, 1000, 4 * 10**6, 10**30):
+                    expected = min(comb(n, k), cap + 1)
+                    assert symfunc._comb_capped(n, k, cap) == expected
+        assert symfunc._comb_capped(5, -1, 10) == 0
+
     def test_huge_inputs_are_counted_without_building(self, capsys, monkeypatch):
         for name in ("elementary", "homogeneous", "powersum"):
             monkeypatch.setattr(symfunc, name, refuse)
@@ -103,6 +112,32 @@ class TestSymBudget:
         assert code == 2 and out == ""
         assert (f"error: building e_{{20,40}} stores more than the limit of "
                 f"{symfunc.MAX_SYM_EXPONENTS} exponents") in err
+
+    def test_generators_share_one_limit(self, capsys, monkeypatch):
+        # e_{1,1000} stores 1000 * 1001 exponents: the fourth copy is over
+        built, elementary = [], symfunc.elementary
+
+        def counted(*args):
+            built.append(args)
+            return elementary(*args)
+
+        monkeypatch.setattr(symfunc, "elementary", counted)
+        code, out, err = run(capsys, "gb", "--n", "1000", "--gens", "e1,e1,e1,e1")
+        assert (code, out) == (2, "")
+        assert err == ("error: building e_{1,1000} stores more than the limit "
+                       "of 4000000 exponents, after 3003000 stored\n")
+        assert len(built) == 3
+
+    def test_polynomial_text_shares_the_limit(self, capsys, monkeypatch):
+        # 2 terms of 4 exponents, then 1 more: 12 stored in all
+        monkeypatch.setattr(symfunc, "MAX_SYM_EXPONENTS", 11)
+        code, out, err = run(capsys, "gb", "--n", "4", "--gens", "x1+x2,x3")
+        assert (code, out) == (2, "")
+        assert err == ("error: parsing 'x3' in 4 variables stores more than "
+                       "the limit of 11 exponents, after 8 stored\n")
+        monkeypatch.setattr(symfunc, "MAX_SYM_EXPONENTS", 12)  # inclusive
+        code, out, _ = run(capsys, "gb", "--n", "4", "--gens", "x1+x2,x3")
+        assert code == 0 and out != ""
 
     def test_polynomial_text_over_the_limit_is_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "parse_polynomial", refuse)

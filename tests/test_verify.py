@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from math import factorial
 
@@ -130,6 +131,47 @@ def test_range_without_a_cell(target, n_lo, n_hi):
     with pytest.raises(ValueError, match=(
             rf"^{target} has no cell for n in {n_lo}..{n_hi}$")):
         run_sweep(target, n_lo, n_hi)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_k_of_a_target_grow_with_n(target):
+    # run_sweep refuses and checks for a cell at the top n alone on this
+    ks = TARGETS[target].ks
+    for n in range(1, 41):
+        assert set(ks(n)) <= set(ks(n + 1))
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_sweep_selects_the_brute_force_cells(monkeypatch, target):
+    spec = TARGETS[target]
+    monkeypatch.setitem(TARGETS, target, dataclasses.replace(
+        spec, check=lambda k, n: (True, "")))
+    for lo in range(1, 8):
+        for hi in range(lo, 8):
+            for fixed_k in (None, *range(-1, 11)):
+                cells = [(k, n) for n in range(lo, hi + 1) for k in spec.ks(n)
+                         if fixed_k is None or k == fixed_k]
+                if cells:
+                    results = run_sweep(target, lo, hi, fixed_k)
+                    assert [(r.k, r.n) for r in results] == cells
+                    continue
+                with_k = "" if fixed_k is None else f" with k={fixed_k}"
+                with pytest.raises(ValueError, match=(
+                        rf"^{target} has no cell{with_k} for n in {lo}\.\.{hi}$")):
+                    run_sweep(target, lo, hi, fixed_k)
+
+
+def test_sweep_refused_before_any_cell_is_listed(monkeypatch):
+    asked, spec = [], TARGETS["hkn"]
+
+    def ks(n):
+        asked.append(n)
+        return spec.ks(n)
+
+    monkeypatch.setitem(TARGETS, "hkn", dataclasses.replace(spec, ks=ks))
+    with pytest.raises(ValueError, match=r"^the cell k=1 n=3000 builds"):
+        run_sweep("hkn", 1, 3000)
+    assert set(asked) == {3000}
 
 
 def test_unknown_target():
