@@ -52,7 +52,7 @@ def _parse_generators(spec: str, n: int) -> List[Polynomial]:
         token = token.strip()
         if not token:
             raise ValueError("empty generator in --gens")
-        if token.startswith("e") and token[1:].isdigit():
+        if re.fullmatch(r"e[0-9]+", token):
             i = int(token[1:])
             if not 1 <= i <= n:
                 raise ValueError(f"generator {token} out of range e1..e{n}")

@@ -12,7 +12,8 @@ Comput. 14, 1992): for a pure power p = x_i^e outside I,
 down to ideals whose minimal generators are pairwise coprime, where
 K = prod_m (1 - t^deg(m)).  ``staircase_series`` divides K by (1 - t)^n for
 an artinian staircase, whose series is a polynomial: the count of standard
-monomials by total degree.
+monomials by total degree.  Every product prod_d (1 - t^d) is built by
+``_one_minus_powers`` and every division by (1 - t)^n made by ``_series``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import le
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from .poly import Monomial, _check_monomial
 
@@ -62,11 +63,28 @@ def _check_length(what: str, length: int) -> None:
                          f"the limit of {MAX_SERIES_COEFFS}")
 
 
-def _trim(coeffs: Sequence[int]) -> tuple:
-    coeffs = list(coeffs)
+def _one_minus_powers(degrees: Iterable[int], shift: int = 0) -> Dict[int, int]:
+    """t^shift prod_d (1 - t^d) as a sparse {degree: coefficient} dict."""
+    out = {shift: 1}
+    for d in degrees:
+        step = dict(out)
+        for deg, c in out.items():
+            step[deg + d] = step.get(deg + d, 0) - c
+        out = step
+    return out
+
+
+def _series(sparse: Dict[int, int], length: int, arity: int) -> SeriesPoly:
+    """The ``length`` dense coefficients of ``sparse`` divided by
+    (1 - t)^arity, one prefix sum per factor, with trailing zeros trimmed."""
+    coeffs = [0] * length
+    for d, c in sparse.items():
+        coeffs[d] = c
+    for _ in range(arity):
+        coeffs = list(accumulate(coeffs))
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    return tuple(coeffs)
+    return SeriesPoly(tuple(coeffs))
 
 
 def _checked(leading_monomials: Sequence[Monomial], arity: int) -> List[Monomial]:
@@ -103,34 +121,19 @@ def _numerator(gens: List[Monomial]) -> Dict[int, int]:
         counts = [sum(1 for e in column if e) for column in zip(*gens)]
         top = max(counts, default=0)
         if top < 2:  # pairwise coprime
-            leaf = {shift: 1}
-            for m in gens:
-                d = sum(m)
-                step = dict(leaf)
-                for deg, c in leaf.items():
-                    step[deg + d] = step.get(deg + d, 0) - c
-                leaf = step
-            for deg, c in leaf.items():
+            for deg, c in _one_minus_powers(map(sum, gens), shift).items():
                 numerator[deg] = numerator.get(deg, 0) + c
             continue
         # x_i^e for the median exponent of x_i among the generators that are
         # not pure powers: it divides one of them, so it is not in the ideal
         i = counts.index(top)
-        exps = sorted(m[i] for m in gens
-                      if m[i] and any(e for j, e in enumerate(m) if j != i))
+        exps = sorted(m[i] for m in gens if 0 < m[i] < sum(m))
         e = exps[len(exps) // 2]
         pivot = tuple(e if j == i else 0 for j in range(len(counts)))
         work.append((shift, [m for m in gens if m[i] < e] + [pivot]))
         work.append((shift + e, _minimal(
             [m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens])))
     return {d: c for d, c in numerator.items() if c}
-
-
-def _dense(sparse: Dict[int, int], length: int) -> List[int]:
-    coeffs = [0] * length
-    for d, c in sparse.items():
-        coeffs[d] = c
-    return coeffs
 
 
 def hilbert_numerator(leading_monomials: Sequence[Monomial],
@@ -143,7 +146,7 @@ def hilbert_numerator(leading_monomials: Sequence[Monomial],
     gens = _minimal(_checked(leading_monomials, arity))
     length = sum(map(max, zip(*gens))) + 1
     _check_length("Hilbert numerator", length)
-    return SeriesPoly(_trim(_dense(_numerator(gens), length)))
+    return _series(_numerator(gens), length, 0)
 
 
 def staircase_series(leading_monomials: Sequence[Monomial],
@@ -160,16 +163,15 @@ def staircase_series(leading_monomials: Sequence[Monomial],
     prefix sum per variable.
     """
     lms = _checked(leading_monomials, arity)
-    unit = (0,) * arity
-    if unit in lms:
+    if (0,) * arity in lms:
         return SeriesPoly(())  # unit ideal, zero quotient
     caps = [None] * arity
     for m in lms:
-        support = [i for i, e in enumerate(m) if e > 0]
-        if len(support) == 1:
-            i = support[0]
-            if caps[i] is None or m[i] < caps[i]:
-                caps[i] = m[i]
+        d = sum(m)
+        if d in m:  # a pure power x_i^d, as m is not the unit
+            i = m.index(d)
+            if caps[i] is None or d < caps[i]:
+                caps[i] = d
     missing = [i + 1 for i, c in enumerate(caps) if c is None]
     if missing:
         raise NonArtinianError(
@@ -183,21 +185,12 @@ def staircase_series(leading_monomials: Sequence[Monomial],
                          f"{MAX_DIVISION_STEPS} steps")
     # a minimal generator has no exponent above its variable's cap, so K has
     # degree at most sum(caps) = length - 1 + arity
-    coeffs = _dense(_numerator(_minimal(lms)), length + arity)
-    for _ in range(arity):
-        coeffs = list(accumulate(coeffs))
-    return SeriesPoly(_trim(coeffs))
+    return _series(_numerator(_minimal(lms)), length + arity, arity)
 
 
 def closed_form_series(n: int) -> SeriesPoly:
-    """Expand prod_{i=1..n} (1 + t + ... + t^{i-1})."""
+    """Expand prod_{i=1..n} (1 + t + ... + t^{i-1}), as the numerator
+    prod_{i=1..n} (1 - t^i) of degree n(n+1)/2 divided by (1 - t)^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeffs = [1]
-    for i in range(1, n + 1):
-        out = [0] * (len(coeffs) + i - 1)
-        for d, c in enumerate(coeffs):
-            for shift in range(i):
-                out[d + shift] += c
-        coeffs = out
-    return SeriesPoly(_trim(coeffs))
+    return _series(_one_minus_powers(range(1, n + 1)), n * (n + 1) // 2 + 1, n)

@@ -400,13 +400,14 @@ def format_polynomial(p: Polynomial) -> str:
     return "".join(out).removeprefix("+")
 
 
-_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-_COEFF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+_FACTOR_RE = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
+_COEFF_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 
 
 def parse_polynomial(text: str, arity: int) -> Polynomial:
-    """Parse the text grammar above into a polynomial of the given arity."""
-    text = text.strip().replace(" ", "")
+    """Parse the grammar above (INT in ASCII digits; a space only at an end
+    or next to + - * / ^) into a polynomial of the given arity."""
+    text = re.sub(r" *([-+*/^]) *", r"\1", text.strip())
     if not text:
         raise PolyParseError("empty polynomial text")
     if text.startswith("+"):

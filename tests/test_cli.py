@@ -185,7 +185,12 @@ class TestGb:
 
     def test_index_out_of_range(self, capsys):
         for n, gens, message in (("2", "e3", "generator e3 out of range e1..e2"),
-                                 ("3", "e1,,e2", "empty generator in --gens")):
+                                 ("3", "e1,,e2", "empty generator in --gens"),
+                                 # an e-index is ASCII digits only
+                                 ("3", "e²", "cannot parse generator 'e²': "
+                                  "bad token 'e²' in 'e²'"),
+                                 ("3", "e١", "cannot parse generator 'e١': "
+                                  "bad token 'e١' in 'e١'")):
             code, out, err = run(capsys, "gb", "--n", n, "--gens", gens)
             assert code == 2 and out == ""
             assert f"error: {message}" in err

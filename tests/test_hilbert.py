@@ -216,6 +216,17 @@ class TestClosedForm:
         for n in range(1, 7):
             assert closed_form_series(n).coeffs == inversion_counts(n)
 
+    def test_plain_product_of_t_integers(self):
+        # prod_{i<=n} [i]_t with [i]_t = 1 + t + ... + t^{i-1}, multiplied out
+        coeffs = [1]
+        for n in range(1, 31):
+            out = [0] * (len(coeffs) + n - 1)
+            for d, c in enumerate(coeffs):
+                for shift in range(n):
+                    out[d + shift] += c
+            coeffs = out
+            assert closed_form_series(n) == SeriesPoly(tuple(coeffs)), n
+
 
 class TestAgainstGroebner:
     def test_staircase_matches_closed_form(self):
@@ -250,6 +261,20 @@ class TestNumerator:
             numerator = hilbert_numerator(lms, arity)
             assert (series_prefix(numerator, arity, top)
                     == standard_counts(lms, arity, top)), lms
+
+    def test_artinian_series_times_its_denominator(self):
+        # staircase_series(lms, a) * (1 - t)^a is hilbert_numerator(lms, a)
+        rng = random.Random(10)
+        for _ in range(300):
+            arity = rng.randint(1, 4)
+            lms = random_artinian(rng, arity)
+            coeffs = list(staircase_series(lms, arity).coeffs)
+            for _ in range(arity):
+                coeffs = [c - p for c, p in zip(coeffs + [0], [0] + coeffs)]
+            while coeffs and coeffs[-1] == 0:
+                coeffs.pop()
+            assert SeriesPoly(tuple(coeffs)) == \
+                hilbert_numerator(lms, arity), lms
 
     def test_small_ideals(self):
         assert hilbert_numerator([], 3) == SeriesPoly((1,))

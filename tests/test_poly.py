@@ -272,8 +272,22 @@ class TestTextGrammar:
 
     @pytest.mark.parametrize("bad", [
         "", "+x1", "x1++x2", "x0", "x4", "x1^", "y1", "1/0", "3*", "*x1",
-        "x1 x2", "x1^-2",
+        "x1 x2", "x1^-2", "2 3*x1", "x 1", "x1^1 2", "x١", "٣*x1",
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(PolyParseError):
             parse_polynomial(bad, 3)
+
+    def test_space_inside_a_token_is_shown_as_written(self):
+        for bad, token in (("2 3*x1", "2 3"), ("x1 x2", "x1 x2"),
+                           ("x1^1 2", "x1^1 2")):
+            with pytest.raises(PolyParseError) as exc:
+                parse_polynomial(bad, 3)
+            assert str(exc.value) == f"bad token {token!r} in {bad!r}"
+
+    @pytest.mark.parametrize("text, canonical", [
+        ("x1 + x2", "x1+x2"), (" x1 * x2 ", "x1*x2"),
+        ("1 / 2*x1", "1/2*x1"), ("x1 ^ 2", "x1^2"), (" - x1 -  x2", "-x1-x2"),
+    ])
+    def test_spaces_around_operators(self, text, canonical):
+        assert parse_polynomial(text, 3) == parse_polynomial(canonical, 3)
