@@ -350,7 +350,9 @@ class TestCertification:
             patch_family(family, step=counted_step)
             assert certify_involution(family, 3, 4).ok
             assert len(list(orbit_trace(family, 3, 4))) == 2**2 * comb(4, 3)
-        assert len(drawn) == 2 * 2 * 2**3 * comb(4, 3)
+        # the certificate draws the even layers, half the carrier, and the
+        # trace draws all of it
+        assert len(drawn) == 2 * (2**2 + 2**3) * comb(4, 3)
 
     def test_carrier_over_the_limit_is_refused_before_enumerating(self, patch_family):
         def refuse(k, n):
@@ -400,7 +402,9 @@ class TestCertification:
 
     @pytest.mark.parametrize("family", ["hkn", "ekn"])
     def test_two_steps_per_pair(self, patch_family, family):
-        # on a valid carrier every image is in it and is stepped back
+        # on a valid carrier each pair of even |A| is stepped and its image
+        # stepped back, and the count of distinct pairs proves the odd
+        # layers: they are never stepped
         calls = []
         step = involution.FAMILIES[family].step
 
@@ -410,8 +414,44 @@ class TestCertification:
 
         patch_family(family, step=counted)
         r = certify_involution(family, 3, 5)
-        assert r.ok and len(calls) == 2 * r.carrier_size
-        assert calls[::2] == carrier(family, 3, 5)
+        even = [p for p in carrier(family, 3, 5) if len(p[0]) % 2 == 0]
+        assert r.ok and len(calls) == r.carrier_size
+        assert calls[::2] == even
+        assert calls[1::2] == [step(*p) for p in even]
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("broken", ["identity", "leaves_carrier", "not_involutive",
+                                        "unsorted_image", "out_of_range"])
+    @pytest.mark.parametrize("family", ["hkn", "ekn"])
+    def test_broken_on_one_parity_is_caught(self, patch_family, family, broken, parity):
+        # a step broken only on the pairs of one parity of |A|: the report
+        # is the one of stepping every pair, whether the even walk fails
+        # itself or only sends the certificate on to the odd layers
+        good = involution.FAMILIES[family].step
+        for k, n in ((3, 4), (3, 5)):
+            bad = broken_steps(family, k, n, good)[broken]
+            step = lambda a, b, bad=bad: (bad if len(a) % 2 == parity else good)(a, b)
+            patch_family(family, step=step)
+            r = certify_involution(family, k, n)
+            assert not r.ok
+            assert report_fields(r) == reference_certificate(family, k, n, step), (k, n)
+
+    def test_repeated_tuple_does_not_stand_in_for_a_pair(self, patch_family, monkeypatch):
+        # layer 0 repeats (1,) in its B pool, and layer 1 holds (3,), past
+        # the range {1..2}: the even pairs pass every law, and their pools
+        # give 1 * 3 pairs to the odd layer's 3 * 1, but there are only 2
+        # distinct even pairs, so the odd layer is stepped and its pair
+        # ((3,), ()) leaves the carrier.  The keys are built for {1..3}.
+        def patched(k, n):
+            return [(((),), ((1,), (1,), (2,))), (((1,), (2,), (3,)), ((),))]
+
+        patch_family("hkn", carrier=patched)
+        monkeypatch.setattr(involution, "_power_sums",
+                            lambda k, n, power_sums=involution._power_sums: power_sums(k, n + 1))
+        r = certify_involution("hkn", 1, 2)
+        assert report_fields(r) == {
+            "carrier_size": 6, "carrier_closed": False, "is_involution": True,
+            "sign_reversing": True, "fixed_point_free": True, "weight_sum_zero": False}
 
     def test_trace_format(self):
         lines = list(orbit_trace("hkn", 2, 2))
