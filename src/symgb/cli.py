@@ -38,15 +38,9 @@ def _parse_n_range(text: str) -> tuple:
     return lo, hi
 
 
-def _require_n(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return n
-
-
 def _parse_generators(spec: str, n: int) -> List[Polynomial]:
     """Comma list of e-indices ("e1,e3") and/or raw polynomial text."""
-    _require_n(n)
+    verify.require_n(n)
     gens, stored = [], 0
     for token in spec.split(","):
         token = token.strip()
@@ -82,11 +76,9 @@ def _charge(stored: int, size: int, what: str) -> int:
 
 
 def cmd_sym(args) -> int:
-    builders = {"e": symfunc.elementary, "h": symfunc.homogeneous,
-                "p": symfunc.powersum}
-    kind, k, n = args.kind, args.k, _require_n(args.n)
+    kind, k, n = args.kind, args.k, verify.require_n(args.n)
     _charge(0, sym_build_size(kind, k, n), f"building {kind}_{{{k},{n}}}")
-    print(format_polynomial(builders[kind](k, n)))
+    print(format_polynomial(symfunc.SYM_KINDS[kind].build(k, n)))
     return 0
 
 
@@ -120,7 +112,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_involution(args) -> int:
-    k, n = args.k, _require_n(args.n)
+    k, n = args.k, verify.require_n(args.n)
     report = involution.certify_involution(args.family, k, n)
     print(f"family={report.family} k={report.k} n={report.n} "
           f"carrier_size={report.carrier_size}")
@@ -153,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sym", help="print a symmetric polynomial")
-    p.add_argument("--kind", choices=("e", "h", "p"), required=True)
+    p.add_argument("--kind", choices=symfunc.SYM_KINDS, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=cmd_sym)

@@ -14,9 +14,7 @@ from .poly import (
     Polynomial,
     ZeroPolynomialError,
     _exact_div,
-    _field_width,
     _guard,
-    _max_exponent,
     _packed_pairs,
     _packers,
 )
@@ -97,7 +95,7 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
                 for qs, (_, d, _, _), g in zip(quotients, packed.reducers, divisors)),
             remainder=packed.polynomial(remainder, scale))
 
-    return _run(f.arity, divisors, _max_exponent(f), step)
+    return _run(f.arity, divisors, step, f.width)
 
 
 # -- the reduction kernel ----------------------------------------------------
@@ -127,14 +125,14 @@ class _Overflow(Exception):
     """A packed exponent reached the guard bit of its field."""
 
 
-def _run(arity: int, polys: Sequence[Polynomial], top: int, step):
-    """step(packed) on ``polys`` packed as reducers in fields of the fewest
-    bytes that keep every exponent, and top, under the guard bit; when the
-    step overflows, it is run again on ``polys`` packed one byte wider."""
+def _run(arity: int, polys: Sequence[Polynomial], step, width: int = 1):
+    """step(packed) on ``polys`` packed as reducers in fields as wide as the
+    widest of them, and at least ``width`` bytes; when the step overflows,
+    it is run again on ``polys`` packed one byte wider."""
     for p in polys:  # packing does not see the arity
         if p.arity != arity:
             raise ArityMismatchError(f"arity mismatch: {arity} vs {p.arity}")
-    width = max([_field_width(top), *[p.width for p in polys]])
+    width = max([width, *[p.width for p in polys]])
     while True:
         try:
             return step(_Packed(arity, polys, width))
@@ -272,7 +270,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         r, scale = packed.s_remainder(0, 1, ()) or ({}, 1)
         return packed.polynomial(r, scale)
 
-    return _run(f.arity, (f, g), 0, step)
+    return _run(f.arity, (f, g), step)
 
 
 def normal_form(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
@@ -384,7 +382,7 @@ def _buchberger(generators: Iterable[Polynomial], product_criterion: bool,
                     break
         return GroebnerBasis(packed.arity, finish(packed, active), stats=stats)
 
-    return _run(gens[0].arity, gens, 0, step)
+    return _run(gens[0].arity, gens, step)
 
 
 def _interreduce(packed: _Packed, indices: Iterable[int]) -> tuple:
@@ -412,7 +410,7 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     minimal, monic, every element fully reduced against the others, sorted
     by decreasing leading monomial."""
     elements = [g for g in gb.elements if not g.is_zero()]
-    return _run(gb.arity, elements, 0, lambda packed: GroebnerBasis(
+    return _run(gb.arity, elements, lambda packed: GroebnerBasis(
         gb.arity, _interreduce(packed, range(len(elements))), stats=gb.stats))
 
 
@@ -431,7 +429,7 @@ def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:
                    or not (s := packed.s_remainder(i, j, every)) or not s[0]
                    for i, j in combinations(every, 2))
 
-    return _run(polys[0].arity, polys, 0, step)
+    return _run(polys[0].arity, polys, step)
 
 
 def is_reduced(polys: Sequence[Polynomial]) -> bool:
@@ -451,7 +449,7 @@ def is_reduced(polys: Sequence[Polynomial]) -> bool:
                        for m in (lead, *(k for k, _ in tail))
                        for j, lm in enumerate(lms) if j != i)
 
-    return _run(polys[0].arity, polys, 0, step)
+    return _run(polys[0].arity, polys, step)
 
 
 def reduced_groebner_basis(generators: Iterable[Polynomial]) -> GroebnerBasis:

@@ -122,8 +122,7 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     # The single-term constructors build through ``from_monomial``, which
-    # checks its input as ``__init__`` does, with the same errors, and then
-    # packs its one key directly.
+    # is ``__init__`` on one term, with its checks and its errors.
 
     @classmethod
     def zero(cls, arity: int) -> "Polynomial":
@@ -146,15 +145,7 @@ class Polynomial:
 
     @classmethod
     def from_monomial(cls, mono: Monomial, coeff: Coefficient = 1) -> "Polynomial":
-        arity = len(mono)
-        _check_arity(arity)
-        mono = tuple(mono)
-        _check_monomial(mono, arity)
-        coeff = _coefficient(coeff)
-        if not coeff:
-            return cls(arity)
-        width = _field_width(max(mono))
-        return cls._from_keys(arity, width, (_packers(arity, width)[0](mono),), (coeff,))
+        return cls(len(mono), ((mono, coeff),))
 
     # -- predicates --------------------------------------------------------
 
@@ -197,12 +188,16 @@ class Polynomial:
             raise ArityMismatchError(f"arity mismatch: {self.arity} vs {other.arity}")
         return other
 
-    def __add__(self, other) -> "Polynomial":
+    def _signed_sum(self, a: int, other, b: int) -> "Polynomial":
+        """a * self + b * other, for signs a and b, in one kernel pass."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         one = Polynomial.one(self.arity)
-        return _product_sum(self.arity, ((1, self, one), (1, other, one)))
+        return _product_sum(self.arity, ((a, self, one), (b, other, one)))
+
+    def __add__(self, other) -> "Polynomial":
+        return self._signed_sum(1, other, 1)
 
     __radd__ = __add__
 
@@ -210,13 +205,10 @@ class Polynomial:
         return self * -1
 
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._signed_sum(1, other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
-        return -(self - other)
+        return self._signed_sum(-1, other, 1)
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .poly import Monomial, Polynomial, _check_arity, _field_width, _product_sum
 
@@ -32,27 +32,6 @@ def _comb_capped(n: int, k: int, cap: int) -> int:
     if k >= cap.bit_length():
         return cap + 1
     return min(comb(n, k), cap + 1)
-
-
-def sym_build_size(kind: str, k: int, n: int) -> int:
-    """Cost of building e_{k,n}, h_{k,n} or p_{k,n} in n variables, counted
-    without building anything; MAX_SYM_EXPONENTS + 1 stands for every count
-    above the limit.
-
-    The result has C(n, k), C(n+k-1, k) or n terms of n exponents each, and
-    each term is the weight of an enumerated k-tuple, so a term costs n + k:
-    h_{k,1} = x1^k is one term but k steps.  0 for a negative k, which the
-    builders reject."""
-    cap = MAX_SYM_EXPONENTS
-    if k < 0:
-        return 0
-    if kind == "p":
-        terms = n
-    elif kind == "e":
-        terms = _comb_capped(n, k, cap)
-    else:
-        terms = _comb_capped(n + k - 1, k, cap)
-    return min(terms * (n + k), cap + 1)
 
 
 def _ambient(n: int, arity: Optional[int]) -> int:
@@ -109,6 +88,33 @@ def powersum(k: int, n: int, arity: Optional[int] = None) -> Polynomial:
     if k < 1:
         raise ValueError("power sums require k >= 1")
     return _packed_sum(_ambient(n, arity), n, k, lambda xs: [k * x for x in xs])
+
+
+class SymKind(NamedTuple):
+    build: Callable[..., Polynomial]  # (k, n, arity=None) -> the polynomial
+    terms: Callable[[int, int, int], int]  # (k, n, cap) -> its terms, capped
+
+
+# Each kind of symmetric polynomial, by the letter `sym --kind` takes.
+SYM_KINDS = {
+    "e": SymKind(elementary, lambda k, n, cap: _comb_capped(n, k, cap)),
+    "h": SymKind(homogeneous, lambda k, n, cap: _comb_capped(n + k - 1, k, cap)),
+    "p": SymKind(powersum, lambda k, n, cap: max(n, 0)),
+}
+
+
+def sym_build_size(kind: str, k: int, n: int) -> int:
+    """Cost of building e_{k,n}, h_{k,n} or p_{k,n} in n variables, counted
+    without building anything; MAX_SYM_EXPONENTS + 1 stands for every count
+    above the limit.
+
+    The result has C(n, k), C(n+k-1, k) or n terms of n exponents each, and
+    each term is the weight of an enumerated k-tuple, so a term costs n + k:
+    h_{k,1} = x1^k is one term but k steps.  0 for a negative k, which the
+    builders reject; a kind outside ``SYM_KINDS`` raises KeyError."""
+    terms = SYM_KINDS[kind].terms
+    cap = MAX_SYM_EXPONENTS
+    return 0 if k < 0 else min(terms(k, n, cap) * (n + k), cap + 1)
 
 
 def weight(elements: Iterable[int], arity: int) -> Monomial:

@@ -68,11 +68,15 @@ def _refuse_hilbert_n(n: int) -> None:
                          f"n={MAX_HILBERT_N}")
 
 
-def hilbert_series(n: int) -> Tuple[hilbert.SeriesPoly, hilbert.SeriesPoly]:
-    """(staircase series of the reduced basis of <e_1..e_n>, closed form)."""
+def require_n(n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _refuse_hilbert_n(n)  # before any Groebner work
+    return n
+
+
+def hilbert_series(n: int) -> Tuple[hilbert.SeriesPoly, hilbert.SeriesPoly]:
+    """(staircase series of the reduced basis of <e_1..e_n>, closed form)."""
+    _refuse_hilbert_n(require_n(n))  # before any Groebner work
     gb = computed_gb_ek(n, n)
     series = hilbert.staircase_series(gb.leading_monomials(), n)
     return series, hilbert.closed_form_series(n)
@@ -160,11 +164,13 @@ TARGETS = {
 def run_sweep(target: str, n_lo: int, n_hi: int,
               fixed_k: Optional[int] = None) -> List[CellResult]:
     """Check every (k, n) cell of the target with n_lo <= n <= n_hi, or only
-    the cells with k = fixed_k; a range or a fixed_k that selects no cell is
-    an error, and the cells at n_hi are refused or not before any is listed."""
+    the cells with k = fixed_k; an n_lo below 1, or a range or a fixed_k
+    that selects no cell, is an error, and the cells at n_hi are refused or
+    not before any is listed."""
     spec = TARGETS.get(target)
     if spec is None:
         raise ValueError(f"unknown target {target!r}")
+    require_n(n_lo)
     ks = spec.ks if fixed_k is None else (  # the k selected at n
         lambda n: (fixed_k,) if fixed_k in spec.ks(n) else ())
     if n_hi < n_lo or not ks(n_hi):  # the k of a target grow with n

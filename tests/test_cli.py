@@ -61,6 +61,18 @@ class TestSymBudget:
         assert sym_build_size("e", 4, 3) == 0  # e_{4,3} = 0 at once
         assert sym_build_size("h", -1, 3) == 0
 
+    def test_unknown_kind_is_not_counted(self):
+        # an unknown kind used to be counted as h
+        with pytest.raises(KeyError):
+            sym_build_size("q", 2, 3)
+
+    @pytest.mark.parametrize("kind", ["e", "h", "p"])
+    def test_no_variables_cost_nothing(self, kind):
+        # p used to count n terms, a negative cost for a negative n
+        for n in (0, -2):
+            assert sym_build_size(kind, 3, n) == 0
+            assert symfunc.SYM_KINDS[kind].build(3, n).is_zero()
+
     def test_capped_binomial(self):
         # C(n, k) >= 2^k for k <= n/2, so k past the cap's bits needs no comb
         for n in (*range(0, 25), 10**6, 10**12, 10**50):

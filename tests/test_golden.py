@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from symgb import verify
 from symgb.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -28,6 +29,11 @@ COMMANDS = {
     "involution-trace": ["involution", "--family", "ekn", "--k", "3", "--n", "5",
                          "--trace"],
     "hilbert": ["hilbert", "--n", "5"],
+    # every verify target's records, so a change to any layer they reach is
+    # checked byte for byte
+    **{f"verify-records-{target}": ["verify", target, "--n", "1..8",
+                                    "--format", "records"]
+       for target in verify.TARGETS},
 }
 
 

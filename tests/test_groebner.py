@@ -625,7 +625,7 @@ class TestPackedMonomials:
         @given(packed_monomials(width))
         def check(ab):
             a, b = ab
-            packed = _run(len(a), (), 2 ** (8 * width - 1) - 1, lambda packed: packed)
+            packed = _run(len(a), (), lambda packed: packed, width)
             assert packed.width == width
             ka, kb = packed.pack(a), packed.pack(b)
             m = packed.lcm(ka, kb)
@@ -638,11 +638,13 @@ class TestPackedMonomials:
 
     @pytest.mark.parametrize("top, width", [
         (0, 1), (127, 1), (128, 2), (2 ** 15 - 1, 2), (2 ** 15, 3)])
-    def test_run_picks_fewest_bytes(self, top, width):
-        # for the top exponent passed, and for one of the polynomials packed
-        assert _run(1, (), top, lambda packed: packed.width) == width
-        assert _run(2, [Polynomial(2, [((1, top), 1), ((1, 0), 1)])], 0,
-                    lambda packed: packed.width) == width
+    def test_run_picks_fewest_bytes(self, top, width, widths):
+        # for the width of a dividend, whose divisor fits one byte, and for
+        # one of the polynomials packed
+        f = Polynomial(2, [((1, top), 1), ((1, 0), 1)])
+        divide(f, [Polynomial.variable(1, 2)])
+        assert f.width == width and widths == [width]
+        assert _run(2, [f], lambda packed: packed.width) == width
 
 
 def shifted(p, c):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from symgb import poly
 from symgb.poly import (
     ArityMismatchError,
     PolyParseError,
@@ -173,9 +174,9 @@ def raised(build):
 
 
 class TestSingleTerms:
-    """``one``, ``constant``, ``variable`` and ``from_monomial`` pack their
-    one key directly: each must be the polynomial that the public
-    constructor builds from the same term, and fail as it does."""
+    """``one``, ``constant``, ``variable`` and ``from_monomial`` build one
+    term: each must be the polynomial that the public constructor builds
+    from the same term, and fail as it does."""
 
     @pytest.mark.parametrize("arity", [1, 2, 3, 4])
     def test_equal_to_the_public_constructor(self, arity):
@@ -217,6 +218,65 @@ class TestSingleTerms:
         for i, arity in ((0, 2), (3, 2), (1, 0)):
             assert raised(lambda: Polynomial.variable(i, arity)) == (
                 ValueError, f"variable index {i} out of range 1..{arity}")
+
+
+def outcome(build):
+    """The fields and hash of what ``build()`` returns, or the type and
+    message of the error it raises."""
+    try:
+        p = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return fields(p), hash(p)
+
+
+class TestOneConstructor:
+    # every term the public constructor takes, the edges of each field width
+    # drawn often; a negative exponent and a float are refused by both
+    exponent = st.one_of(st.integers(0, 3), st.integers(-1, 2 ** 16),
+                         st.sampled_from([127, 128, 2 ** 15 - 1, 2 ** 15]))
+    coefficient = st.one_of(st.integers(-3, 3), st.sampled_from(
+        [0, Fraction(1, 2), Fraction(4, 2), Fraction(0), True, 0.5, 2.0]))
+
+    @given(st.lists(exponent, max_size=4), coefficient)
+    def test_from_monomial_is_the_public_constructor(self, mono, coeff):
+        mono = tuple(mono)
+        assert outcome(lambda: Polynomial.from_monomial(mono, coeff)) == outcome(
+            lambda: Polynomial(len(mono), [(mono, coeff)]))
+
+
+class TestOneKernelPass:
+    """+, - and reflected - each sum their signed operands in one
+    ``_product_sum``."""
+
+    a, b = "x1^2-3*x2+1/2", "x3-x1*x2+2/3"
+
+    @pytest.mark.parametrize("op, expected", [
+        (lambda a, b: a - b, "x1^2-3*x2-x3+x1*x2-1/6"),
+        (lambda a, b: a - 3, "x1^2-3*x2-5/2"),
+        (lambda a, b: 3 - a, "-x1^2+3*x2+5/2"),
+        (lambda a, b: a + b, "x1^2-3*x2+x3-x1*x2+7/6"),
+        (lambda a, b: 3 + a, "x1^2-3*x2+7/2"),
+    ], ids=["a-b", "a-3", "3-a", "a+b", "3+a"])
+    def test_one_product_sum(self, monkeypatch, op, expected):
+        a, b = P(self.a), P(self.b)
+        calls, kernel = [], poly._product_sum
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(poly, "_product_sum", counting)
+        result = op(a, b)
+        monkeypatch.undo()
+        assert len(calls) == 1 and result == P(expected)
+
+    @pytest.mark.parametrize("left", [None, "x"])
+    def test_reflected_minus_names_the_left_operand_first(self, left):
+        with pytest.raises(TypeError, match=(
+                rf"^unsupported operand type\(s\) for -: "
+                rf"'{type(left).__name__}' and 'Polynomial'$")):
+            left - P("x1")
 
 
 @st.composite

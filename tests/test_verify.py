@@ -174,6 +174,19 @@ def test_sweep_refused_before_any_cell_is_listed(monkeypatch):
     assert set(asked) == {3000}
 
 
+@pytest.mark.parametrize("n_lo", [0, -1])
+@pytest.mark.parametrize("target", TARGETS)
+def test_n_below_one_refused_before_any_cell(monkeypatch, target, n_lo):
+    def refuse(*args):
+        raise AssertionError("the sweep must be refused before any cell")
+
+    monkeypatch.setitem(TARGETS, target, dataclasses.replace(
+        TARGETS[target], check=refuse, ks=refuse))
+    for n_hi in (n_lo, 1, 2):
+        with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n_lo}$"):
+            run_sweep(target, n_lo, n_hi)
+
+
 def test_unknown_target():
     with pytest.raises(ValueError, match="unknown target"):
         run_sweep("gb", 1, 2)
