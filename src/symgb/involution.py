@@ -31,17 +31,16 @@ on one that ``refuse_carrier`` refuses; both stream each layer's pairs.
 
 The certificate follows Zeilberger's proof of Newton's identities (D.
 Zeilberger, "A combinatorial proof of Newton's identities", Discrete Math.
-49, 1984): the signed weights cancel because the involution pairs them off,
-and it checks that they do by counting each weight, the monomial of the
-k-multiset a + b, under an int key that adds under multiset union
-(``_power_sums``).  It steps only the positive pairs, those of even |A|,
-when it can: if the step sends each of them into the carrier, to a negative
-pair that steps back to it, the step is one-to-one on them, and if the
-carrier holds as many distinct negative pairs as positive ones, the images
-are every negative pair, so the laws hold on the whole carrier.  The pairs
-are counted distinct, from each pool's frozenset, because membership is by
-lookup: a tuple repeated in a pool is one member, and counting it twice
-could stand in for a negative pair that the step never reaches.
+49, 1984): the signed weights cancel because the involution pairs each pair
+with one of the other sign and the same weight.  It checks five laws on each
+stepped pair: its image is in the carrier, steps back to it, has the other
+sign, is not the pair itself, and has its weight, the monomial of the
+k-multiset a + b, compared by an int key that adds under multiset union
+(``_power_sums``).  It steps only the positive pairs, those of even |A|, when
+it can: if the laws hold on them and the carrier holds as many distinct
+negative pairs as positive ones, the images are every negative pair, so the
+laws hold on the whole carrier.  The weights cancel pair by pair then, and
+are counted only when a law fails or a pool repeats a tuple.
 """
 
 from __future__ import annotations
@@ -134,8 +133,8 @@ def _family(family: str) -> Family:
 
 
 # Limit of the pairs a certificate steps: the largest carrier under it,
-# 860160 pairs at k=13, n=15, takes 0.6-0.95 s and 46 MB on a 2-vCPU Xeon,
-# and the widest, 10^6 pairs at k=1, n=500000, 0.65-0.9 s and 137 MB.
+# 860160 pairs at k=13, n=15, takes 0.45-0.75 s and 24 MB on a 2-vCPU Xeon,
+# and the widest, 10^6 pairs at k=1, n=500000, 0.55-0.8 s and 116 MB.
 MAX_CARRIER_PAIRS = 10**6
 
 
@@ -208,11 +207,12 @@ class CertReport:
     is_involution: bool
     sign_reversing: bool
     fixed_point_free: bool
+    weight_preserving: bool
     weight_sum_zero: bool
 
     # the checks, in the order `symgb involution` prints them
     FLAGS = ("carrier_closed", "is_involution", "sign_reversing",
-             "fixed_point_free", "weight_sum_zero")
+             "fixed_point_free", "weight_preserving", "weight_sum_zero")
 
     @property
     def ok(self) -> bool:
@@ -220,21 +220,29 @@ class CertReport:
 
 
 def _laws(layers: List[Layer], step: Callable, parity: int,
-          a_sets: List[frozenset], b_sets: List[frozenset]) -> List[bool]:
+          a_keys: List[dict], b_keys: List[dict]) -> List[bool]:
     """Step each pair of the layers whose |A| has the given parity, and
-    return [carrier_closed, is_involution, sign_reversing, fixed_point_free]
-    over those pairs.  Each image gets one pool lookup per side, so closure
+    return [carrier_closed, is_involution, sign_reversing, fixed_point_free,
+    weight_preserving] over those pairs.  Each image gets one pool lookup
+    per side, which gives both its membership and its key, so closure
     fails exactly where an image leaves the carrier, and the other flags
     are checked on the images that stay in it."""
     k = len(layers) - 1
-    carrier_closed = is_involution = sign_reversing = fixed_point_free = True
+    carrier_closed = is_involution = sign_reversing = True
+    fixed_point_free = weight_preserving = True
     for i in range(parity, k + 1, 2):
+        a_key, b_key = a_keys[i], b_keys[i]
         for p in product(*layers[i]):
-            q = qa, qb = step(*p)
+            a, b = p
+            q = qa, qb = step(a, b)
             j = len(qa)
-            if j > k or qa not in a_sets[j] or qb not in b_sets[j]:
+            try:
+                image_key = a_keys[j][qa] + b_keys[j][qb]
+            except (IndexError, KeyError):  # |qa| > k, or a side in no pool
                 carrier_closed = False
                 continue
+            if image_key != a_key[a] + b_key[b]:
+                weight_preserving = False
             if j & 1 == parity:
                 # a fixed point keeps |A|: it is one of these
                 sign_reversing = False
@@ -242,71 +250,74 @@ def _laws(layers: List[Layer], step: Callable, parity: int,
                     fixed_point_free = False
             if step(qa, qb) != p:
                 is_involution = False
-    return [carrier_closed, is_involution, sign_reversing, fixed_point_free]
+    return [carrier_closed, is_involution, sign_reversing, fixed_point_free,
+            weight_preserving]
 
 
-def certify_involution(family: str, k: int, n: int) -> CertReport:
-    """Check the involution's closure, involutivity, sign reversal and
-    freeness from fixed points on the carrier, and that the signed weights
-    sum to the zero polynomial.
-
-    ``_laws`` checks the four laws on the positive pairs, those of even
-    |A|, first.  Where all four hold there, the step sends the positive
-    pairs into the carrier, to negative pairs that step back to them, so
-    it is one-to-one on them.  If the carrier also holds as many distinct
-    negative pairs as positive ones, these images are every negative pair,
-    and each steps back to its positive pair: the laws hold on the whole
-    carrier, and the odd layers are never stepped.  Otherwise ``_laws``
-    walks the odd layers too, and each flag is the AND of both walks, as
-    if every pair had been stepped.  A layer's distinct pairs are the
-    product of the sizes of its two pool frozensets, the sets membership
-    is looked up in: pool lengths would count a repeated tuple twice, and
-    a repeat on the positive side could then match a negative pair that
-    no positive pair steps to, and whose own image is never checked.
-
-    A pair's sign is the parity of its layer, and its weight, the monomial
-    of the multiset a + b, is counted by an int key: the sum of the
-    ``_power_sums`` of its k elements, key(a) + key(b), with key(a) built
-    once per pool.  Distinct weights have distinct keys, so the weights sum
-    to zero iff every signed count cancels.  A key has 19 bits at k=1,
-    n=500000, the widest carrier under the limit, and 410 at k=13, n=15.
-    The weights of a layer are counted a row at a time, along its longer
-    pool, in one dict update per row: the keys of a row are distinct."""
-    layers, step = _layers(family, k, n)
-    # an empty carrier (k > n) builds no keys: phi's fields would grow as k^2
-    phi = _power_sums(k, n) if layers else []
-    built: dict = {}  # one frozenset and key list per pool: layers may share a pool
-    for pool in chain.from_iterable(layers):
-        if id(pool) not in built:
-            built[id(pool)] = frozenset(pool), _pool_keys(phi, pool)
-    a_sets = [built[id(pool)][0] for pool, _ in layers]
-    b_sets = [built[id(pool)][0] for _, pool in layers]
+def _weights_cancel(layers: List[Layer], keys: dict) -> bool:
+    """Whether the signed weights of every pair, repeats included, sum to
+    zero: each pair's key(a) + key(b) is counted +1 for even |A| and -1 for
+    odd, a layer a row at a time along its longer pool, in one dict update
+    per row, since the keys of a row are distinct."""
     weights: dict = {}
     get = weights.get
     for i, (a_pool, b_pool) in enumerate(layers):
         count = sub if i & 1 else add
         longer, shorter = ((a_pool, b_pool) if len(a_pool) >= len(b_pool)
                            else (b_pool, a_pool))
-        longer_keys = built[id(longer)][1]
-        for x in built[id(shorter)][1]:
+        longer_keys = list(map(keys[id(longer)].__getitem__, longer))
+        for x in map(keys[id(shorter)].__getitem__, shorter):
             # beside the empty tuple, whose key is 0, a row is the longer
             # pool's own key list: the widest rows make no new ints
             row = list(map(add, longer_keys, repeat(x))) if x else longer_keys
             weights.update(zip(row, map(count, map(get, row, repeat(0)), repeat(1))))
-    laws = _laws(layers, step, 0, a_sets, b_sets)
-    distinct = list(map(mul, map(len, a_sets), map(len, b_sets)))
+    return not any(weights.values())
+
+
+def certify_involution(family: str, k: int, n: int) -> CertReport:
+    """Check five laws of the involution on the carrier, closure,
+    involutivity, sign reversal, freeness from fixed points and weight
+    preservation, and that the signed weights sum to the zero polynomial.
+
+    ``_laws`` checks the laws on the positive pairs, those of even |A|,
+    first.  Where all five hold there, the step sends the positive pairs
+    into the carrier, to negative pairs of their weight that step back to
+    them, so it is one-to-one on them.  If the carrier also holds as many
+    distinct negative pairs as positive ones, these images are every
+    negative pair: the laws hold on the whole carrier, and the odd layers
+    are never stepped.  Otherwise ``_laws`` walks the odd layers too, and
+    each flag is the AND of both walks, as if every pair had been stepped.
+    A layer's distinct pairs are the product of the sizes of its two pool
+    dicts, the maps membership is looked up in: pool lengths would count a
+    repeated tuple twice, and a repeat on the positive side could then
+    match a negative pair that no positive pair steps to.
+
+    A pair's weight is keyed by key(a) + key(b), where each pool's dict
+    maps its tuples to the sum of the ``_power_sums`` of their elements,
+    with phi sized from the largest element the pools hold.  Distinct
+    weights have distinct keys, so when the five laws hold the signed
+    weights cancel pair by pair and are not counted.  ``_weights_cancel``
+    counts them when a law fails or a pool repeats a tuple, which is one
+    member of the carrier but two pairs of the sum: the report is then the
+    one of stepping and counting every pair.  A key has 19 bits at k=1,
+    n=500000, the widest carrier under the limit, and 410 at k=13, n=15."""
+    layers, step = _layers(family, k, n)
+    pools = {id(pool): pool for pool in chain.from_iterable(layers)}
+    top = max(chain.from_iterable(chain.from_iterable(pools.values())), default=0)
+    # an empty carrier (k > n) builds no keys: phi's fields would grow as k^2
+    phi = _power_sums(k, top) if layers else []
+    # one dict per pool: layers may share a pool
+    keys = {i: dict(zip(pool, _pool_keys(phi, pool))) for i, pool in pools.items()}
+    a_keys = [keys[id(pool)] for pool, _ in layers]
+    b_keys = [keys[id(pool)] for _, pool in layers]
+    laws = _laws(layers, step, 0, a_keys, b_keys)
+    distinct = list(map(mul, map(len, a_keys), map(len, b_keys)))
     if not all(laws) or sum(distinct[::2]) != sum(distinct[1::2]):
-        laws = list(map(and_, laws, _laws(layers, step, 1, a_sets, b_sets)))
-    carrier_closed, is_involution, sign_reversing, fixed_point_free = laws
+        laws = list(map(and_, laws, _laws(layers, step, 1, a_keys, b_keys)))
+    repeats = any(len(keys[i]) < len(pool) for i, pool in pools.items())
     return CertReport(
-        family=family, k=k, n=n,
-        carrier_size=sum(len(a) * len(b) for a, b in layers),
-        carrier_closed=carrier_closed,
-        is_involution=is_involution,
-        sign_reversing=sign_reversing,
-        fixed_point_free=fixed_point_free,
-        weight_sum_zero=not any(weights.values()),
-    )
+        family, k, n, sum(len(a) * len(b) for a, b in layers), *laws,
+        weight_sum_zero=(all(laws) and not repeats) or _weights_cancel(layers, keys))
 
 
 def orbit_trace(family: str, k: int, n: int) -> Iterator[str]:

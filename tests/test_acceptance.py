@@ -83,7 +83,8 @@ def test_criterion_4_involution_certification():
                 if not certify_involution(family, k, n).ok:
                     ok = False
     report("criterion 4: both involution families certified (involution, "
-           "sign-reversing, fixed-point-free, carrier-closed, weight sum 0) "
+           "sign-reversing, fixed-point-free, weight-preserving, carrier-closed, "
+           "weight sum 0) "
            "for 1<=k<=n<=6", ok)
 
 

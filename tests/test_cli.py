@@ -358,7 +358,10 @@ class TestInvolutionAndHilbert:
         code, out, _ = run(capsys, "involution", "--family", "ekn",
                            "--k", "2", "--n", "3")
         assert code == 0
-        assert "weight_sum_zero: True" in out
+        assert out == ("family=ekn k=2 n=3 carrier_size=12\n"
+                       "carrier_closed: True\nis_involution: True\n"
+                       "sign_reversing: True\nfixed_point_free: True\n"
+                       "weight_preserving: True\nweight_sum_zero: True\n")
 
     def test_involution_needs_k(self, capsys):
         code, out, err = run(capsys, "involution", "--family", "hkn",

@@ -80,12 +80,24 @@ def reversed_side(pair):
     return None
 
 
+def rotated_matching(family, k, n):
+    """A step that matches the i-th positive pair of the carrier with the
+    (i+1)-th negative one, and back: closed, an involution, sign-reversing
+    and free of fixed points, but blind to weight."""
+    pairs = carrier(family, k, n)
+    positive = [p for p in pairs if sign(p) == 1]
+    negative = [p for p in pairs if sign(p) == -1]
+    negative = negative[1:] + negative[:1]
+    match = {**dict(zip(positive, negative)), **dict(zip(negative, positive))}
+    return lambda a, b: match[a, b]
+
+
 FLAGS = ("carrier_closed", "is_involution", "sign_reversing",
-         "fixed_point_free", "weight_sum_zero")
+         "fixed_point_free", "weight_preserving", "weight_sum_zero")
 
 
 def reference_certificate(family, k, n, step):
-    """The carrier size and the five flags, from the family's carrier,
+    """The carrier size and the six flags, from the family's carrier,
     ``reference_member``, ``step`` on each pair, and each pair's sign
     (-1)^|A| and weight."""
     pairs = carrier(family, k, n)
@@ -98,6 +110,7 @@ def reference_certificate(family, k, n, step):
         flags["fixed_point_free"] &= q != p
         flags["sign_reversing"] &= sign(q) == -sign(p)
         flags["is_involution"] &= step(*q) == p
+        flags["weight_preserving"] &= pair_weight(n, q) == pair_weight(n, p)
     weights = Polynomial(max(n, 1), [(pair_weight(n, p), sign(p)) for p in pairs])
     flags["weight_sum_zero"] = weights.is_zero()
     return {"carrier_size": len(pairs), **flags}
@@ -284,7 +297,8 @@ class TestCertification:
     @pytest.mark.parametrize("broken, off", [
         ("identity", {"fixed_point_free", "sign_reversing"}),
         ("leaves_carrier", {"carrier_closed"}),
-        ("not_involutive", {"is_involution"}),
+        # its image is the first pair of the other sign, whatever its weight
+        ("not_involutive", {"is_involution", "weight_preserving"}),
     ])
     @pytest.mark.parametrize("family", ["hkn", "ekn"])
     def test_broken_map_is_caught(self, patch_family, family, broken, off):
@@ -436,22 +450,77 @@ class TestCertification:
             assert not r.ok
             assert report_fields(r) == reference_certificate(family, k, n, step), (k, n)
 
-    def test_repeated_tuple_does_not_stand_in_for_a_pair(self, patch_family, monkeypatch):
+    def test_repeated_tuple_does_not_stand_in_for_a_pair(self, patch_family):
         # layer 0 repeats (1,) in its B pool, and layer 1 holds (3,), past
         # the range {1..2}: the even pairs pass every law, and their pools
         # give 1 * 3 pairs to the odd layer's 3 * 1, but there are only 2
         # distinct even pairs, so the odd layer is stepped and its pair
-        # ((3,), ()) leaves the carrier.  The keys are built for {1..3}.
+        # ((3,), ()) leaves the carrier
         def patched(k, n):
             return [(((),), ((1,), (1,), (2,))), (((1,), (2,), (3,)), ((),))]
 
         patch_family("hkn", carrier=patched)
-        monkeypatch.setattr(involution, "_power_sums",
-                            lambda k, n, power_sums=involution._power_sums: power_sums(k, n + 1))
         r = certify_involution("hkn", 1, 2)
         assert report_fields(r) == {
             "carrier_size": 6, "carrier_closed": False, "is_involution": True,
-            "sign_reversing": True, "fixed_point_free": True, "weight_sum_zero": False}
+            "sign_reversing": True, "fixed_point_free": True,
+            "weight_preserving": True, "weight_sum_zero": False}
+
+    def test_element_past_n_gets_a_report(self, patch_family):
+        # A_1 holds (3,), past the range {1..2}: the keys are built for the
+        # largest element the pools hold, and the odd pair ((3,), ()) steps
+        # out of the carrier, leaving x3 uncancelled
+        def patched(k, n, carrier=involution.FAMILIES["hkn"].carrier):
+            (a_pool, b_pool), (_, odd_b_pool) = carrier(k, n)
+            return [(a_pool, b_pool), (((1,), (2,), (3,)), odd_b_pool)]
+
+        patch_family("hkn", carrier=patched)
+        r = certify_involution("hkn", 1, 2)
+        assert report_fields(r) == {
+            "carrier_size": 5, "carrier_closed": False, "is_involution": True,
+            "sign_reversing": True, "fixed_point_free": True,
+            "weight_preserving": True, "weight_sum_zero": False}
+
+    def test_repeated_tuple_is_counted_twice(self, patch_family):
+        # A_0 repeats (): every law holds on the distinct pairs, but the
+        # pair ((), (1,)) is two terms of the weight sum, and x1 is left
+        def patched(k, n, carrier=involution.FAMILIES["hkn"].carrier):
+            (a_pool, b_pool), *rest = carrier(k, n)
+            return [(a_pool * 2, b_pool), *rest]
+
+        patch_family("hkn", carrier=patched)
+        r = certify_involution("hkn", 1, 1)
+        want = reference_certificate("hkn", 1, 1, partial(sorted_step, "hkn"))
+        assert report_fields(r) == want
+        assert want == {**dict.fromkeys(FLAGS, True), "carrier_size": 3,
+                        "weight_sum_zero": False}
+
+    @pytest.mark.parametrize("k, n", [(2, 3), (3, 5), (4, 6)])
+    @pytest.mark.parametrize("family", ["hkn", "ekn"])
+    def test_weight_scrambling_matching_is_caught(self, patch_family, family, k, n):
+        step = rotated_matching(family, k, n)
+        patch_family(family, step=step)
+        r = certify_involution(family, k, n)
+        assert {f for f in FLAGS if not getattr(r, f)} == {"weight_preserving"}
+        assert not r.ok
+        assert report_fields(r) == reference_certificate(family, k, n, step)
+
+    @pytest.mark.parametrize("family", ["hkn", "ekn"])
+    def test_weights_counted_only_when_a_law_fails(self, patch_family, monkeypatch,
+                                                   family):
+        # when the five laws hold the weights cancel pair by pair and are
+        # not counted; a failing law makes one count, over the whole carrier
+        counts = []
+
+        def counting(layers, keys, weights_cancel=involution._weights_cancel):
+            counts.append(len(layers))
+            return weights_cancel(layers, keys)
+
+        monkeypatch.setattr(involution, "_weights_cancel", counting)
+        assert certify_involution(family, 3, 5).ok and counts == []
+        good = involution.FAMILIES[family].step
+        patch_family(family, step=broken_steps(family, 3, 5, good)["identity"])
+        assert not certify_involution(family, 3, 5).ok and counts == [4]
 
     def test_trace_format(self):
         lines = list(orbit_trace("hkn", 2, 2))

@@ -277,7 +277,7 @@ def test_basis_fail_path(monkeypatch):
 # the flags of a certificate whose step maps every pair to itself
 IDENTITY_STEP_FLAGS = ("carrier_closed=True, is_involution=True, "
                        "sign_reversing=False, fixed_point_free=False, "
-                       "weight_sum_zero=True")
+                       "weight_preserving=True, weight_sum_zero=True")
 
 
 def identity_step(a, b):
