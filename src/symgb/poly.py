@@ -122,7 +122,8 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     # The single-term constructors build through ``from_monomial``, which
-    # is ``__init__`` on one term, with its checks and its errors.
+    # makes ``__init__``'s checks in its order, with its errors, and packs
+    # its one term directly: no merge and no sort.
 
     @classmethod
     def zero(cls, arity: int) -> "Polynomial":
@@ -145,7 +146,15 @@ class Polynomial:
 
     @classmethod
     def from_monomial(cls, mono: Monomial, coeff: Coefficient = 1) -> "Polynomial":
-        return cls(len(mono), ((mono, coeff),))
+        arity = len(mono)
+        _check_arity(arity)
+        mono = tuple(mono)
+        _check_monomial(mono, arity)
+        coeff = _coefficient(coeff)
+        if not coeff:
+            return cls._from_keys(arity, 1, (), ())
+        width = _field_width(max(mono))
+        return cls._from_keys(arity, width, (_packers(arity, width)[0](mono),), (coeff,))
 
     # -- predicates --------------------------------------------------------
 

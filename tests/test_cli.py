@@ -296,11 +296,11 @@ class TestVerify:
             assert err == f"error: bad range {text!r}; {reason}\n"
 
     def test_range_above_the_ceiling(self, capsys):
-        assert verify.TARGETS["gb-ek"].max_n == 11
-        code, out, err = run(capsys, "verify", "gb-ek", "--n", "12..20")
+        assert verify.TARGETS["gb-ek"].max_n == 12
+        code, out, err = run(capsys, "verify", "gb-ek", "--n", "13..20")
         assert (code, out) == (2, "")
-        assert err == ("error: range '12..20' lies above gb-ek's default ceiling "
-                       "n=11; pass --no-limit to lift it\n")
+        assert err == ("error: range '13..20' lies above gb-ek's default ceiling "
+                       "n=12; pass --no-limit to lift it\n")
 
     def test_k_outside_the_targets_range(self, capsys):
         code, out, err = run(capsys, "verify", "gb-ek", "--n", "3", "--k", "9")

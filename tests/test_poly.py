@@ -235,14 +235,15 @@ class TestOneConstructor:
     # drawn often; a negative exponent and a float are refused by both
     exponent = st.one_of(st.integers(0, 3), st.integers(-1, 2 ** 16),
                          st.sampled_from([127, 128, 2 ** 15 - 1, 2 ** 15]))
-    coefficient = st.one_of(st.integers(-3, 3), st.sampled_from(
-        [0, Fraction(1, 2), Fraction(4, 2), Fraction(0), True, 0.5, 2.0]))
+    coefficient = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=5),
+                            st.sampled_from([0, Fraction(1, 2), Fraction(4, 2),
+                                             Fraction(0), True, 0.5, 2.0]))
 
-    @given(st.lists(exponent, max_size=4), coefficient)
-    def test_from_monomial_is_the_public_constructor(self, mono, coeff):
-        mono = tuple(mono)
-        assert outcome(lambda: Polynomial.from_monomial(mono, coeff)) == outcome(
-            lambda: Polynomial(len(mono), [(mono, coeff)]))
+    # from_monomial packs its one term without the general merge and sort
+    @given(st.lists(exponent, max_size=12), coefficient, st.sampled_from([tuple, list]))
+    def test_from_monomial_is_the_public_constructor(self, mono, coeff, form):
+        assert outcome(lambda: Polynomial.from_monomial(form(mono), coeff)) == outcome(
+            lambda: Polynomial(len(mono), [(form(mono), coeff)]))
 
 
 class TestOneKernelPass:

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from symgb import hilbert, involution, symfunc, verify
+from symgb import groebner, hilbert, involution, symfunc, verify
 from symgb.cli import main
 from symgb.poly import Polynomial, format_polynomial
 from symgb.verify import TARGETS, run_sweep
@@ -67,10 +67,10 @@ def test_hilbert_sweep_to_the_new_ceiling():
 
 
 def test_gb_ek_sweep_to_the_new_ceiling():
-    assert verify.TARGETS["gb-ek"].max_n == 11
-    results = run_sweep("gb-ek", 11, 11)
+    assert verify.TARGETS["gb-ek"].max_n == 12
+    results = run_sweep("gb-ek", 12, 12)
     assert [(r.k, r.n, r.ok, r.witness) for r in results] == [
-        (k, 11, True, "") for k in range(1, 12)]
+        (k, 12, True, "") for k in range(1, 13)]
 
 
 @pytest.mark.parametrize("target, ks", [
@@ -263,6 +263,60 @@ def test_defect_witness_is_the_accumulated_difference(monkeypatch, target, accum
         defect = accumulated(r.k, r.n)
         assert r.ok == defect.is_zero()
         assert r.witness == ("" if r.ok else f"defect={format_polynomial(defect)}")
+
+
+def from_scratch(k, n):
+    return groebner.reduced_groebner_basis(
+        [symfunc.elementary(i, n, n) for i in range(1, k + 1)])
+
+
+def test_gb_ek_sweep_builds_each_cell_on_the_last_basis(monkeypatch):
+    # every basis of a sweep equals the one built from e_1..e_k, and every
+    # cell after k = 1 is built from the basis of the cell before it
+    real = groebner.reduced_groebner_basis
+    calls = []
+
+    def spy(gens):
+        gens = list(gens)
+        calls.append((gens, real(gens)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verify, "_last_gb_ek", ([], None))
+    monkeypatch.setattr(groebner, "reduced_groebner_basis", spy)
+    results = run_sweep("gb-ek", 1, 9)
+    monkeypatch.undo()
+    assert all(r.ok for r in results)
+    assert len(calls) == len(results)
+    previous = None
+    for r, (gens, gb) in zip(results, calls):
+        e_k = symfunc.elementary(r.k, r.n, r.n)
+        if r.k == 1:
+            assert gens == [e_k]
+        else:
+            assert gens == [*previous.elements, e_k]
+        assert gb.elements == from_scratch(r.k, r.n).elements, (r.k, r.n)
+        previous = gb
+
+
+@pytest.mark.parametrize("k, n", [(2, 2), (3, 5), (5, 6), (7, 7)])
+def test_gb_ek_cold_and_after_the_cell_before_agree(monkeypatch, k, n):
+    monkeypatch.setattr(verify, "_last_gb_ek", ([], None))
+    cold = verify.computed_gb_ek(k, n)
+    verify.computed_gb_ek(k - 1, n)
+    warm = verify.computed_gb_ek(k, n)
+    assert warm.elements == cold.elements == from_scratch(k, n).elements
+
+
+def test_gb_ek_reuse_keyed_by_the_generators(monkeypatch):
+    # the unpatched sweep leaves the real basis of (3, 4) stored; the
+    # patched cell (4, 4) must not build on it, though its (k, n) follow
+    assert all(r.ok for r in run_sweep("gb-ek", 3, 4, fixed_k=3))
+    perturb_builders(monkeypatch)
+    after = run_sweep("gb-ek", 4, 4, fixed_k=4)
+    got = verify._last_gb_ek[1].elements
+    monkeypatch.setattr(verify, "_last_gb_ek", ([], None))
+    assert run_sweep("gb-ek", 4, 4, fixed_k=4) == after
+    assert got == from_scratch(4, 4).elements  # of the patched e's
 
 
 def test_basis_fail_path(monkeypatch):
