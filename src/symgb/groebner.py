@@ -4,7 +4,7 @@ interreduction to the unique reduced Groebner basis."""
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import combinations, count
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -107,12 +107,13 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
 # exponents past any width (x2 - x1^100 turns x2^2 into x1^200), so a
 # monomial entering the work that sets a guard bit raises _Overflow, and
 # ``_run`` builds the whole run again, from its input polynomials, with
-# fields one byte wider.  A run is deterministic and int order is lex order
-# at any width, so a run redone makes the same pairs in the same order and
-# ends with the same result and the same stats.  Every input enters with
-# its own packed monomials (``poly._packed_pairs``), widened when another
-# input, or an overflow, needs wider fields, and every output polynomial is
-# built from the kernel's packed monomials, narrowed to its own width.
+# fields one byte wider (``_Buchberger`` replays its calls in the same way).
+# A run is deterministic and int order is lex order at any width, so a run
+# redone makes the same pairs in the same order and ends with the same
+# result and the same stats.  Every input enters with its own packed
+# monomials (``poly._packed_pairs``), widened when another input, or an
+# overflow, needs wider fields, and every output polynomial is built from
+# the kernel's packed monomials, narrowed to its own width.
 #
 # Every coefficient in the kernel is an int.  A reducer is the primitive
 # integer multiple of its polynomial, and the work is reduced fraction-free:
@@ -129,15 +130,19 @@ def _run(arity: int, polys: Sequence[Polynomial], step, width: int = 1):
     """step(packed) on ``polys`` packed as reducers in fields as wide as the
     widest of them, and at least ``width`` bytes; when the step overflows,
     it is run again on ``polys`` packed one byte wider."""
-    for p in polys:  # packing does not see the arity
-        if p.arity != arity:
-            raise ArityMismatchError(f"arity mismatch: {arity} vs {p.arity}")
+    _check_arity(arity, polys)
     width = max([width, *[p.width for p in polys]])
     while True:
         try:
             return step(_Packed(arity, polys, width))
         except _Overflow:
             width += 1
+
+
+def _check_arity(arity: int, polys: Iterable[Polynomial]) -> None:
+    for p in polys:  # packing does not see the arity
+        if p.arity != arity:
+            raise ArityMismatchError(f"arity mismatch: {arity} vs {p.arity}")
 
 
 class _Packed:
@@ -308,87 +313,164 @@ def buchberger(generators: Iterable[Polynomial],
     element leaves the basis: the plain algorithm, the reference the fast
     path is tested against.  The basis carries a :class:`GroebnerStats` of
     the run, whose ``reductions`` counts S-polynomials only.  Raises
-    :class:`ZeroIdealError` when no nonzero generator remains.
+    :class:`ZeroIdealError` when no nonzero generator remains.  The run is
+    the one a ``_Buchberger`` makes when given every generator at once.
     """
-    return _buchberger(generators, product_criterion, lambda packed, active: tuple(
-        packed.monic(packed.reducers[i]) for i in active))
+    run = _Buchberger(generators, product_criterion)
+    packed = run.packed
+    return GroebnerBasis(run.arity, tuple(
+        packed.monic(packed.reducers[i]) for i in run.active), stats=run.stats)
 
 
-def _buchberger(generators: Iterable[Polynomial], product_criterion: bool,
-                finish) -> GroebnerBasis:
-    """The basis finish(packed, active) of a :func:`buchberger` run, with its
-    stats: the reducers of ``packed`` are the generators and then every
-    element that entered the basis; ``active`` indexes the basis."""
-    gens = [g for g in generators if not g.is_zero()]
-    if not gens:
-        raise ZeroIdealError("all generators are zero")
+class _Buchberger:
+    """A :func:`buchberger` run that more generators can be added to.
 
-    def step(packed: _Packed) -> GroebnerBasis:
-        stats = GroebnerStats()
+    ``add`` enters a batch of generators and processes the pairs until none
+    is queued, so the active basis is a Groebner basis of every generator
+    added; ``reduced`` reads the reduced basis off it.  The reducers of
+    ``packed`` are every element that entered the basis, and ``active``
+    indexes the basis.  The run keeps its calls: when a packed monomial
+    overflows its field, in either method, the calls are made again on
+    fields one byte wider (see ``_run``), so the run ends in the state, and
+    with the stats, it would have had in the wider fields from the start.
+    """
+
+    def __init__(self, generators: Iterable[Polynomial],
+                 product_criterion: bool = True):
+        gens = [g for g in generators if not g.is_zero()]
+        if not gens:
+            raise ZeroIdealError("all generators are zero")
+        self.arity, self.product_criterion = gens[0].arity, product_criterion
+        self.batches: list = []  # every batch added, in order
+        self.read: set = set()  # len(batches) at each reduced() call
+        self.add(gens)
+
+    def _reset(self, width: int) -> None:
+        self.packed = _Packed(self.arity, (), width)
+        self.stats = GroebnerStats()
+        # heap of (degree of lcm, packed lcm, serial, i, j), i < j
+        self.pairs: list = []
+        self.serial = count()
+        self.active: list = []
+        self.unit = False  # a constant entered on the fast path: the run is over
+        # the monic polynomial of each element that the last reduced() made
+        # reduced and kept, by reducer index, in decreasing LM order
+        self.clean: dict = {}
+
+    def _replay(self, width: int) -> None:
+        """The run made again in fields ``width`` bytes wide, or wider when
+        it overflows them: every batch entered, and the basis interreduced
+        wherever reduced() read it."""
+        while True:
+            self._reset(width)
+            try:
+                for n, gens in enumerate(self.batches, 1):
+                    self._enter(gens)
+                    if n in self.read:
+                        self._interreduce()
+                return
+            except _Overflow:
+                width += 1
+
+    def add(self, generators: Iterable[Polynomial]) -> None:
+        """Enter the nonzero generators, each reduced by the basis on the fast
+        path, and process the pairs until none is queued; nothing enters
+        once the run is the unit ideal."""
+        gens = [g for g in generators if not g.is_zero()]
+        _check_arity(self.arity, gens)
+        self.batches.append(gens)
+        width = max(g.width for g in gens) if gens else 1
+        if len(self.batches) == 1 or width > self.packed.width:  # new fields
+            self._replay(width)
+            return
+        try:
+            self._enter(gens)
+        except _Overflow:
+            self._replay(self.packed.width + 1)
+
+    def _enter(self, gens: Sequence[Polynomial]) -> None:
+        if self.unit:
+            return
+        packed, active, pairs, stats = self.packed, self.active, self.pairs, self.stats
+        reducers = packed.reducers
+        for g in gens:
+            lm, d, tail, _ = packed.reducer(_packed_pairs(g, packed.width), -1)
+            r = {lm: d, **dict(tail)}
+            if self.product_criterion:
+                r = packed.reduce(r, 1, [reducers[i] for i in active])[0]
+            if r and not self._update(r):
+                return
+        while pairs:
+            *_, i, j = heapq.heappop(pairs)
+            if (s := packed.s_remainder(i, j, active)) is None:
+                continue
+            r = s[0]
+            stats.reductions += 1
+            stats.zero_reductions += not r
+            if r and not self._update(r):
+                return
+
+    def _update(self, r: dict) -> bool:
+        """Add the nonzero packed remainder r to the basis, by the
+        Gebauer-Moller update; False when it ends the run: on the fast path,
+        a constant is the unit ideal."""
+        packed, active, pairs, stats = self.packed, self.active, self.pairs, self.stats
         reducers, lcm, guard = packed.reducers, packed.lcm, packed.guard
-        pairs: list = []  # heap of (degree of lcm, packed lcm, serial, i, j), i < j
-        serial = count()
-        active: list = []  # indices into reducers of the active basis, in order
+        ih = len(reducers)
+        lh, d, tail, _ = reducer = packed.reducer(list(r.items()), ih)
+        reducers.append(reducer)
+        bits = max([d] + [abs(c) for _, c in tail]).bit_length()
+        stats.peak_coeff_bits = max(stats.peak_coeff_bits, bits)
+        new = [(lcm(reducers[ig][0], lh), ig) for ig in active]
+        stats.pairs += len(new)
+        if self.product_criterion:
+            kept = []  # (lcm, index, coprime), the set D of the update
+            for pos, (m, ig) in enumerate(new):
+                coprime = m == reducers[ig][0] + lh
+                if coprime or not (
+                        any(not (m - m2) & guard for m2, _ in new[pos + 1:])
+                        or any(not (m - m2) & guard for m2, _, _ in kept)):
+                    kept.append((m, ig, coprime))
+            stats.product_skipped += sum(c for _, _, c in kept)
+            stats.chain_skipped += len(new) - len(kept)
+            new = [(m, ig) for m, ig, coprime in kept if not coprime]
+            queued = len(pairs)
+            pairs[:] = [p for p in pairs if (p[1] - lh) & guard
+                        or lcm(reducers[p[3]][0], lh) == p[1]
+                        or lcm(reducers[p[4]][0], lh) == p[1]]
+            stats.chain_skipped += queued - len(pairs)
+            heapq.heapify(pairs)
+            active[:] = [ig for ig in active if (reducers[ig][0] - lh) & guard]
+        for m, ig in new:
+            heapq.heappush(pairs, (sum(packed.unpack(m)), m, next(self.serial), ig, ih))
+        active.append(ih)
+        stats.peak_basis = max(stats.peak_basis, len(active))
+        self.unit = not lh and self.product_criterion
+        return not self.unit
 
-        # add the nonzero packed remainder r to the basis; False ends the
-        # run: on the fast path, a constant is the unit ideal
-        def enter(r: dict) -> bool:
-            ih = len(reducers)
-            lh, d, tail, _ = reducer = packed.reducer(list(r.items()), ih)
-            reducers.append(reducer)
-            bits = max([d] + [abs(c) for _, c in tail]).bit_length()
-            stats.peak_coeff_bits = max(stats.peak_coeff_bits, bits)
-            new = [(lcm(reducers[ig][0], lh), ig) for ig in active]
-            stats.pairs += len(new)
-            if product_criterion:
-                kept = []  # (lcm, index, coprime), the set D of the update
-                for pos, (m, ig) in enumerate(new):
-                    coprime = m == reducers[ig][0] + lh
-                    if coprime or not (
-                            any(not (m - m2) & guard for m2, _ in new[pos + 1:])
-                            or any(not (m - m2) & guard for m2, _, _ in kept)):
-                        kept.append((m, ig, coprime))
-                stats.product_skipped += sum(c for _, _, c in kept)
-                stats.chain_skipped += len(new) - len(kept)
-                new = [(m, ig) for m, ig, coprime in kept if not coprime]
-                queued = len(pairs)
-                pairs[:] = [p for p in pairs if (p[1] - lh) & guard
-                            or lcm(reducers[p[3]][0], lh) == p[1]
-                            or lcm(reducers[p[4]][0], lh) == p[1]]
-                stats.chain_skipped += queued - len(pairs)
-                heapq.heapify(pairs)
-                active[:] = [ig for ig in active if (reducers[ig][0] - lh) & guard]
-            for m, ig in new:
-                heapq.heappush(pairs, (sum(packed.unpack(m)), m, next(serial), ig, ih))
-            active.append(ih)
-            stats.peak_basis = max(stats.peak_basis, len(active))
-            return bool(lh) or not product_criterion
-
-        for lm, d, tail, _ in reducers[:len(gens)]:
-            r = {lm: d, **dict(tail)}  # on the fast path, reduced by the basis
-            if product_criterion:
-                r = packed.reduce(r, 1, [reducers[ig] for ig in active])[0]
-            if r and not enter(r):
+    def reduced(self) -> GroebnerBasis:
+        """The reduced Groebner basis of every generator added, with a copy
+        of the run's stats; the active basis is interreduced in place."""
+        while True:
+            try:
+                self._interreduce()
                 break
-        else:  # the run goes on: work through the pairs
-            while pairs:
-                *_, i, j = heapq.heappop(pairs)
-                if (s := packed.s_remainder(i, j, active)) is None:
-                    continue
-                r = s[0]
-                stats.reductions += 1
-                stats.zero_reductions += not r
-                if r and not enter(r):
-                    break
-        return GroebnerBasis(packed.arity, finish(packed, active), stats=stats)
+            except _Overflow:
+                self._replay(self.packed.width + 1)
+        self.read.add(len(self.batches))
+        return GroebnerBasis(self.arity, tuple(self.clean.values()),
+                             stats=replace(self.stats))
 
-    return _run(gens[0].arity, gens, step)
+    def _interreduce(self) -> None:
+        self.clean = _interreduce(self.packed, self.active, self.clean)
 
 
-def _interreduce(packed: _Packed, indices: Iterable[int]) -> tuple:
-    """The reduced Groebner basis, sorted by decreasing leading monomial, of
-    the Groebner basis formed by the reducers of ``packed`` at ``indices``;
-    each reducer kept is replaced by its reduced one in place."""
+def _interreduce(packed: _Packed, indices: Iterable[int], clean: dict) -> dict:
+    """The reduced Groebner basis of the Groebner basis formed by the
+    reducers of ``packed`` at ``indices``: {index: monic polynomial}, in
+    decreasing LM order; each reducer kept is replaced by its reduced one in
+    place.  ``clean`` is empty, or the result of an earlier call on the same
+    reducers, since when elements may have entered and left the basis."""
     reducers, guard = packed.reducers, packed.guard
     # minimalize: drop an element when a kept one's LM divides its LM
     minimal: list = []
@@ -397,12 +479,26 @@ def _interreduce(packed: _Packed, indices: Iterable[int]) -> tuple:
             minimal.append(i)
     # no LM divides another, so only the tails need reducing; an LM that
     # divides a tail monomial m of g is at most m < LM(g), so the tail of g
-    # is reduced by the elements with smaller LMs alone, reduced before it
+    # is reduced by the elements with smaller LMs alone, reduced before it,
+    # and needs it only when one of their LMs divides one of its monomials.
+    # An element of clean has a tail reduced by every LM then kept, and an
+    # LM that left since is a multiple of one that entered, so for it only
+    # the new LMs need testing
+    new = [reducers[i][0] for i in minimal if i not in clean]
+    monic = {}
     for pos, i in enumerate(minimal):
         lm, d, tail, _ = reducers[i]
-        tail, scale = packed.reduce(dict(tail), d, [reducers[j] for j in minimal[:pos]])
-        reducers[i] = packed.reducer([(lm, scale), *tail.items()], i)
-    return tuple(packed.monic(reducers[i]) for i in reversed(minimal))
+        top = tail[0][0] if tail else -1
+        lms = new if i in clean else [reducers[j][0] for j in minimal[:pos]]
+        lms = [n for n in lms if n <= top]
+        if any(not (m - n) & guard for m, _ in tail for n in lms):
+            tail, scale = packed.reduce(dict(tail), d,
+                                        [reducers[j] for j in minimal[:pos]])
+            reducers[i] = packed.reducer([(lm, scale), *tail.items()], i)
+            monic[i] = packed.monic(reducers[i])
+        else:  # reduced already, and unchanged since the earlier call if clean
+            monic[i] = clean[i] if i in clean else packed.monic(reducers[i])
+    return {i: monic[i] for i in reversed(minimal)}
 
 
 def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
@@ -411,7 +507,8 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     by decreasing leading monomial."""
     elements = [g for g in gb.elements if not g.is_zero()]
     return _run(gb.arity, elements, lambda packed: GroebnerBasis(
-        gb.arity, _interreduce(packed, range(len(elements))), stats=gb.stats))
+        gb.arity, tuple(_interreduce(packed, range(len(elements)), {}).values()),
+        stats=gb.stats))
 
 
 def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:
@@ -456,4 +553,4 @@ def reduced_groebner_basis(generators: Iterable[Polynomial]) -> GroebnerBasis:
     """The reduced Groebner basis of the ideal: :func:`buchberger`, then the
     interreduction of :func:`reduce_basis` on its packed reducers, in one
     packed run."""
-    return _buchberger(generators, True, _interreduce)
+    return _Buchberger(generators).reduced()

@@ -35,31 +35,31 @@ class CellResult:
         return f"{self.status} {self.target}{k} n={self.n}{witness}"
 
 
-# The generators of the last computed_gb_ek call and the basis it got.
-_last_gb_ek: Tuple[list, Optional[groebner.GroebnerBasis]] = ([], None)
+# The generators of the last computed_gb_ek call and its Buchberger run.
+_gb_ek_run: Tuple[list, Optional[groebner._Buchberger]] = ([], None)
 
 
 def computed_gb_ek(k: int, n: int) -> groebner.GroebnerBasis:
     """The reduced lex basis of <e_{1,n}..e_{k,n}>, by Buchberger.
 
     When the last call's generators equal this call's first k - 1 (compared
-    as polynomials, so a patched ``symfunc.elementary`` never matches a
-    basis of the real e's), its basis G generates <e_1..e_{k-1}> and the
-    basis is computed from [*G, e_k] (incremental Buchberger: Gebauer and
-    Moller, J. Symbolic Comput. 6, 1988); otherwise from e_1..e_k.  The
+    as polynomials, so a patched ``symfunc.elementary`` never matches a run
+    on the real e's), its run, whose basis generates <e_1..e_{k-1}>, is
+    resumed with e_k (incremental Buchberger: Gebauer and Moller, J.
+    Symbolic Comput. 6, 1988); otherwise a run starts from e_1..e_k.  The
     reduced basis is unique, so both give the same elements.  A sweep lists
-    k ascending at each n, so every cell after k = 1 takes the first route.
-    The basis's ``stats`` describe the run that was made, which is shorter
-    when the previous basis was reused."""
-    global _last_gb_ek
+    k ascending at each n, so it makes one run on e_1..e_n at each n and
+    reads a basis off it after each generator.  The basis's ``stats`` count
+    the whole run that gave it: on a resumed run, from e_1 to e_k."""
+    global _gb_ek_run
     gens = [symfunc.elementary(i, n, n) for i in range(1, k + 1)]
-    stored, basis = _last_gb_ek
-    if basis is not None and stored == gens[:-1]:
-        basis = groebner.reduced_groebner_basis([*basis.elements, gens[-1]])
+    stored, run = _gb_ek_run
+    if run is not None and stored == gens[:-1]:
+        run.add(gens[-1:])
     else:
-        basis = groebner.reduced_groebner_basis(gens)
-    _last_gb_ek = gens, basis
-    return basis
+        run = groebner._Buchberger(gens)
+    _gb_ek_run = gens, run
+    return run.reduced()
 
 
 def computed_gb_e1ek(k: int, n: int) -> groebner.GroebnerBasis:

@@ -3,12 +3,14 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symgb.groebner import (
     GroebnerBasis,
     GroebnerStats,
     ZeroIdealError,
+    _Buchberger,
+    _Packed,
     _run,
     buchberger,
     divide,
@@ -32,6 +34,7 @@ from symgb.symfunc import (
     homogeneous,
     powersum,
 )
+from symgb import verify
 from symgb.verify import TARGETS
 from conftest import (
     lex_key,
@@ -261,6 +264,153 @@ class TestBuchberger:
             "zero_reductions=0 peak_basis=0 peak_coeff_bits=0")
 
 
+@st.composite
+def resumed_generators(draw):
+    """Generators in 1-4 variables, integer or rational, to feed a run one
+    at a time: after the first, each is a new polynomial, a member of the
+    ideal of the ones before it (it reduces to zero), a constant or zero."""
+    arity, integral = draw(st.integers(1, 4)), draw(st.booleans())
+    coeff = (st.integers(-3, 3) if integral else
+             st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    degree = 3 if arity <= 2 else 2
+    mono = st.lists(st.integers(0, arity - 1), max_size=degree).map(
+        lambda xs: tuple(xs.count(i) for i in range(arity)))
+    poly = st.lists(st.tuples(mono, coeff), min_size=1, max_size=3).map(
+        lambda terms: Polynomial(arity, terms))
+    gens = [draw(poly.filter(lambda g: not g.is_zero()))]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(
+            ["new", "new", "new", "member", "constant", "zero"]))
+        if kind == "new":
+            gens.append(draw(poly))
+        elif kind == "member":
+            gens.append(draw(st.sampled_from(gens)) * draw(poly)
+                        + draw(st.sampled_from(gens)))
+        elif kind == "constant":
+            gens.append(Polynomial.constant(draw(coeff.filter(bool)), arity))
+        else:
+            gens.append(Polynomial.zero(arity))
+    return gens
+
+
+class TestResumedRun:
+    # a run fed generators one at a time must give, after each, the reduced
+    # basis of the generators so far, as a run started on all of them does
+
+    @pytest.mark.parametrize("product_criterion", [True, False])
+    @given(resumed_generators())
+    @settings(max_examples=150, deadline=None)
+    def test_each_prefix_against_a_fresh_run(self, product_criterion, gens):
+        run = _Buchberger(gens[:1], product_criterion)
+        for i in range(1, len(gens) + 1):
+            if i > 1:
+                run.add(gens[i - 1:i])
+            assert run.reduced() == reduced_groebner_basis(gens[:i])
+
+    def test_generator_that_reduces_to_zero(self):
+        f, g = P("x1*x2-x3"), P("x2^2-x1")
+        run = _Buchberger([f])
+        run.add([g])
+        before, active = run.reduced(), list(run.active)
+        run.add([f * P("x3+1") - g * P("x1")])  # in <f, g>: enters as zero
+        assert run.active == active and run.reduced() == before
+        assert before == reduced_groebner_basis([f, g])
+
+    @pytest.mark.parametrize("constant", [P("-2/3"), P("x1")])
+    def test_unit_ideal_mid_run(self, constant):
+        # a constant generator, or x1 that enters reduced by x1+1 as -1,
+        # ends the run; later generators add nothing
+        one = GroebnerBasis(3, (Polynomial.one(3),))
+        run = _Buchberger([P("x1+1"), P("x2^2-x3")])
+        run.add([constant])
+        assert run.unit and run.reduced() == one
+        stats = run.stats.record()
+        run.add([P("x3^2+x1")])
+        assert run.reduced() == one and run.stats.record() == stats
+        ref = _Buchberger([P("x1+1"), P("x2^2-x3")], product_criterion=False)
+        for g in (constant, P("x3^2+x1")):
+            ref.add([g])
+            assert not ref.unit and ref.reduced() == one
+
+    def test_add_that_overflows_is_replayed_wider(self, widths):
+        # x2^2 enters reduced by x2 - x1^100 as x1^200, past the guard bit
+        # of a 1-byte field: the run is built again 2 bytes wide from both
+        # generators, and ends as a fresh run on both does
+        gens = [P("x2-x1^100", 2), P("x2^2", 2)]
+        run = _Buchberger(gens[:1])
+        assert run.reduced() == reduced_groebner_basis(gens[:1])
+        run.add(gens[1:])
+        assert widths == [1, 1, 2] and run.packed.width == 2
+        gb = run.reduced()
+        assert "; ".join(map(str, gb)) == "x2-x1^100; x1^200"
+        fresh = reduced_groebner_basis(gens)
+        assert gb == fresh and gb.stats == fresh.stats  # no pair was reduced
+
+    def test_replay_interreduces_where_the_basis_was_read(self):
+        # the basis read after the second generator is interreduced in
+        # place, and the third overflows a 1-byte field: the replay reads
+        # the basis at the same place, so the run ends as one made 2 bytes
+        # wide from the start does, reducers and stats alike
+        gens = [P("5*x3^2-x1*x2^3*x3"), P("-x2^2*x3^2+x2^2*x3+2*x2^3"), P("x3+x1^100")]
+        runs = [_Buchberger(gens[:1]) for _ in range(2)]
+        runs[1]._replay(2)
+        for run in runs:
+            run.reduced()
+            run.add(gens[1:2])
+            run.reduced()
+            run.add(gens[2:])
+        assert [run.packed.width for run in runs] == [2, 2]
+        assert runs[0].packed.reducers == runs[1].packed.reducers
+        gb = runs[0].reduced()
+        assert gb == runs[1].reduced() == reduced_groebner_basis(gens)
+        assert gb.stats == runs[1].stats
+
+    def test_new_leading_monomial_divides_an_old_tail(self, widths):
+        # x3 - x2^2 is reduced when x2 - x1^c enters, whose LM divides its
+        # tail: it is reduced again, to x3 - x1^(2c); at c = 100 that
+        # overflows in the interreduction, which is replayed 2 bytes wide
+        for c, width in ((3, 1), (100, 2)):
+            gens = [P("x3-x2^2"), P(f"x2-x1^{c}")]
+            run = _Buchberger(gens[:1])
+            assert list(run.reduced()) == gens[:1]
+            run.add(gens[1:])
+            gb = run.reduced()
+            assert "; ".join(map(str, gb)) == f"x3-x1^{2 * c}; x2-x1^{c}"
+            assert gb == reduced_groebner_basis(gens) and run.packed.width == width
+
+    def test_old_elements_are_not_reduced_again(self, monkeypatch):
+        # adding e_k to the run on e_1..e_{k-1} enters h_k, reduced by
+        # h_1..h_{k-1} and of the least LM, which divides no tail monomial
+        # of theirs: reduced() reduces nothing and keeps their polynomials
+        calls, reduce = [], _Packed.reduce
+
+        def counting(packed, *args):
+            calls.append(args)
+            return reduce(packed, *args)
+
+        run, previous = _Buchberger([elementary(1, 6)]), ()
+        for k in range(1, 7):
+            if k > 1:
+                run.add([elementary(k, 6)])
+            monkeypatch.setattr(_Packed, "reduce", counting)
+            gb = run.reduced()
+            monkeypatch.undo()
+            assert not calls, k
+            assert gb.elements == tuple(conjectured_gb_ek(k, 6))
+            assert all(g is h for g, h in zip(gb.elements, previous))
+            previous = gb.elements
+
+    def test_each_basis_keeps_its_own_stats(self):
+        run = _Buchberger([elementary(i, 4) for i in (2, 4)])
+        first = run.reduced()
+        record = first.stats.record()
+        run.add([elementary(3, 4)])
+        second = run.reduced()
+        assert first.stats is not second.stats is not run.stats
+        assert first.stats.record() == record != second.stats.record()
+        assert second.stats == run.stats
+
+
 def to_sympy(sympy, p):
     """p as a sympy Poly over QQ in x_n > ... > x_1."""
     xs = sympy.symbols(f"x1:{p.arity + 1}")[::-1]
@@ -302,15 +452,22 @@ class TestAgainstSympy:
         assert proper >= 15  # most cases are not the unit ideal
 
     @pytest.mark.parametrize("target", ["gb-ek", "gb-e1ek"])
-    def test_paper_ideals(self, target):
-        # every cell of the target to n = 8: <e_1..e_k> or <e_1, e_k>
+    def test_paper_ideals(self, monkeypatch, target):
+        # every cell of the target to n = 8: <e_1..e_k> or <e_1, e_k>; a
+        # gb-ek cell also as the sweep makes it, resuming the run of the
+        # cell before it
         sympy = pytest.importorskip("sympy")
+        monkeypatch.setattr(verify, "_gb_ek_run", ([], None))
         for n in range(1, 9):
             for k in TARGETS[target].ks(n):
                 ks = range(1, k + 1) if target == "gb-ek" else (1, k)
                 gens = [elementary(i, n) for i in ks]
-                assert list(reduced_groebner_basis(gens).elements) == \
-                    sympy_reduced_basis(sympy, gens), (k, n)
+                expected = sympy_reduced_basis(sympy, gens)
+                assert list(reduced_groebner_basis(gens).elements) == expected, (k, n)
+                if target == "gb-ek":
+                    got = verify.computed_gb_ek(k, n)
+                    assert list(got.elements) == expected, (k, n)
+                    assert len(verify._gb_ek_run[1].batches) == k
 
     def test_ideal_that_first_in_first_out_selection_stalls_on(self):
         # with the Gebauer-Moller deletions, first-in-first-out selection

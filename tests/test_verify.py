@@ -270,53 +270,65 @@ def from_scratch(k, n):
         [symfunc.elementary(i, n, n) for i in range(1, k + 1)])
 
 
-def test_gb_ek_sweep_builds_each_cell_on_the_last_basis(monkeypatch):
-    # every basis of a sweep equals the one built from e_1..e_k, and every
-    # cell after k = 1 is built from the basis of the cell before it
-    real = groebner.reduced_groebner_basis
-    calls = []
+def spied_gb_ek(monkeypatch):
+    """The list, filled as the cells run, of (k, n, basis, run, batches) of
+    every computed_gb_ek call, starting from an empty memo: ``run`` is the
+    live run the memo holds after the call, and ``batches`` the generators
+    it had been fed by then."""
+    real, cells = verify.computed_gb_ek, []
 
-    def spy(gens):
-        gens = list(gens)
-        calls.append((gens, real(gens)))
-        return calls[-1][1]
+    def spy(k, n):
+        gb = real(k, n)
+        run = verify._gb_ek_run[1]
+        cells.append((k, n, gb, run, list(run.batches)))
+        return gb
 
-    monkeypatch.setattr(verify, "_last_gb_ek", ([], None))
-    monkeypatch.setattr(groebner, "reduced_groebner_basis", spy)
+    monkeypatch.setattr(verify, "_gb_ek_run", ([], None))
+    monkeypatch.setattr(verify, "computed_gb_ek", spy)
+    return cells
+
+
+def test_gb_ek_sweep_resumes_one_run_per_n(monkeypatch):
+    # every basis of a sweep equals the one built from e_1..e_k; the cell
+    # k = 1 starts a run on e_1 and every cell after it adds e_k to the run
+    # of the cell before it, so each n makes one run, fed only e's
+    cells = spied_gb_ek(monkeypatch)
     results = run_sweep("gb-ek", 1, 9)
-    monkeypatch.undo()
     assert all(r.ok for r in results)
-    assert len(calls) == len(results)
+    assert [(k, n) for k, n, *_ in cells] == [(r.k, r.n) for r in results]
     previous = None
-    for r, (gens, gb) in zip(results, calls):
-        e_k = symfunc.elementary(r.k, r.n, r.n)
-        if r.k == 1:
-            assert gens == [e_k]
-        else:
-            assert gens == [*previous.elements, e_k]
-        assert gb.elements == from_scratch(r.k, r.n).elements, (r.k, r.n)
-        previous = gb
+    for k, n, gb, run, batches in cells:
+        assert run is not previous if k == 1 else run is previous, (k, n)
+        assert batches == [[symfunc.elementary(i, n, n)] for i in range(1, k + 1)]
+        assert gb.elements == from_scratch(k, n).elements, (k, n)
+        previous = run
+    assert len({id(run) for _, _, _, run, _ in cells}) == 9
 
 
 @pytest.mark.parametrize("k, n", [(2, 2), (3, 5), (5, 6), (7, 7)])
 def test_gb_ek_cold_and_after_the_cell_before_agree(monkeypatch, k, n):
-    monkeypatch.setattr(verify, "_last_gb_ek", ([], None))
+    monkeypatch.setattr(verify, "_gb_ek_run", ([], None))
     cold = verify.computed_gb_ek(k, n)
+    assert len(verify._gb_ek_run[1].batches) == 1
     verify.computed_gb_ek(k - 1, n)
     warm = verify.computed_gb_ek(k, n)
+    assert len(verify._gb_ek_run[1].batches) == 2  # e_1..e_{k-1}, then e_k
     assert warm.elements == cold.elements == from_scratch(k, n).elements
 
 
 def test_gb_ek_reuse_keyed_by_the_generators(monkeypatch):
-    # the unpatched sweep leaves the real basis of (3, 4) stored; the
-    # patched cell (4, 4) must not build on it, though its (k, n) follow
+    # the unpatched sweep leaves the real run of (3, 4) stored; the patched
+    # cell (4, 4) must not resume it, though its (k, n) follow
     assert all(r.ok for r in run_sweep("gb-ek", 3, 4, fixed_k=3))
+    real_run = verify._gb_ek_run[1]
     perturb_builders(monkeypatch)
     after = run_sweep("gb-ek", 4, 4, fixed_k=4)
-    got = verify._last_gb_ek[1].elements
-    monkeypatch.setattr(verify, "_last_gb_ek", ([], None))
+    run = verify._gb_ek_run[1]
+    assert run is not real_run
+    assert run.batches == [[symfunc.elementary(i, 4, 4) for i in range(1, 5)]]
+    monkeypatch.setattr(verify, "_gb_ek_run", ([], None))
     assert run_sweep("gb-ek", 4, 4, fixed_k=4) == after
-    assert got == from_scratch(4, 4).elements  # of the patched e's
+    assert run.reduced().elements == from_scratch(4, 4).elements  # of the patched e's
 
 
 def test_basis_fail_path(monkeypatch):
