@@ -17,6 +17,7 @@ from .poly import (
     _guard,
     _packed_pairs,
     _packers,
+    _rewidth,
 )
 
 
@@ -105,15 +106,16 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
 # bits: LM | m iff (m - LM) & guard == 0, and LMs a, b are coprime iff
 # lcm(a, b) == a + b (see ``_Packed.lcm``).  Lex reduction can raise
 # exponents past any width (x2 - x1^100 turns x2^2 into x1^200), so a
-# monomial entering the work that sets a guard bit raises _Overflow, and
-# ``_run`` builds the whole run again, from its input polynomials, with
-# fields one byte wider (``_Buchberger`` replays its calls in the same way).
-# A run is deterministic and int order is lex order at any width, so a run
-# redone makes the same pairs in the same order and ends with the same
-# result and the same stats.  Every input enters with its own packed
-# monomials (``poly._packed_pairs``), widened when another input, or an
-# overflow, needs wider fields, and every output polynomial is built from
-# the kernel's packed monomials, narrowed to its own width.
+# monomial entering the work that sets a guard bit raises _Overflow;
+# ``_Packed.retry`` then repacks the reducers (and ``_Buchberger`` its
+# queued pairs' lcms) one byte wider, in place, and redoes the step.  The
+# step changed nothing but its own work, save reducers that an
+# interreduction replaced by their reduced forms, which are the same at any
+# width; and int order is lex order at any width, so the run ends as one
+# made wide from the start does, stats and all.  Every input enters with
+# its packed monomials (``poly._packed_pairs``) widened to the run's fields,
+# and every output polynomial is built from the kernel's, narrowed to its
+# own width.
 #
 # Every coefficient in the kernel is an int.  A reducer is the primitive
 # integer multiple of its polynomial, and the work is reduced fraction-free:
@@ -128,15 +130,10 @@ class _Overflow(Exception):
 
 def _run(arity: int, polys: Sequence[Polynomial], step, width: int = 1):
     """step(packed) on ``polys`` packed as reducers in fields as wide as the
-    widest of them, and at least ``width`` bytes; when the step overflows,
-    it is run again on ``polys`` packed one byte wider."""
+    widest of them, and at least ``width`` bytes, through ``_Packed.retry``."""
     _check_arity(arity, polys)
-    width = max([width, *[p.width for p in polys]])
-    while True:
-        try:
-            return step(_Packed(arity, polys, width))
-        except _Overflow:
-            width += 1
+    packed = _Packed(arity, polys, max([width, *[p.width for p in polys]]))
+    return packed.retry(lambda: step(packed))
 
 
 def _check_arity(arity: int, polys: Iterable[Polynomial]) -> None:
@@ -152,11 +149,33 @@ class _Packed:
     tail coefficients and LC d > 0."""
 
     def __init__(self, arity: int, polys: Iterable[Polynomial], width: int):
-        self.arity, self.width = arity, width
-        self.pack, self.unpack = _packers(arity, width)
-        self.guard = _guard(arity, width)
+        self.arity, self.width, self.reducers = arity, width, []
+        self.widen(width)
         self.reducers = [self.reducer(_packed_pairs(p, width), i)
                          for i, p in enumerate(polys)]
+
+    def widen(self, width: int) -> None:
+        """Repack the reducers in place, and the packers and guard bits with
+        them, in fields ``width`` bytes wide, no fewer than now."""
+        reducers, arity = self.reducers, self.arity
+        if reducers:
+            keys = iter(_rewidth([k for lm, _, tail, _ in reducers
+                                  for k in (lm, *[k for k, _ in tail])],
+                                 arity, self.width, width))
+            reducers[:] = [(next(keys), d, tuple([(next(keys), c) for _, c in tail]), i)
+                           for _, d, tail, i in reducers]
+        self.width = width
+        self.pack, self.unpack = _packers(arity, width)
+        self.guard = _guard(arity, width)
+
+    def retry(self, step, widen=None):
+        """step(), redone each time it overflows the fields, after they are
+        widened one byte by ``widen`` (``self.widen`` when None)."""
+        while True:
+            try:
+                return step()
+            except _Overflow:
+                (widen or self.widen)(self.width + 1)
 
     def lcm(self, a: int, b: int) -> int:
         """lcm of the packed monomials a and b: the larger of each two fields."""
@@ -329,10 +348,11 @@ class _Buchberger:
     is queued, so the active basis is a Groebner basis of every generator
     added; ``reduced`` reads the reduced basis off it.  The reducers of
     ``packed`` are every element that entered the basis, and ``active``
-    indexes the basis.  The run keeps its calls: when a packed monomial
-    overflows its field, in either method, the calls are made again on
-    fields one byte wider (see ``_run``), so the run ends in the state, and
-    with the stats, it would have had in the wider fields from the start.
+    indexes the basis.  Entering a generator, reducing an S-pair and
+    interreducing each run through ``packed.retry``: when one overflows its
+    fields, the reducers and the queued pairs' lcms are repacked one byte
+    wider in place (``_widen``) and the step is redone, so the run goes on,
+    stats and all, as it would have in the wider fields from the start.
     """
 
     def __init__(self, generators: Iterable[Polynomial],
@@ -341,12 +361,7 @@ class _Buchberger:
         if not gens:
             raise ZeroIdealError("all generators are zero")
         self.arity, self.product_criterion = gens[0].arity, product_criterion
-        self.batches: list = []  # every batch added, in order
-        self.read: set = set()  # len(batches) at each reduced() call
-        self.add(gens)
-
-    def _reset(self, width: int) -> None:
-        self.packed = _Packed(self.arity, (), width)
+        self.packed = _Packed(self.arity, (), max(g.width for g in gens))
         self.stats = GroebnerStats()
         # heap of (degree of lcm, packed lcm, serial, i, j), i < j
         self.pairs: list = []
@@ -356,21 +371,15 @@ class _Buchberger:
         # the monic polynomial of each element that the last reduced() made
         # reduced and kept, by reducer index, in decreasing LM order
         self.clean: dict = {}
+        self.add(gens)
 
-    def _replay(self, width: int) -> None:
-        """The run made again in fields ``width`` bytes wide, or wider when
-        it overflows them: every batch entered, and the basis interreduced
-        wherever reduced() read it."""
-        while True:
-            self._reset(width)
-            try:
-                for n, gens in enumerate(self.batches, 1):
-                    self._enter(gens)
-                    if n in self.read:
-                        self._interreduce()
-                return
-            except _Overflow:
-                width += 1
+    def _widen(self, width: int) -> None:
+        """Repack the reducers and the queued pairs' lcms ``width`` bytes
+        wide; int order is lex order at any width, so the heap stays one."""
+        pairs, old = self.pairs, self.packed.width
+        self.packed.widen(width)
+        lcms = _rewidth([p[1] for p in pairs], self.arity, old, width)
+        pairs[:] = [(deg, m, *rest) for (deg, _, *rest), m in zip(pairs, lcms)]
 
     def add(self, generators: Iterable[Polynomial]) -> None:
         """Enter the nonzero generators, each reduced by the basis on the fast
@@ -378,42 +387,37 @@ class _Buchberger:
         once the run is the unit ideal."""
         gens = [g for g in generators if not g.is_zero()]
         _check_arity(self.arity, gens)
-        self.batches.append(gens)
-        width = max(g.width for g in gens) if gens else 1
-        if len(self.batches) == 1 or width > self.packed.width:  # new fields
-            self._replay(width)
-            return
-        try:
-            self._enter(gens)
-        except _Overflow:
-            self._replay(self.packed.width + 1)
-
-    def _enter(self, gens: Sequence[Polynomial]) -> None:
-        if self.unit:
-            return
         packed, active, pairs, stats = self.packed, self.active, self.pairs, self.stats
-        reducers = packed.reducers
-        for g in gens:
+        if (width := max([packed.width, *[g.width for g in gens]])) > packed.width:
+            self._widen(width)
+
+        def entering(g: Polynomial) -> dict:
             lm, d, tail, _ = packed.reducer(_packed_pairs(g, packed.width), -1)
             r = {lm: d, **dict(tail)}
             if self.product_criterion:
-                r = packed.reduce(r, 1, [reducers[i] for i in active])[0]
-            if r and not self._update(r):
+                r = packed.reduce(r, 1, [packed.reducers[i] for i in active])[0]
+            return r
+
+        for g in gens:
+            if self.unit:
                 return
-        while pairs:
+            if r := packed.retry(lambda: entering(g), self._widen):
+                self._update(r)
+        while pairs and not self.unit:
             *_, i, j = heapq.heappop(pairs)
-            if (s := packed.s_remainder(i, j, active)) is None:
+            if (s := packed.retry(lambda: packed.s_remainder(i, j, active),
+                                  self._widen)) is None:
                 continue
             r = s[0]
             stats.reductions += 1
             stats.zero_reductions += not r
-            if r and not self._update(r):
-                return
+            if r:
+                self._update(r)
 
-    def _update(self, r: dict) -> bool:
+    def _update(self, r: dict) -> None:
         """Add the nonzero packed remainder r to the basis, by the
-        Gebauer-Moller update; False when it ends the run: on the fast path,
-        a constant is the unit ideal."""
+        Gebauer-Moller update; on the fast path, a constant ends the run as
+        the unit ideal."""
         packed, active, pairs, stats = self.packed, self.active, self.pairs, self.stats
         reducers, lcm, guard = packed.reducers, packed.lcm, packed.guard
         ih = len(reducers)
@@ -446,31 +450,24 @@ class _Buchberger:
         active.append(ih)
         stats.peak_basis = max(stats.peak_basis, len(active))
         self.unit = not lh and self.product_criterion
-        return not self.unit
 
     def reduced(self) -> GroebnerBasis:
         """The reduced Groebner basis of every generator added, with a copy
         of the run's stats; the active basis is interreduced in place."""
-        while True:
-            try:
-                self._interreduce()
-                break
-            except _Overflow:
-                self._replay(self.packed.width + 1)
-        self.read.add(len(self.batches))
+        packed = self.packed
+        self.clean = packed.retry(
+            lambda: _interreduce(packed, self.active, self.clean), self._widen)
         return GroebnerBasis(self.arity, tuple(self.clean.values()),
                              stats=replace(self.stats))
-
-    def _interreduce(self) -> None:
-        self.clean = _interreduce(self.packed, self.active, self.clean)
 
 
 def _interreduce(packed: _Packed, indices: Iterable[int], clean: dict) -> dict:
     """The reduced Groebner basis of the Groebner basis formed by the
     reducers of ``packed`` at ``indices``: {index: monic polynomial}, in
     decreasing LM order; each reducer kept is replaced by its reduced one in
-    place.  ``clean`` is empty, or the result of an earlier call on the same
-    reducers, since when elements may have entered and left the basis."""
+    place, and one that changes leaves ``clean`` (empty, or the result of an
+    earlier call on the same reducers, since when elements may have entered
+    and left the basis), so a call redone after an overflow reads no stale monic."""
     reducers, guard = packed.reducers, packed.guard
     # minimalize: drop an element when a kept one's LM divides its LM
     minimal: list = []
@@ -495,6 +492,7 @@ def _interreduce(packed: _Packed, indices: Iterable[int], clean: dict) -> dict:
             tail, scale = packed.reduce(dict(tail), d,
                                         [reducers[j] for j in minimal[:pos]])
             reducers[i] = packed.reducer([(lm, scale), *tail.items()], i)
+            clean.pop(i, None)
             monic[i] = packed.monic(reducers[i])
         else:  # reduced already, and unchanged since the earlier call if clean
             monic[i] = clean[i] if i in clean else packed.monic(reducers[i])

@@ -67,16 +67,37 @@ def rng():
 
 @pytest.fixture
 def widths(monkeypatch):
-    """The list, filled as they are built, of the field widths of every
-    packed run."""
-    widths, init = [], groebner._Packed.__init__
+    """The list, filled as they are set, of the field widths of every
+    packed run: the width it is built at, then each it widens to."""
+    widths, widen = [], groebner._Packed.widen
 
-    def recording(packed, arity, polys, width):
+    def recording(packed, width):
         widths.append(width)
-        init(packed, arity, polys, width)
+        widen(packed, width)
 
-    monkeypatch.setattr(groebner._Packed, "__init__", recording)
+    monkeypatch.setattr(groebner._Packed, "widen", recording)
     return widths
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The dict, filled as they run, from every ``groebner._Buchberger``
+    run built to the list of the batches of generators it was fed: the
+    generators it was built on, then each ``add``'s."""
+    batches, init, add = {}, groebner._Buchberger.__init__, groebner._Buchberger.add
+
+    def starting(run, *args, **kwargs):
+        batches[run] = []
+        init(run, *args, **kwargs)
+
+    def adding(run, generators):
+        generators = list(generators)
+        batches[run].append(generators)
+        add(run, generators)
+
+    monkeypatch.setattr(groebner._Buchberger, "__init__", starting)
+    monkeypatch.setattr(groebner._Buchberger, "add", adding)
+    return batches
 
 
 @pytest.fixture

@@ -332,10 +332,10 @@ class TestResumedRun:
             ref.add([g])
             assert not ref.unit and ref.reduced() == one
 
-    def test_add_that_overflows_is_replayed_wider(self, widths):
+    def test_add_that_overflows_is_widened_in_place(self, widths):
         # x2^2 enters reduced by x2 - x1^100 as x1^200, past the guard bit
-        # of a 1-byte field: the run is built again 2 bytes wide from both
-        # generators, and ends as a fresh run on both does
+        # of a 1-byte field: the run is widened to 2 bytes and enters x2^2
+        # again, and ends as a fresh run on both generators does
         gens = [P("x2-x1^100", 2), P("x2^2", 2)]
         run = _Buchberger(gens[:1])
         assert run.reduced() == reduced_groebner_basis(gens[:1])
@@ -346,14 +346,14 @@ class TestResumedRun:
         fresh = reduced_groebner_basis(gens)
         assert gb == fresh and gb.stats == fresh.stats  # no pair was reduced
 
-    def test_replay_interreduces_where_the_basis_was_read(self):
+    def test_widening_keeps_the_basis_read(self):
         # the basis read after the second generator is interreduced in
-        # place, and the third overflows a 1-byte field: the replay reads
-        # the basis at the same place, so the run ends as one made 2 bytes
-        # wide from the start does, reducers and stats alike
+        # place, and the third overflows a 1-byte field: widened in place,
+        # the run ends as one made 2 bytes wide from the start does,
+        # reducers and stats alike
         gens = [P("5*x3^2-x1*x2^3*x3"), P("-x2^2*x3^2+x2^2*x3+2*x2^3"), P("x3+x1^100")]
         runs = [_Buchberger(gens[:1]) for _ in range(2)]
-        runs[1]._replay(2)
+        runs[1].packed.widen(2)
         for run in runs:
             run.reduced()
             run.add(gens[1:2])
@@ -368,7 +368,7 @@ class TestResumedRun:
     def test_new_leading_monomial_divides_an_old_tail(self, widths):
         # x3 - x2^2 is reduced when x2 - x1^c enters, whose LM divides its
         # tail: it is reduced again, to x3 - x1^(2c); at c = 100 that
-        # overflows in the interreduction, which is replayed 2 bytes wide
+        # overflows in the interreduction, which is redone 2 bytes wide
         for c, width in ((3, 1), (100, 2)):
             gens = [P("x3-x2^2"), P(f"x2-x1^{c}")]
             run = _Buchberger(gens[:1])
@@ -377,6 +377,23 @@ class TestResumedRun:
             gb = run.reduced()
             assert "; ".join(map(str, gb)) == f"x3-x1^{2 * c}; x2-x1^{c}"
             assert gb == reduced_groebner_basis(gens) and run.packed.width == width
+
+    def test_overflow_in_the_interreduction_after_a_clean_element_changed(
+            self, widths):
+        # x2 - x1^60 enters a basis read reduced: the interreduction reduces
+        # x3 - x2, read before, to x3 - x1^60, then overflows a 1-byte field
+        # on x4 - x2^3, whose reduced form is x4 - x1^180; redone 2 bytes
+        # wide, it must not return the x3 - x2 read before
+        gens = [P("x4-x2^3", 4), P("x3-x2", 4), P("x2-x1^60", 4)]
+        run = _Buchberger(gens[:2])
+        run.reduced()
+        run.add(gens[2:])
+        widths.clear()
+        gb = run.reduced()
+        assert widths == [2]
+        assert "; ".join(map(str, gb)) == "x4-x1^180; x3-x1^60; x2-x1^60"
+        fresh = reduced_groebner_basis(gens)
+        assert gb == fresh and gb.stats == fresh.stats
 
     def test_old_elements_are_not_reduced_again(self, monkeypatch):
         # adding e_k to the run on e_1..e_{k-1} enters h_k, reduced by
@@ -452,7 +469,7 @@ class TestAgainstSympy:
         assert proper >= 15  # most cases are not the unit ideal
 
     @pytest.mark.parametrize("target", ["gb-ek", "gb-e1ek"])
-    def test_paper_ideals(self, monkeypatch, target):
+    def test_paper_ideals(self, monkeypatch, batches, target):
         # every cell of the target to n = 8: <e_1..e_k> or <e_1, e_k>; a
         # gb-ek cell also as the sweep makes it, resuming the run of the
         # cell before it
@@ -467,7 +484,7 @@ class TestAgainstSympy:
                 if target == "gb-ek":
                     got = verify.computed_gb_ek(k, n)
                     assert list(got.elements) == expected, (k, n)
-                    assert len(verify._gb_ek_run[1].batches) == k
+                    assert len(batches[verify._gb_ek_run[1]]) == k
 
     def test_ideal_that_first_in_first_out_selection_stalls_on(self):
         # with the Gebauer-Moller deletions, first-in-first-out selection
@@ -723,9 +740,9 @@ class TestOverflowIdeals:
         assert all(normal_form(g, gb).is_zero() for g in gens)
 
     def test_fields_widen_with_pairs_queued(self, widths):
-        # the 1-byte fields overflow with pairs queued, so the run is built
-        # again, from the generators, one byte wider; the stats are those of
-        # the run that ends, with nothing counted by the one abandoned
+        # the 1-byte fields overflow with pairs queued, so the reducers and
+        # the pairs' lcms are repacked one byte wider and the step is
+        # redone; the stats count no step twice
         gens = [P(g) for g in ("x3^3-x1^25*x2", "x2^3-x1^72",
                                "x3*x2^2-x1^29*x3", "x3*x2*x1-x2")]
         gb = reduced_groebner_basis(gens)
@@ -742,21 +759,53 @@ class TestOverflowIdeals:
         # total degrees, so the stretched run makes the same pairs and
         # reductions as the plain one; the generators are square-free, so
         # even at s = 127 they fit 1-byte fields that the run outgrows at
-        # some point, and each restart must leave no trace
-        rng, restarts = random.Random(19), 0
+        # some point, and each widening must leave no trace
+        rng, widenings = random.Random(19), 0
         for _ in range(60):
             arity, s = rng.randint(2, 3), rng.choice([25, 42, 63, 64, 100, 127, 128])
-            gens = [Polynomial(arity, [
-                (tuple(rng.randint(0, 1) for _ in range(arity)), random_coefficient(rng))
-                for _ in range(3)]) for _ in range(arity)]
-            gens = [g for g in gens if not g.is_zero()] or [P("x1", arity)]
+            gens = square_free_generators(rng, arity, arity)
             gb = reduced_groebner_basis(gens)
             widths.clear()
             wide = reduced_groebner_basis([stretched(g, s) for g in gens])
-            restarts += len(widths) - 1
+            widenings += len(widths) - 1
             assert wide == GroebnerBasis(arity, tuple(stretched(g, s) for g in gb))
             assert wide.stats == gb.stats
-        assert restarts > 10
+        assert widenings > 10
+
+    def test_stretched_ideals_fed_one_at_a_time(self, monkeypatch):
+        # as above, on runs fed one generator at a time and read after
+        # each: a run that outgrows its fields while it enters a generator
+        # or reduces an S-pair has pairs queued, whose packed lcms are
+        # repacked with the reducers, and must go on as the plain run does
+        queued, widen = [], _Buchberger._widen
+
+        def recording(run, width):
+            queued.append(len(run.pairs))
+            widen(run, width)
+
+        monkeypatch.setattr(_Buchberger, "_widen", recording)
+        rng = random.Random(23)
+        for _ in range(300):
+            arity, s = rng.randint(2, 3), rng.choice([63, 64, 100, 127])
+            gens = square_free_generators(rng, arity, arity + 3)
+            plain, wide = _Buchberger(gens[:1]), _Buchberger([stretched(gens[0], s)])
+            for i, g in enumerate(gens):
+                if i:
+                    plain.add([g])
+                    wide.add([stretched(g, s)])
+                gb, wide_gb = plain.reduced(), wide.reduced()
+                assert wide_gb == GroebnerBasis(arity, tuple(stretched(h, s) for h in gb))
+                assert wide_gb.stats == gb.stats
+        assert sum(n > 0 for n in queued) > 10
+
+
+def square_free_generators(rng, arity, count):
+    """``count`` or fewer nonzero polynomials of 3 square-free terms, or x1
+    when all are zero."""
+    gens = [Polynomial(arity, [
+        (tuple(rng.randint(0, 1) for _ in range(arity)), random_coefficient(rng))
+        for _ in range(3)]) for _ in range(count)]
+    return [g for g in gens if not g.is_zero()] or [P("x1", arity)]
 
 
 def stretched(p, s):

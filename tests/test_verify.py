@@ -270,17 +270,17 @@ def from_scratch(k, n):
         [symfunc.elementary(i, n, n) for i in range(1, k + 1)])
 
 
-def spied_gb_ek(monkeypatch):
+def spied_gb_ek(monkeypatch, batches):
     """The list, filled as the cells run, of (k, n, basis, run, batches) of
     every computed_gb_ek call, starting from an empty memo: ``run`` is the
     live run the memo holds after the call, and ``batches`` the generators
-    it had been fed by then."""
+    it had been fed by then, as the ``batches`` fixture records them."""
     real, cells = verify.computed_gb_ek, []
 
     def spy(k, n):
         gb = real(k, n)
         run = verify._gb_ek_run[1]
-        cells.append((k, n, gb, run, list(run.batches)))
+        cells.append((k, n, gb, run, list(batches[run])))
         return gb
 
     monkeypatch.setattr(verify, "_gb_ek_run", ([], None))
@@ -288,11 +288,11 @@ def spied_gb_ek(monkeypatch):
     return cells
 
 
-def test_gb_ek_sweep_resumes_one_run_per_n(monkeypatch):
+def test_gb_ek_sweep_resumes_one_run_per_n(monkeypatch, batches):
     # every basis of a sweep equals the one built from e_1..e_k; the cell
     # k = 1 starts a run on e_1 and every cell after it adds e_k to the run
     # of the cell before it, so each n makes one run, fed only e's
-    cells = spied_gb_ek(monkeypatch)
+    cells = spied_gb_ek(monkeypatch, batches)
     results = run_sweep("gb-ek", 1, 9)
     assert all(r.ok for r in results)
     assert [(k, n) for k, n, *_ in cells] == [(r.k, r.n) for r in results]
@@ -306,17 +306,17 @@ def test_gb_ek_sweep_resumes_one_run_per_n(monkeypatch):
 
 
 @pytest.mark.parametrize("k, n", [(2, 2), (3, 5), (5, 6), (7, 7)])
-def test_gb_ek_cold_and_after_the_cell_before_agree(monkeypatch, k, n):
+def test_gb_ek_cold_and_after_the_cell_before_agree(monkeypatch, batches, k, n):
     monkeypatch.setattr(verify, "_gb_ek_run", ([], None))
     cold = verify.computed_gb_ek(k, n)
-    assert len(verify._gb_ek_run[1].batches) == 1
+    assert len(batches[verify._gb_ek_run[1]]) == 1
     verify.computed_gb_ek(k - 1, n)
     warm = verify.computed_gb_ek(k, n)
-    assert len(verify._gb_ek_run[1].batches) == 2  # e_1..e_{k-1}, then e_k
+    assert len(batches[verify._gb_ek_run[1]]) == 2  # e_1..e_{k-1}, then e_k
     assert warm.elements == cold.elements == from_scratch(k, n).elements
 
 
-def test_gb_ek_reuse_keyed_by_the_generators(monkeypatch):
+def test_gb_ek_reuse_keyed_by_the_generators(monkeypatch, batches):
     # the unpatched sweep leaves the real run of (3, 4) stored; the patched
     # cell (4, 4) must not resume it, though its (k, n) follow
     assert all(r.ok for r in run_sweep("gb-ek", 3, 4, fixed_k=3))
@@ -325,7 +325,7 @@ def test_gb_ek_reuse_keyed_by_the_generators(monkeypatch):
     after = run_sweep("gb-ek", 4, 4, fixed_k=4)
     run = verify._gb_ek_run[1]
     assert run is not real_run
-    assert run.batches == [[symfunc.elementary(i, 4, 4) for i in range(1, 5)]]
+    assert batches[run] == [[symfunc.elementary(i, 4, 4) for i in range(1, 5)]]
     monkeypatch.setattr(verify, "_gb_ek_run", ([], None))
     assert run_sweep("gb-ek", 4, 4, fixed_k=4) == after
     assert run.reduced().elements == from_scratch(4, 4).elements  # of the patched e's
