@@ -10,11 +10,11 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .poly import (
-    ArityMismatchError,
     Polynomial,
     ZeroPolynomialError,
     _exact_div,
     _guard,
+    _match_arity,
     _packed_pairs,
     _packers,
     _rewidth,
@@ -107,12 +107,11 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
 # lcm(a, b) == a + b (see ``_Packed.lcm``).  Lex reduction can raise
 # exponents past any width (x2 - x1^100 turns x2^2 into x1^200), so a
 # monomial entering the work that sets a guard bit raises _Overflow;
-# ``_Packed.retry`` then repacks the reducers (and ``_Buchberger`` its
-# queued pairs' lcms) one byte wider, in place, and redoes the step.  The
-# step changed nothing but its own work, save reducers that an
-# interreduction replaced by their reduced forms, which are the same at any
-# width; and int order is lex order at any width, so the run ends as one
-# made wide from the start does, stats and all.  Every input enters with
+# ``_Packed.retry`` then repacks the reducers one byte wider, in place, and
+# redoes the step.  A reducer is fixed once it enters, and no step but
+# ``widen`` changes one, so the step changed nothing but its own work; and
+# int order is lex order at any width, so the run ends as one made wide
+# from the start does, stats and all.  Every input enters with
 # its packed monomials (``poly._packed_pairs``) widened to the run's fields,
 # and every output polynomial is built from the kernel's, narrowed to its
 # own width.
@@ -131,15 +130,9 @@ class _Overflow(Exception):
 def _run(arity: int, polys: Sequence[Polynomial], step, width: int = 1):
     """step(packed) on ``polys`` packed as reducers in fields as wide as the
     widest of them, and at least ``width`` bytes, through ``_Packed.retry``."""
-    _check_arity(arity, polys)
+    _match_arity(arity, polys)  # packing does not see the arity
     packed = _Packed(arity, polys, max([width, *[p.width for p in polys]]))
     return packed.retry(lambda: step(packed))
-
-
-def _check_arity(arity: int, polys: Iterable[Polynomial]) -> None:
-    for p in polys:  # packing does not see the arity
-        if p.arity != arity:
-            raise ArityMismatchError(f"arity mismatch: {arity} vs {p.arity}")
 
 
 class _Packed:
@@ -168,14 +161,14 @@ class _Packed:
         self.pack, self.unpack = _packers(arity, width)
         self.guard = _guard(arity, width)
 
-    def retry(self, step, widen=None):
+    def retry(self, step):
         """step(), redone each time it overflows the fields, after they are
-        widened one byte by ``widen`` (``self.widen`` when None)."""
+        widened one byte."""
         while True:
             try:
                 return step()
             except _Overflow:
-                (widen or self.widen)(self.width + 1)
+                self.widen(self.width + 1)
 
     def lcm(self, a: int, b: int) -> int:
         """lcm of the packed monomials a and b: the larger of each two fields."""
@@ -346,13 +339,13 @@ class _Buchberger:
 
     ``add`` enters a batch of generators and processes the pairs until none
     is queued, so the active basis is a Groebner basis of every generator
-    added; ``reduced`` reads the reduced basis off it.  The reducers of
-    ``packed`` are every element that entered the basis, and ``active``
-    indexes the basis.  Entering a generator, reducing an S-pair and
-    interreducing each run through ``packed.retry``: when one overflows its
-    fields, the reducers and the queued pairs' lcms are repacked one byte
-    wider in place (``_widen``) and the step is redone, so the run goes on,
-    stats and all, as it would have in the wider fields from the start.
+    added; ``reduced`` reads the reduced basis off it and changes nothing.
+    The reducers of ``packed`` are every element that entered the basis,
+    each fixed once it enters, and ``active`` indexes the basis.  A queued
+    pair holds the indices of its two reducers and is keyed on its lcm's
+    exponents, so when a step overflows its fields (``packed.retry``), only
+    the reducers are repacked one byte wider, and the run goes on, stats
+    and all, as it would have in the wider fields from the start.
     """
 
     def __init__(self, generators: Iterable[Polynomial],
@@ -363,33 +356,23 @@ class _Buchberger:
         self.arity, self.product_criterion = gens[0].arity, product_criterion
         self.packed = _Packed(self.arity, (), max(g.width for g in gens))
         self.stats = GroebnerStats()
-        # heap of (degree of lcm, packed lcm, serial, i, j), i < j
+        # heap of (degree of lcm, lcm's exponents from x_n down, serial, i, j),
+        # i < j: lex order on the exponents is int order on the packed lcm
         self.pairs: list = []
         self.serial = count()
         self.active: list = []
         self.unit = False  # a constant entered on the fast path: the run is over
-        # the monic polynomial of each element that the last reduced() made
-        # reduced and kept, by reducer index, in decreasing LM order
-        self.clean: dict = {}
         self.add(gens)
-
-    def _widen(self, width: int) -> None:
-        """Repack the reducers and the queued pairs' lcms ``width`` bytes
-        wide; int order is lex order at any width, so the heap stays one."""
-        pairs, old = self.pairs, self.packed.width
-        self.packed.widen(width)
-        lcms = _rewidth([p[1] for p in pairs], self.arity, old, width)
-        pairs[:] = [(deg, m, *rest) for (deg, _, *rest), m in zip(pairs, lcms)]
 
     def add(self, generators: Iterable[Polynomial]) -> None:
         """Enter the nonzero generators, each reduced by the basis on the fast
         path, and process the pairs until none is queued; nothing enters
         once the run is the unit ideal."""
         gens = [g for g in generators if not g.is_zero()]
-        _check_arity(self.arity, gens)
+        _match_arity(self.arity, gens)
         packed, active, pairs, stats = self.packed, self.active, self.pairs, self.stats
         if (width := max([packed.width, *[g.width for g in gens]])) > packed.width:
-            self._widen(width)
+            packed.widen(width)
 
         def entering(g: Polynomial) -> dict:
             lm, d, tail, _ = packed.reducer(_packed_pairs(g, packed.width), -1)
@@ -401,12 +384,11 @@ class _Buchberger:
         for g in gens:
             if self.unit:
                 return
-            if r := packed.retry(lambda: entering(g), self._widen):
+            if r := packed.retry(lambda: entering(g)):
                 self._update(r)
         while pairs and not self.unit:
             *_, i, j = heapq.heappop(pairs)
-            if (s := packed.retry(lambda: packed.s_remainder(i, j, active),
-                                  self._widen)) is None:
+            if (s := packed.retry(lambda: packed.s_remainder(i, j, active))) is None:
                 continue
             r = s[0]
             stats.reductions += 1
@@ -439,35 +421,33 @@ class _Buchberger:
             stats.chain_skipped += len(new) - len(kept)
             new = [(m, ig) for m, ig, coprime in kept if not coprime]
             queued = len(pairs)
-            pairs[:] = [p for p in pairs if (p[1] - lh) & guard
-                        or lcm(reducers[p[3]][0], lh) == p[1]
-                        or lcm(reducers[p[4]][0], lh) == p[1]]
+            # a queued pair's lcm is recomputed from its two reducers
+            pairs[:] = [
+                p for p in pairs
+                if ((m := lcm(reducers[p[3]][0], reducers[p[4]][0])) - lh) & guard
+                or lcm(reducers[p[3]][0], lh) == m or lcm(reducers[p[4]][0], lh) == m]
             stats.chain_skipped += queued - len(pairs)
             heapq.heapify(pairs)
             active[:] = [ig for ig in active if (reducers[ig][0] - lh) & guard]
         for m, ig in new:
-            heapq.heappush(pairs, (sum(packed.unpack(m)), m, next(self.serial), ig, ih))
+            exps = packed.unpack(m)
+            heapq.heappush(pairs, (sum(exps), exps[::-1], next(self.serial), ig, ih))
         active.append(ih)
         stats.peak_basis = max(stats.peak_basis, len(active))
         self.unit = not lh and self.product_criterion
 
     def reduced(self) -> GroebnerBasis:
         """The reduced Groebner basis of every generator added, with a copy
-        of the run's stats; the active basis is interreduced in place."""
+        of the run's stats."""
         packed = self.packed
-        self.clean = packed.retry(
-            lambda: _interreduce(packed, self.active, self.clean), self._widen)
-        return GroebnerBasis(self.arity, tuple(self.clean.values()),
-                             stats=replace(self.stats))
+        return GroebnerBasis(self.arity, packed.retry(
+            lambda: _interreduce(packed, self.active)), stats=replace(self.stats))
 
 
-def _interreduce(packed: _Packed, indices: Iterable[int], clean: dict) -> dict:
+def _interreduce(packed: _Packed, indices: Iterable[int]) -> tuple:
     """The reduced Groebner basis of the Groebner basis formed by the
-    reducers of ``packed`` at ``indices``: {index: monic polynomial}, in
-    decreasing LM order; each reducer kept is replaced by its reduced one in
-    place, and one that changes leaves ``clean`` (empty, or the result of an
-    earlier call on the same reducers, since when elements may have entered
-    and left the basis), so a call redone after an overflow reads no stale monic."""
+    reducers of ``packed`` at ``indices``: its monic polynomials in
+    decreasing LM order.  The reducers are left as they are."""
     reducers, guard = packed.reducers, packed.guard
     # minimalize: drop an element when a kept one's LM divides its LM
     minimal: list = []
@@ -477,26 +457,17 @@ def _interreduce(packed: _Packed, indices: Iterable[int], clean: dict) -> dict:
     # no LM divides another, so only the tails need reducing; an LM that
     # divides a tail monomial m of g is at most m < LM(g), so the tail of g
     # is reduced by the elements with smaller LMs alone, reduced before it,
-    # and needs it only when one of their LMs divides one of its monomials.
-    # An element of clean has a tail reduced by every LM then kept, and an
-    # LM that left since is a multiple of one that entered, so for it only
-    # the new LMs need testing
-    new = [reducers[i][0] for i in minimal if i not in clean]
-    monic = {}
-    for pos, i in enumerate(minimal):
-        lm, d, tail, _ = reducers[i]
+    # and needs it only when one of their LMs divides one of its monomials
+    done: list = []
+    for i in minimal:
+        lm, d, tail, _ = reducer = reducers[i]
         top = tail[0][0] if tail else -1
-        lms = new if i in clean else [reducers[j][0] for j in minimal[:pos]]
-        lms = [n for n in lms if n <= top]
+        lms = [r[0] for r in done if r[0] <= top]
         if any(not (m - n) & guard for m, _ in tail for n in lms):
-            tail, scale = packed.reduce(dict(tail), d,
-                                        [reducers[j] for j in minimal[:pos]])
-            reducers[i] = packed.reducer([(lm, scale), *tail.items()], i)
-            clean.pop(i, None)
-            monic[i] = packed.monic(reducers[i])
-        else:  # reduced already, and unchanged since the earlier call if clean
-            monic[i] = clean[i] if i in clean else packed.monic(reducers[i])
-    return {i: monic[i] for i in reversed(minimal)}
+            tail, scale = packed.reduce(dict(tail), d, done)
+            reducer = packed.reducer([(lm, scale), *tail.items()], i)
+        done.append(reducer)
+    return tuple(packed.monic(r) for r in reversed(done))
 
 
 def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
@@ -505,7 +476,7 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     by decreasing leading monomial."""
     elements = [g for g in gb.elements if not g.is_zero()]
     return _run(gb.arity, elements, lambda packed: GroebnerBasis(
-        gb.arity, tuple(_interreduce(packed, range(len(elements)), {}).values()),
+        gb.arity, _interreduce(packed, range(len(elements))),
         stats=gb.stats))
 
 

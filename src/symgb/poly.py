@@ -61,6 +61,13 @@ def _check_arity(arity: int) -> None:
         raise ValueError("arity must be >= 1")
 
 
+def _match_arity(arity: int, polys: Iterable[Polynomial]) -> None:
+    """Raise ArityMismatchError unless every polynomial has the arity."""
+    for p in polys:
+        if p.arity != arity:
+            raise ArityMismatchError(f"arity mismatch: {arity} vs {p.arity}")
+
+
 def _check_monomial(mono: Monomial, arity: int) -> None:
     if len(mono) != arity:
         raise ArityMismatchError(
@@ -193,8 +200,7 @@ class Polynomial:
         other = self._number(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if other.arity != self.arity:
-            raise ArityMismatchError(f"arity mismatch: {self.arity} vs {other.arity}")
+        _match_arity(self.arity, (other,))
         return other
 
     def _signed_sum(self, a: int, other, b: int) -> "Polynomial":
@@ -301,6 +307,11 @@ def _packers(arity: int, width: int) -> tuple:
                      for i in range(0, size, width))
 
     return pack, unpack
+
+
+def _packed_variables(n: int, width: int) -> list:
+    """The packed variables x_n, x_{n-1}, ..., x_1 in ``width``-byte fields."""
+    return [1 << 8 * width * j for j in range(n - 1, -1, -1)]
 
 
 def _rewidth(keys: Sequence[int], arity: int, old: int, new: int) -> tuple:

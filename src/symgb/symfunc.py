@@ -13,7 +13,8 @@ from itertools import chain, combinations, combinations_with_replacement
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .poly import Monomial, Polynomial, _check_arity, _field_width, _product_sum
+from .poly import (Monomial, Polynomial, _check_arity, _field_width,
+                   _packed_variables, _product_sum)
 
 
 # Limit of the builds `sym`, `gb` and `verify` run, in exponents stored
@@ -55,8 +56,7 @@ def _packed_sum(arity: int, n: int, top: int, keys) -> Polynomial:
     one, so the sums need no sort.  ``_ambient`` checked n against the
     arity, so the variables are not checked again here."""
     width = _field_width(top)
-    xs = [1 << 8 * width * j for j in range(n - 1, -1, -1)]
-    keys = tuple(keys(xs))
+    keys = tuple(keys(_packed_variables(n, width)))
     return Polynomial._from_keys(arity, width, keys, (1,) * len(keys))
 
 

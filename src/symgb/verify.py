@@ -4,6 +4,7 @@ Hilbert-series corollary, over ranges of (k, n)."""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -35,8 +36,11 @@ class CellResult:
         return f"{self.status} {self.target}{k} n={self.n}{witness}"
 
 
-# The generators of the last computed_gb_ek call and its Buchberger run.
+# The generators of the last computed_gb_ek call and its Buchberger run,
+# read, fed, reduced and stored under the lock, so that concurrent sweeps
+# never read a basis off a run that another thread has fed since.
 _gb_ek_run: Tuple[list, Optional[groebner._Buchberger]] = ([], None)
+_gb_ek_lock = threading.Lock()
 
 
 def computed_gb_ek(k: int, n: int) -> groebner.GroebnerBasis:
@@ -53,13 +57,14 @@ def computed_gb_ek(k: int, n: int) -> groebner.GroebnerBasis:
     the whole run that gave it: on a resumed run, from e_1 to e_k."""
     global _gb_ek_run
     gens = [symfunc.elementary(i, n, n) for i in range(1, k + 1)]
-    stored, run = _gb_ek_run
-    if run is not None and stored == gens[:-1]:
-        run.add(gens[-1:])
-    else:
-        run = groebner._Buchberger(gens)
-    _gb_ek_run = gens, run
-    return run.reduced()
+    with _gb_ek_lock:
+        stored, run = _gb_ek_run
+        if run is not None and stored == gens[:-1]:
+            run.add(gens[-1:])
+        else:
+            run = groebner._Buchberger(gens)
+        _gb_ek_run = gens, run
+        return run.reduced()
 
 
 def computed_gb_e1ek(k: int, n: int) -> groebner.GroebnerBasis:
@@ -68,8 +73,8 @@ def computed_gb_e1ek(k: int, n: int) -> groebner.GroebnerBasis:
 
 
 # Largest n whose <e_1..e_n> basis hilbert_series builds: a fresh
-# computed_gb_ek(n, n) takes 0.024 / 0.069 / 0.20 / 0.59 s at n = 10 / 11 /
-# 12 / 13 (Python 3.11.7, 2 vCPUs), about 3x more for each step of n.
+# computed_gb_ek(n, n) takes 0.016 / 0.044 / 0.13 / 0.4 s at n = 10 / 11 /
+# 12 / 13 (Python 3.11.7, 2-vCPU Xeon), about 3x more for each step of n.
 MAX_HILBERT_N = 13
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -347,10 +348,9 @@ class TestResumedRun:
         assert gb == fresh and gb.stats == fresh.stats  # no pair was reduced
 
     def test_widening_keeps_the_basis_read(self):
-        # the basis read after the second generator is interreduced in
-        # place, and the third overflows a 1-byte field: widened in place,
-        # the run ends as one made 2 bytes wide from the start does,
-        # reducers and stats alike
+        # the basis is read after the second generator, and the third
+        # overflows a 1-byte field: widened in place, the run ends as one
+        # made 2 bytes wide from the start does, reducers and stats alike
         gens = [P("5*x3^2-x1*x2^3*x3"), P("-x2^2*x3^2+x2^2*x3+2*x2^3"), P("x3+x1^100")]
         runs = [_Buchberger(gens[:1]) for _ in range(2)]
         runs[1].packed.widen(2)
@@ -398,14 +398,14 @@ class TestResumedRun:
     def test_old_elements_are_not_reduced_again(self, monkeypatch):
         # adding e_k to the run on e_1..e_{k-1} enters h_k, reduced by
         # h_1..h_{k-1} and of the least LM, which divides no tail monomial
-        # of theirs: reduced() reduces nothing and keeps their polynomials
+        # of theirs: reduced() reduces nothing
         calls, reduce = [], _Packed.reduce
 
         def counting(packed, *args):
             calls.append(args)
             return reduce(packed, *args)
 
-        run, previous = _Buchberger([elementary(1, 6)]), ()
+        run = _Buchberger([elementary(1, 6)])
         for k in range(1, 7):
             if k > 1:
                 run.add([elementary(k, 6)])
@@ -414,8 +414,34 @@ class TestResumedRun:
             monkeypatch.undo()
             assert not calls, k
             assert gb.elements == tuple(conjectured_gb_ek(k, 6))
-            assert all(g is h for g, h in zip(gb.elements, previous))
-            previous = gb.elements
+
+    @pytest.mark.parametrize("c, width", [(3, 1), (100, 2)])
+    def test_reading_the_basis_changes_nothing(self, c, width):
+        # reduced() builds the reduced basis aside, here x3 - x1^(2c) from
+        # x3 - x2^2: the run's reducers, basis, pairs and stats stay as they
+        # were, and a second read gives the same basis.  At c = 100 the
+        # first read overflows a 1-byte field, and widening is the one
+        # change it makes: the reducers are those of a run made 2 bytes
+        # wide before x2 - x1^100 entered
+        gens = [P("x3-x2^2"), P(f"x2-x1^{c}")]
+        run, wide = _Buchberger(gens[:1]), _Buchberger(gens[:1])
+        wide.packed.widen(width)
+        for r in (run, wide):
+            r.add(gens[1:])
+
+        def state():
+            return (list(run.packed.reducers), list(run.active),
+                    list(run.pairs), replace(run.stats))
+
+        before = state()
+        gb = run.reduced()
+        assert run.packed.width == width
+        assert state()[1:] == before[1:]
+        assert run.packed.reducers == wide.packed.reducers
+        after = state()
+        assert run.reduced() == gb == reduced_groebner_basis(gens)
+        assert state() == after
+        assert "; ".join(map(str, gb)) == f"x3-x1^{2 * c}; x2-x1^{c}"
 
     def test_each_basis_keeps_its_own_stats(self):
         run = _Buchberger([elementary(i, 4) for i in (2, 4)])
@@ -740,9 +766,9 @@ class TestOverflowIdeals:
         assert all(normal_form(g, gb).is_zero() for g in gens)
 
     def test_fields_widen_with_pairs_queued(self, widths):
-        # the 1-byte fields overflow with pairs queued, so the reducers and
-        # the pairs' lcms are repacked one byte wider and the step is
-        # redone; the stats count no step twice
+        # the 1-byte fields overflow with pairs queued, so the reducers are
+        # repacked one byte wider and the step is redone; the queued pairs
+        # hold no packed monomial, and the stats count no step twice
         gens = [P(g) for g in ("x3^3-x1^25*x2", "x2^3-x1^72",
                                "x3*x2^2-x1^29*x3", "x3*x2*x1-x2")]
         gb = reduced_groebner_basis(gens)
@@ -775,20 +801,22 @@ class TestOverflowIdeals:
     def test_stretched_ideals_fed_one_at_a_time(self, monkeypatch):
         # as above, on runs fed one generator at a time and read after
         # each: a run that outgrows its fields while it enters a generator
-        # or reduces an S-pair has pairs queued, whose packed lcms are
-        # repacked with the reducers, and must go on as the plain run does
-        queued, widen = [], _Buchberger._widen
+        # or reduces an S-pair has pairs queued, whose reducers are
+        # repacked, and must go on as the plain run does
+        queued, widen, runs = [], _Packed.widen, {}
 
-        def recording(run, width):
-            queued.append(len(run.pairs))
-            widen(run, width)
+        def recording(packed, width):
+            if packed in runs:  # not while the run is built
+                queued.append(len(runs[packed].pairs))
+            widen(packed, width)
 
-        monkeypatch.setattr(_Buchberger, "_widen", recording)
+        monkeypatch.setattr(_Packed, "widen", recording)
         rng = random.Random(23)
         for _ in range(300):
             arity, s = rng.randint(2, 3), rng.choice([63, 64, 100, 127])
             gens = square_free_generators(rng, arity, arity + 3)
             plain, wide = _Buchberger(gens[:1]), _Buchberger([stretched(gens[0], s)])
+            runs.update({run.packed: run for run in (plain, wide)})
             for i, g in enumerate(gens):
                 if i:
                     plain.add([g])

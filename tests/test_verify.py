@@ -1,5 +1,7 @@
 import dataclasses
 import re
+import sys
+import threading
 from math import factorial
 
 import pytest
@@ -329,6 +331,57 @@ def test_gb_ek_reuse_keyed_by_the_generators(monkeypatch, batches):
     monkeypatch.setattr(verify, "_gb_ek_run", ([], None))
     assert run_sweep("gb-ek", 4, 4, fixed_k=4) == after
     assert run.reduced().elements == from_scratch(4, 4).elements  # of the patched e's
+
+
+def test_gb_ek_cells_on_concurrent_threads(monkeypatch):
+    # a thread that asks for (4, 6) while the cell (3, 6) is about to read
+    # its basis finds e_1..e_3 stored and would feed e_4 to the same run;
+    # the memo is locked from the read of the stored run to the read of
+    # the basis, so that thread waits, and each cell gets its own basis
+    monkeypatch.setattr(verify, "_gb_ek_run", ([], None))
+    verify.computed_gb_ek(2, 6)
+    reduced, threads, bases = groebner._Buchberger.reduced, [], {}
+
+    def racing(run):
+        if not threads:  # the first read only: start (4, 6) and let it run
+            threads.append(threading.Thread(
+                target=lambda: bases.update({4: verify.computed_gb_ek(4, 6)})))
+            threads[0].start()
+            threads[0].join(timeout=0.5)
+        return reduced(run)
+
+    monkeypatch.setattr(groebner._Buchberger, "reduced", racing)
+    bases[3] = verify.computed_gb_ek(3, 6)
+    threads[0].join(timeout=60)
+    assert not threads[0].is_alive()
+    for k in (3, 4):
+        assert bases[k].elements == from_scratch(k, 6).elements, k
+
+
+def test_gb_ek_sweeps_on_concurrent_threads(monkeypatch):
+    # more threads than cores, each sweeping gb-ek with a short switch
+    # interval, so that one thread's cell often runs between the feeding
+    # and the reading of another's; a basis read off a run that another
+    # thread fed since fails its cell
+    monkeypatch.setattr(verify, "_gb_ek_run", ([], None))
+    failed: list = []
+
+    def sweep(n_lo):
+        for n in [*range(n_lo, 9)] * 2:
+            failed.extend(r for r in run_sweep("gb-ek", n, n) if not r.ok)
+
+    threads = [threading.Thread(target=sweep, args=(lo,)) for lo in (1, 2, 3, 4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failed
 
 
 def test_basis_fail_path(monkeypatch):
